@@ -1,127 +1,67 @@
-"""Exact float accumulation and deterministic chunked reduction.
+"""Deterministic chunked reduction: one streaming math.fsum per sum.
 
-Sums over progressions are accumulated as non-overlapping expansions
-(Shewchuk partials, the algorithm behind math.fsum).  Partial sums merge
-exactly, so the final correctly-rounded double is independent of chunking,
-merge order, and thread count -- the reduction is bit-reproducible by
-construction, and restricting a sum to subranges and merging gives the
-full-range result exactly.
+Every progression sum is one streaming ``math.fsum`` over its per-point
+terms, evaluated chunk by chunk.  ``fsum`` returns the correctly rounded
+value of the exact total, which depends only on the multiset of terms, so
+the final double is independent of chunk boundaries and thread count, and
+summing the terms of a partition of the range gives the full-range value
+exactly.  No list of all terms is built: memory is O(CHUNK) per real sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
 CHUNK = 1 << 13  # progression elements per chunk; fixed, never tied to threads
 
 
-class ExactSum:
-    """Running sum of doubles kept as an exact non-overlapping expansion."""
+def _chunk_terms(ns: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray],
+                 threads: int) -> Iterator[np.ndarray]:
+    """kernel on consecutive CHUNK slices of ns, yielded in chunk order.
 
-    __slots__ = ("partials",)
-
-    def __init__(self):
-        self.partials: list[float] = []
-
-    def add(self, x: float) -> None:
-        ps = self.partials
-        i = 0
-        for y in ps:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                ps[i] = lo
-                i += 1
-            x = hi
-        ps[i:] = [x]
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    def merge(self, other: "ExactSum") -> None:
-        # adding another expansion's components is still exact
-        for x in other.partials:
-            self.add(x)
-
-    def value(self) -> float:
-        return math.fsum(self.partials)
-
-
-class ExactComplexSum:
-    """Componentwise exact accumulation for complex terms."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self):
-        self.re = ExactSum()
-        self.im = ExactSum()
-
-    def extend(self, xs: np.ndarray) -> None:
-        for x in xs:
-            self.re.add(x.real)
-            self.im.add(x.imag)
-
-    def merge(self, other: "ExactComplexSum") -> None:
-        self.re.merge(other.re)
-        self.im.merge(other.im)
-
-    def value(self) -> complex:
-        return complex(self.re.value(), self.im.value())
-
-
-def _pairwise_merge(accs: list) -> object:
-    """Tree-merge in index order; exactness makes the shape immaterial."""
-    if not accs:
-        raise ValueError("nothing to merge")
-    while len(accs) > 1:
-        nxt = []
-        for i in range(0, len(accs) - 1, 2):
-            accs[i].merge(accs[i + 1])
-            nxt.append(accs[i])
-        if len(accs) % 2:
-            nxt.append(accs[-1])
-        accs = nxt
-    return accs[0]
+    With threads > 1 a pool evaluates the kernel at most 2 * threads chunks
+    ahead of the consumer; the reduction itself stays in the caller.
+    """
+    starts = range(0, len(ns), CHUNK)
+    if threads <= 1 or len(starts) <= 1:
+        for i in starts:
+            yield kernel(ns[i:i + CHUNK])
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window: deque = deque()
+        for i in starts:
+            window.append(pool.submit(kernel, ns[i:i + CHUNK]))
+            if len(window) >= 2 * threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def chunked_sum(ns: np.ndarray,
                 kernel: Callable[[np.ndarray], np.ndarray],
                 threads: int = 1,
                 complex_valued: bool = False):
-    """Exact sum of kernel(ns) with ns processed in fixed-size chunks.
+    """Exactly rounded sum of kernel(ns), with ns processed in CHUNK slices.
 
     kernel maps an int64 array of progression points to per-point terms.
-    Chunk boundaries depend only on CHUNK, so the result is byte-identical
-    for every thread count.
+    Complex sums stream the real parts through fsum and keep each chunk's
+    imaginary parts (8 bytes per term) for a second fsum.  Empty ns gives
+    0.0 (0j when complex_valued) without calling kernel.
     """
-    chunks = [ns[i:i + CHUNK] for i in range(0, len(ns), CHUNK)] or [ns]
-    make = ExactComplexSum if complex_valued else ExactSum
+    terms = _chunk_terms(ns, kernel, threads)
+    if not complex_valued:
+        return math.fsum(chain.from_iterable(c.tolist() for c in terms))
+    imag: list[np.ndarray] = []
 
-    def work(chunk: np.ndarray):
-        acc = make()
-        if len(chunk):
-            acc.extend(kernel(chunk))
-        return acc
+    def real_parts(c: np.ndarray) -> list[float]:
+        imag.append(np.imag(c).copy())
+        return np.real(c).tolist()
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(work, chunks))
-    else:
-        accs = [work(c) for c in chunks]
-    return _pairwise_merge(accs).value()
-
-
-def exact_partials(ns: np.ndarray,
-                   kernel: Callable[[np.ndarray], np.ndarray]) -> ExactSum:
-    """Accumulator for a subrange; merging these across a partition is exact."""
-    acc = ExactSum()
-    for i in range(0, len(ns), CHUNK):
-        acc.extend(kernel(ns[i:i + CHUNK]))
-    return acc
+    re = math.fsum(chain.from_iterable(real_parts(c) for c in terms))
+    return complex(re, math.fsum(chain.from_iterable(a.tolist() for a in imag)))

@@ -156,6 +156,10 @@ class _Emitter:
         self.hash = config_hash(self.cfg)
         self.stream = stream
         self.timing = cfg.get("timing", False)
+        self.restart_clock()
+
+    def restart_clock(self) -> None:
+        """Start the next report's wall_ms from now."""
         self._t0 = time.perf_counter()
 
     def emit(self, record: dict) -> None:
@@ -166,7 +170,7 @@ class _Emitter:
 
     def emit_report(self, rep: SumReport) -> None:
         wall = (time.perf_counter() - self._t0) * 1000.0 if self.timing else None
-        self._t0 = time.perf_counter()
+        self.restart_clock()
         self.emit({"op": rep.op, "measured": rep.measured,
                    "predicted": rep.predicted, "ratio": rep.ratio,
                    "count": rep.count, "bound": rep.bound,
@@ -406,6 +410,7 @@ def main(argv=None) -> int:
                 if have < limit:
                     tables.clear()
                     tables[limit] = build_prime_table(limit)
+                    em.restart_clock()  # wall_ms never counts the table build
                 return tables[max(tables)]
 
             if args.subcommand == "tuple":

@@ -10,9 +10,9 @@ measured progression sum is reported next to its first-order main term;
 the ratio is the whole point of the experiment.
 
 Summation order is pinned everywhere: per-coordinate subset terms follow
-one fixed preorder, per-n terms accumulate in ascending n, and totals use
-exact (expansion-based) accumulation, so results are bit-identical across
-chunkings and thread counts.
+one fixed preorder, and each total is one streaming ``math.fsum`` over its
+per-n terms (``accumulate.chunked_sum``), so results are bit-identical
+across chunkings and thread counts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accumulate import chunked_sum, exact_partials
+from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, phi_int, squarefree_divisors
 from .testfn import TestFunction, J_star, J_i, J_cross, lambda_weight
@@ -211,19 +211,6 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
     params = p.echo()
     params["i"] = i
     return SumReport.build("weighted_prime_sum", measured, predicted, len(ns), params)
-
-
-def omega_sum_partials(p: SieveParams, F: TestFunction, t: PrimeTable,
-                       lo: int, hi: int):
-    """Exact accumulator for the progression restricted to [lo, hi].
-
-    Merging the accumulators of a partition of [N, 2N] reproduces the
-    full-range sum exactly (same final double).
-    """
-    _require_table(p, t)
-    ns = progression(p)
-    sel = ns[(ns >= lo) & (ns <= hi)]
-    return exact_partials(sel, _omega_kernel(p, F, t))
 
 
 def _require_table(p: SieveParams, t: PrimeTable) -> None:

@@ -1,0 +1,109 @@
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from recurgaps import accumulate
+from recurgaps.accumulate import chunked_sum
+
+# bounded so that no partial sum of a short list can overflow
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+                   allow_infinity=False)
+# cancellation-heavy terms: huge values of both signs next to tiny ones
+scaled = st.builds(lambda m, e: math.ldexp(m, e),
+                   st.floats(min_value=-1.0, max_value=1.0),
+                   st.integers(min_value=-60, max_value=60))
+terms_of = st.lists(st.one_of(finite, scaled), max_size=60)
+
+
+def lookup(values: np.ndarray):
+    """Kernel reading per-point terms off an index progression."""
+    return lambda idx: values[idx]
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms_of, st.integers(min_value=1, max_value=17),
+       st.sampled_from([1, 2, 3]))
+def test_real_matches_fsum(terms, chunk, threads):
+    values = np.array(terms, dtype=np.float64)
+    ns = np.arange(len(values), dtype=np.int64)
+    want = math.fsum(values.tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulate, "CHUNK", chunk)
+        got = chunked_sum(ns, lookup(values), threads=threads)
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(finite, scaled), st.one_of(finite, scaled)),
+                max_size=60),
+       st.integers(min_value=1, max_value=17), st.sampled_from([1, 2, 3]))
+def test_complex_matches_componentwise_fsum(pairs, chunk, threads):
+    values = np.array([complex(re, im) for re, im in pairs],
+                      dtype=np.complex128)
+    ns = np.arange(len(values), dtype=np.int64)
+    want = complex(math.fsum(values.real.tolist()),
+                   math.fsum(values.imag.tolist()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulate, "CHUNK", chunk)
+        got = chunked_sum(ns, lookup(values), threads=threads,
+                          complex_valued=True)
+    assert type(got) is complex
+    assert got == want
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 2, 8192])
+def test_ill_conditioned_terms(monkeypatch, chunk, threads):
+    values = np.array([1e16, 1.0, -1e16])
+    assert np.sum(values) != 1.0  # naive float summation loses the 1
+    ns = np.arange(3, dtype=np.int64)
+    monkeypatch.setattr(accumulate, "CHUNK", chunk)
+    assert chunked_sum(ns, lookup(values), threads=threads) == 1.0
+    cvalues = values * (1 - 2j)
+    assert chunked_sum(ns, lookup(cvalues), threads=threads,
+                       complex_valued=True) == complex(1.0, -2.0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_empty_progression(threads):
+    def kernel(chunk):
+        raise AssertionError("kernel called on an empty progression")
+
+    ns = np.zeros(0, dtype=np.int64)
+    real = chunked_sum(ns, kernel, threads=threads)
+    cplx = chunked_sum(ns, kernel, threads=threads, complex_valued=True)
+    assert type(real) is float and real == 0.0
+    assert type(cplx) is complex and cplx == 0j
+
+
+def test_pool_stays_a_bounded_window_ahead(monkeypatch):
+    # each chunk's kernel may run only while few later chunks are pending:
+    # the pool evaluates in chunk order, never all chunks up front
+    monkeypatch.setattr(accumulate, "CHUNK", 1)
+    threads, nchunks = 2, 200
+    started: list[int] = []
+
+    def kernel(chunk):
+        started.append(int(chunk[0]))
+        return np.ones(1)
+
+    consumed = 0
+
+    def counting_fsum(it):
+        nonlocal consumed
+        total = 0.0
+        for x in it:
+            consumed += 1
+            assert len(started) <= consumed + 2 * threads
+            total += x
+        return total
+
+    monkeypatch.setattr(accumulate, "math", SimpleNamespace(fsum=counting_fsum))
+    got = chunked_sum(np.arange(nchunks, dtype=np.int64), kernel,
+                      threads=threads)
+    assert got == float(nchunks)
+    assert sorted(started) == list(range(nchunks))

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+import time
 
 import pytest
 
+from recurgaps import cli
 from recurgaps.cli import main, parse_set, parse_system
 from recurgaps.serialize import config_hash, dumps
 
@@ -138,6 +141,45 @@ def test_byte_identity_across_threads(tmp_path, capsys):
         assert code == 0
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# sha256 of the stdout these commands gave before progression sums moved
+# from pure-Python expansions to one streaming math.fsum and before the
+# wall_ms clock restart; the bytes without --timing must not change
+GOLDEN_STDOUT = [
+    (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
+      "--theta", "0.24"],
+     "7329614190ce4566dbf94b08268403c54065793c381c3627230671dc9074ef51"),
+    (["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--h", "0,2",
+      "--w", "2", "--theta", "0.24", "--a", "1", "--q", "3",
+      "--theta-offset", "0.01"],
+     "21fc179a2572a1f61b898a47807c92995afaf9140ab849330125ea7c68b83b99"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT,
+                         ids=[a[0] for a, _ in GOLDEN_STDOUT])
+def test_stdout_without_timing_unchanged(args, digest, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_timing_excludes_table_build(monkeypatch, capsys):
+    delay_s = 1.0
+    build = cli.build_prime_table
+
+    def slow_build(limit):
+        time.sleep(delay_s)
+        return build(limit)
+
+    monkeypatch.setattr(cli, "build_prime_table", slow_build)
+    code, out, _ = run_cli(["sums", "--n", "50000", "--k", "1", "--h", "0,2",
+                            "--w", "2", "--theta", "0.24", "--timing"], capsys)
+    assert code == 0
+    walls = [r["wall_ms"] for r in lines_of(out)]
+    assert len(walls) == 3
+    assert all(0.0 < w < delay_s * 1000.0 for w in walls)
 
 
 def test_repeat_run_byte_identity(tmp_path, capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recurgaps import accumulate
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.primes import build_prime_table, is_prime
 from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum, omega_n,
-                             omega_sum, omega_sum_partials, progression,
-                             weighted_prime_sum)
+                             omega_sum, progression, weighted_prime_sum,
+                             _omega_kernel)
 from recurgaps.testfn import default_test_function
 
 
@@ -103,17 +104,22 @@ def test_omega_sum_thread_invariance(params_k2, small_table):
     assert a.measured == b.measured
 
 
-def test_omega_sum_subrange_additivity(params_k0, small_table):
-    # merging subrange accumulators reproduces the full sum exactly
+def test_omega_sum_subrange_additivity(params_k0, small_table, monkeypatch):
+    # the total is bit-identical for every chunk size, and the exactly
+    # rounded sum of the left and right subrange terms is the full value
     F = default_test_function(0)
-    N = params_k0.N
-    mid = N + 31_415
-    full = omega_sum_partials(params_k0, F, small_table, N, 2 * N)
-    left = omega_sum_partials(params_k0, F, small_table, N, mid)
-    right = omega_sum_partials(params_k0, F, small_table, mid + 1, 2 * N)
-    left.merge(right)
-    assert left.value() == full.value()
-    assert full.value() == omega_sum(params_k0, F, small_table).measured
+    totals = set()
+    for chunk in (1, 7, 8192):
+        monkeypatch.setattr(accumulate, "CHUNK", chunk)
+        totals.add(omega_sum(params_k0, F, small_table).measured)
+    assert len(totals) == 1
+    full = totals.pop()
+    ns = progression(params_k0)
+    mid = params_k0.N + 31_415
+    kern = _omega_kernel(params_k0, F, small_table)
+    left, right = kern(ns[ns <= mid]), kern(ns[ns > mid])
+    assert len(left) and len(right)
+    assert math.fsum(np.concatenate([left, right]).tolist()) == full
 
 
 def test_omega_sum_scales_with_N(small_table):
