@@ -2,8 +2,14 @@
 
 All frequencies are handled as alpha = a/q + theta with (a, q) = 1: the
 rational part of each phase n * a/q is reduced exactly in integer
-arithmetic, and the n * theta part goes through a two-term split of theta
-so the fractional part keeps full precision out to n ~ 2^28.
+arithmetic.  The n * theta part is reduced in one of two ways:
+
+- per-term phases (prime and weighted sums) split theta in two so that
+  frac(n * theta) keeps full precision for every n < 2^28; larger n are
+  rejected with a ParameterError;
+- the geometric sum of e(n theta) over [x, 2x] is evaluated in closed form,
+  and each argument n * theta it needs is reduced mod 2 exactly, with
+  theta taken as the dyadic rational it is, so it has no range limit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
+from .dynamics import torus_norm
 from .primes import PrimeTable, phi_int, primes_between, mobius
 from .sieve import SumReport, progression, _omega_kernel, _varpi_kernel, _main_scale, _require_table
 from .testfn import TestFunction, J_i
@@ -24,7 +31,8 @@ from .testfn import TestFunction, J_i
 P_EXP = 1.0 / 3.0 - 1.0 / 99.0
 Q_EXP = 1.0 - 1.0 / 49.0
 
-_SPLIT = float(1 << 28) + 1.0  # Veltkamp split point: n * theta_hi exact for n < 2^28
+_SPLIT_BITS = 28
+_SPLIT = float(1 << _SPLIT_BITS) + 1.0  # Veltkamp split point: n * theta_hi exact for n < 2^28
 
 
 @dataclass(frozen=True)
@@ -58,18 +66,13 @@ class ArcLabel:
     Q: float
 
 
-def torus_norm(x: float) -> float:
-    """Distance from x to the nearest integer, in [0, 1/2]."""
-    return abs(x - round(x))
-
-
 def _theta_frac(ns: np.ndarray, theta: float) -> np.ndarray:
     """frac(n * theta) with the integer part removed before precision is lost."""
     if theta == 0.0:
         return np.zeros(len(ns))
-    if len(ns) and int(ns.max()) >= (1 << 28):
-        ext = np.mod(ns.astype(np.float128) * np.float128(theta), 1.0)
-        return ext.astype(np.float64)
+    if len(ns) and int(ns.max()) >= (1 << _SPLIT_BITS):
+        raise ParameterError(
+            f"phase e(n theta) needs n < 2^{_SPLIT_BITS}, got n = {int(ns.max())}")
     c = theta * _SPLIT
     hi = c - (c - theta)   # leading ~25 bits of theta
     lo = theta - hi
@@ -85,12 +88,40 @@ def _phase(ns: np.ndarray, pt: RationalPoint) -> np.ndarray:
     return out
 
 
+# Below this |t|, pi t can be subnormal and lose precision, while
+# sin(pi n t) / sin(pi t) = n to double precision for every n < 2^400.
+_TINY_THETA = 2.0 ** -600
+
+
+def _cos_sin_pi(n: int, num: int, den: int) -> tuple[float, float]:
+    """cos and sin of pi * n * num/den, reduced exactly mod 2 first."""
+    r = n * num
+    k = (2 * r + den) // (2 * den)  # nearest integer to r/den
+    f = (r - k * den) / den         # in [-1/2, 1/2], correctly rounded
+    sign = -1.0 if k % 2 else 1.0
+    return sign * math.cos(math.pi * f), sign * math.sin(math.pi * f)
+
+
 def geometric_phase_sum(x: int, theta: float) -> complex:
-    """sum of e(n theta) over x <= n <= 2x."""
+    """sum of e(n theta) over x <= n <= 2x, in closed form:
+
+        e(3 x theta / 2) sin(pi (x+1) theta) / sin(pi theta).
+
+    theta is first moved to t = theta - round(theta) in [-1/2, 1/2], which
+    leaves every e(n theta) unchanged; t is a dyadic rational num/den, so
+    (x+1) t and 3x t are reduced mod 2 in exact integer arithmetic before
+    their sines and cosines are taken.
+    """
     if theta == 0.0 or torus_norm(theta) == 0.0:
         return complex(x + 1, 0.0)
-    ns = np.arange(x, 2 * x + 1, dtype=np.int64)
-    return complex(np.sum(np.exp(2j * np.pi * _theta_frac(ns, theta))))
+    t = theta - round(theta)
+    num, den = t.as_integer_ratio()
+    c, s = _cos_sin_pi(3 * x, num, den)
+    if abs(t) < _TINY_THETA:
+        r = float(x + 1)
+    else:
+        r = _cos_sin_pi(x + 1, num, den)[1] / math.sin(math.pi * t)
+    return complex(c * r, s * r)
 
 
 def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:

@@ -2,7 +2,9 @@
 
 Reals print with 12 significant digits, complex values as [re, im],
 integers unquoted; key order is preserved (or sorted for hashing), so a
-given record always serializes to the same bytes.
+given record always serializes to the same bytes.  JSON has no nan or
+infinity, so a non-finite real or complex part raises NonFiniteError,
+naming the field it sits in.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ import json
 import numpy as np
 
 
-def _fmt(value, sort_keys: bool) -> str:
+class NonFiniteError(ArithmeticError):
+    """A record holds nan or +-inf, which has no JSON encoding."""
+
+
+def _non_finite(key, text: str) -> NonFiniteError:
+    return NonFiniteError(f"field {key!r} is {text}, which JSON cannot encode")
+
+
+def _fmt(value, sort_keys: bool, key=None) -> str:
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -21,19 +31,25 @@ def _fmt(value, sort_keys: bool) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return "[%s, %s]" % (format(float(value.real), ".12g"),
+        text = "[%s, %s]" % (format(float(value.real), ".12g"),
                              format(float(value.imag), ".12g"))
+        if "n" in text:  # a part printed as nan, inf or -inf
+            raise _non_finite(key, text)
+        return text
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+        text = format(float(value), ".12g")
+        if "n" in text:
+            raise _non_finite(key, text)
+        return text
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         keys = sorted(value) if sort_keys else list(value)
-        inner = ", ".join("%s: %s" % (json.dumps(str(k)), _fmt(value[k], sort_keys))
+        inner = ", ".join("%s: %s" % (json.dumps(str(k)), _fmt(value[k], sort_keys, k))
                           for k in keys)
         return "{" + inner + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(v, sort_keys) for v in value) + "]"
+        return "[" + ", ".join(_fmt(v, sort_keys, key) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import re
 import time
 
 import pytest
 
 from recurgaps import cli
 from recurgaps.cli import main, parse_set, parse_system
-from recurgaps.serialize import config_hash, dumps
+from recurgaps.serialize import NonFiniteError, config_hash, dumps
 
 
 def run_cli(args, capsys):
@@ -223,3 +224,63 @@ def test_serializer_formats():
     s = dumps({"a": 1.0 / 3.0, "z": complex(1, -2), "n": 7, "s": "x",
                "v": [1.5, None]})
     assert s == '{"a": 0.333333333333, "z": [1, -2], "n": 7, "s": "x", "v": [1.5, null]}'
+
+
+@pytest.mark.parametrize("value,text", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (complex(1.0, float("nan")), "[1, nan]"),
+    (complex(float("inf"), 0.0), "[inf, 0]"),
+])
+def test_serializer_rejects_non_finite(value, text):
+    with pytest.raises(NonFiniteError, match=f"field 'ratio' is {re.escape(text)}"):
+        dumps({"op": "x", "params": {"N": 1}, "ratio": value})
+    with pytest.raises(NonFiniteError, match="field 'v'"):
+        dumps({"v": [1.0, value]})
+
+
+def test_non_finite_result_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "prime_expsum", lambda *a: complex(float("nan"), 0.0))
+    code, out, err = run_cli(["expsum", "--op", "prime", "--n", "1000",
+                              "--a", "1", "--q", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteError" in err and "'value'" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+STRICT_JSON_RUNS = [
+    ["tuple", "--k", "2", "--w", "5", "--w0", "1"],
+    ["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
+     "--theta", "0.24"],
+    ["expsum", "--op", "classify", "--alpha", "0.5", "--n", "1000000"],
+    ["expsum", "--op", "prime", "--n", "10000", "--a", "1", "--q", "3",
+     "--theta-offset", "1e-6"],
+    ["expsum", "--op", "main-term", "--n", "10000", "--a", "1", "--q", "3",
+     "--theta-offset", "1e-6"],
+    ["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--h", "0,2",
+     "--w", "2", "--theta", "0.24", "--a", "1", "--q", "2",
+     "--theta-offset", "0.01"],
+    ["expsum", "--op", "discrepancy", "--q", "3", "--delta", "1e-5",
+     "--grid", "3", "--n", "10000"],
+    ["recur", "--system", "g=4", "--set", "0", "--eps", "0.01",
+     "--pmax", "1000"],
+    ["recur", "--system", "g=4", "--set", "0", "--eps", "0.01",
+     "--nmax", "100"],
+    ["cluster", "--n", "100000", "--k", "5", "--tuple-style", "dense",
+     "--w", "5", "--w0", "4", "--system", "g=4", "--set", "0",
+     "--eps", "0.01", "--m", "1"],
+]
+
+
+@pytest.mark.parametrize("args", STRICT_JSON_RUNS,
+                         ids=["-".join(a[:3]) for a in STRICT_JSON_RUNS])
+def test_every_stdout_line_is_json(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)

@@ -143,6 +143,51 @@ def test_geometric_phase_sum_matches_direct():
     assert abs(geometric_phase_sum(x, theta) - direct) < 1e-9
 
 
+# (x, theta) pairs for the closed form: tiny, negative, near 1/2, beyond
+# [-1, 1], (x+1) theta next to an integer (x = 10^6, theta = 1e-6), and
+# subnormal or near the small-theta cut
+CLOSED_FORM_CASES = [
+    (x, theta)
+    for x in (10, 500, 250_000, 60_000_000)
+    for theta in (1e-12, -1e-12, -0.3, 0.5 - 1e-9, -(0.5 - 1e-9), 2.7, -5.25)
+] + [(10 ** 6, 1e-6), (10 ** 6, -1e-6), (2000, 5e-324), (2000, 1e-320),
+     (2000, 2.0 ** -600), (2000, 2.0 ** -599)]
+
+
+@pytest.mark.parametrize("x,theta", CLOSED_FORM_CASES)
+def test_geometric_phase_sum_closed_form_tolerance(x, theta):
+    import mpmath
+    with mpmath.workdps(50):
+        th = mpmath.mpf(theta)  # the double exactly
+        want = (mpmath.expjpi(3 * x * th) * mpmath.sinpi((x + 1) * th)
+                / mpmath.sinpi(th))
+        err = abs(mpmath.mpc(geometric_phase_sum(x, theta)) - want)
+        assert err <= 1e-14 * max(1, abs(want))
+
+
+def _direct_phase_sum(x: int, theta: float) -> complex:
+    """sum of e(n theta) term by term, each n theta reduced mod 1 exactly."""
+    num, den = theta.as_integer_ratio()
+    terms = [cmath.exp(2j * math.pi * (((n * num) % den) / den))
+             for n in range(x, 2 * x + 1)]
+    return complex(math.fsum(z.real for z in terms),
+                   math.fsum(z.imag for z in terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2000),
+       st.floats(min_value=-10.0, max_value=10.0,
+                 allow_nan=False, allow_infinity=False))
+def test_geometric_phase_sum_matches_direct_property(x, theta):
+    direct = _direct_phase_sum(x, theta)
+    assert abs(geometric_phase_sum(x, theta) - direct) <= 1e-12 * max(1, x)
+
+
+def test_theta_frac_rejects_n_beyond_split_range():
+    with pytest.raises(ParameterError, match=r"2\^28"):
+        _theta_frac(np.array([5, 1 << 28], dtype=np.int64), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # rational approximation and arc labels
 # ---------------------------------------------------------------------------
