@@ -14,7 +14,6 @@ checked from floats and is treated as a trust assumption.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,46 +314,6 @@ def build_bump(delta0: float, delta1: float, K: int = 10_000) -> BumpPsi:
     return BumpPsi(delta0=delta0, delta1=delta1, C0=C0, K=K, fourier=fourier)
 
 
-def lower_bound_depth(d: int, eps1: float, g_l1: float) -> int:
-    """Least L with (1 - 1/L)^d > (1 - eps1 / g_l1^2)^(1/3), by direct search."""
-    if d < 1:
-        return 2
-    target = (1.0 - eps1 / g_l1 ** 2) ** (1.0 / 3.0)
-    L = 2
-    while (1.0 - 1.0 / L) ** d <= target:
-        L += 1
-        if L > 10 ** 9:
-            raise ParameterError("no feasible depth; eps1 too small")
-    return L
-
-
-def fourier_truncation_order(d: int, delta0: float, delta1: float,
-                             C0: float, L0: int, cap: int = 10 ** 7) -> int:
-    """Least K with (log K + 1/(delta1 K) + 1)^(d-1) / K below the tail
-    target; capped with a warning because small delta1 can demand enormous K."""
-    target = ((delta0 - delta1) ** d * delta1 / (2 ** d * C0 ** d * max(d, 1))
-              * (1.0 - (1.0 - 1.0 / L0) ** d))
-    if target <= 0:
-        raise ParameterError("degenerate truncation target")
-    K = 2
-    while (math.log(K) + 1.0 / (delta1 * K) + 1.0) ** max(d - 1, 0) / K >= target:
-        K *= 2
-        if K > cap:
-            warnings.warn(
-                f"truncation order exceeds cap {cap} (needs K with tail below "
-                f"{target:.3g}); returning the cap", RuntimeWarning)
-            return cap
-    # binary refine between K/2 and K
-    lo, hi = K // 2, K
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if (math.log(mid) + 1.0 / (delta1 * mid) + 1.0) ** max(d - 1, 0) / mid < target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def weighted_correlation_sum(p: SieveParams, F: TestFunction,
                              sys: KroneckerSystem, A: BoxSet, i: int,
                              eps: float, t: PrimeTable,
@@ -374,10 +333,15 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     wp = _varpi_kernel(t)
     hi = p.h[i]
     corr_kernel = _correlation_kernel(sys, A)
+    spf = t.spf
 
     def kern(chunk: np.ndarray) -> np.ndarray:
+        # terms with n + h_i composite are exact +0.0s; dropping them
+        # leaves the fsum unchanged
         m = chunk + hi
-        return wp(m) * omega(chunk) * corr_kernel(m - 1)
+        on = spf[m] == m
+        m = m[on]
+        return wp(m) * omega(chunk[on]) * corr_kernel(m - 1)
 
     measured = chunked_sum(ns, kern, threads=threads)
     predicted = (measure(A) ** 2 - eps) * J_i(F, i) * _main_scale(p, p.k)

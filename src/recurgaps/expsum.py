@@ -48,6 +48,8 @@ class RationalPoint:
             raise ParameterError(f"need 1 <= a <= q, got a={self.a}, q={self.q}")
         if math.gcd(self.a, self.q) != 1:
             raise ParameterError(f"a={self.a} and q={self.q} must be coprime")
+        if not math.isfinite(self.theta):
+            raise ParameterError(f"theta offset must be finite, got {self.theta}")
 
     @property
     def alpha(self) -> float:
@@ -79,12 +81,26 @@ def _theta_frac(ns: np.ndarray, theta: float) -> np.ndarray:
     return np.mod(ns * hi, 1.0) + ns * lo
 
 
+def _rational_phase(ns: np.ndarray, a: int, q: int) -> np.ndarray:
+    """e(n a/q), with n a reduced mod q exactly in integer arithmetic."""
+    return np.exp(2j * np.pi * (((ns % q) * a % q) / q))
+
+
+def _theta_phase(ns: np.ndarray, theta: float) -> np.ndarray:
+    """e(n theta), with frac(n theta) taken by _theta_frac."""
+    return np.exp(2j * np.pi * _theta_frac(ns, theta))
+
+
 def _phase(ns: np.ndarray, pt: RationalPoint) -> np.ndarray:
-    """e(n * (a/q + theta)) with the rational part reduced exactly."""
-    frac = ((ns % pt.q) * pt.a % pt.q) / pt.q
-    out = np.exp(2j * np.pi * frac)
+    """e(n * (a/q + theta)) with the rational part reduced exactly.
+
+    The product is always rational times theta, in place: numpy's complex
+    multiply is not commutative bit for bit, and ``out * tmp`` lets numpy
+    reuse the temporary ``tmp`` for large arrays, which swaps the operands.
+    """
+    out = _rational_phase(ns, pt.a, pt.q)
     if pt.theta != 0.0:
-        out = out * np.exp(2j * np.pi * _theta_frac(ns, pt.theta))
+        out *= _theta_phase(ns, pt.theta)
     return out
 
 
@@ -124,15 +140,20 @@ def geometric_phase_sum(x: int, theta: float) -> complex:
     return complex(c * r, s * r)
 
 
+def _window_primes(x: int, t: PrimeTable) -> np.ndarray:
+    """The primes in [x, 2x]."""
+    if 2 * x > t.limit:
+        raise ParameterError(f"table limit {t.limit} below 2x = {2 * x}")
+    return primes_between(x, 2 * x, t)
+
+
 def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
     """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
     if D < 1:
         raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
         raise ParameterError(f"gcd(b, D) must be 1, got b={b}, D={D}")
-    if 2 * x > t.limit:
-        raise ParameterError(f"table limit {t.limit} below 2x = {2 * x}")
-    ps = primes_between(x, 2 * x, t)
+    ps = _window_primes(x, t)
     ps = ps[ps % D == b % D]
     if not len(ps):
         return 0j
@@ -183,22 +204,31 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
 
     The true sup over theta is not computable; an evenly spaced grid of
     theta_grid points is scanned and the value reported as a lower bound.
+
+    Each grid value is prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
+    bit for bit: the primes, their logs and the rational phases are built
+    once, e(p theta) and the centring sum once per theta, and every term is
+    the same log * (rational * theta) product that _phase forms.
     """
+    if q < 1:
+        raise ParameterError(f"need q >= 1, got q={q}")
     if theta_grid < 3:
         raise ParameterError(f"theta grid needs at least 3 points, got {theta_grid}")
-    if delta < 0:
-        raise ParameterError(f"delta must be non-negative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ParameterError(f"delta must be finite and non-negative, got {delta}")
+    ps = _window_primes(x, t)
+    logs = np.log(ps.astype(np.float64))
+    rational = [_rational_phase(ps, a, q)
+                for a in range(1, q + 1) if math.gcd(a, q) == 1]
     mu_over_phi = mobius(q, t) / phi_int(q)
     thetas = np.linspace(-delta, delta, theta_grid) if delta > 0 else np.array([0.0])
     best = 0.0
-    for a in range(1, q + 1):
-        if math.gcd(a, q) != 1:
-            continue
-        for theta in thetas:
-            pt = RationalPoint(a=a, q=q, theta=float(theta))
-            s = prime_expsum(x, 1, 1, pt, t)
-            center = mu_over_phi * geometric_phase_sum(x, float(theta))
-            best = max(best, abs(s - center))
+    for theta in thetas.tolist():
+        center = mu_over_phi * geometric_phase_sum(x, theta)
+        e = _theta_phase(ps, theta) if theta != 0.0 else None
+        for r in rational:
+            phase = r if e is None else r * e
+            best = max(best, abs(complex(np.sum(logs * phase)) - center))
     return best
 
 

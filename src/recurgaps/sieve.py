@@ -201,10 +201,15 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
     ns = progression(p)
     omega = _omega_kernel(p, F, t)
     wp = _varpi_kernel(t)
+    spf = t.spf
     hi = p.h[i]
 
     def kern(chunk: np.ndarray) -> np.ndarray:
-        return wp(chunk + hi) * omega(chunk)
+        # terms with n + h_i composite are exact +0.0s; dropping them
+        # leaves the fsum unchanged
+        m = chunk + hi
+        on = spf[m] == m
+        return wp(m[on]) * omega(chunk[on])
 
     measured = chunked_sum(ns, kern, threads=threads)
     predicted = J_i(F, i) * _main_scale(p, p.k)

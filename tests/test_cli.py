@@ -125,6 +125,15 @@ def test_exit_code_validation_error(capsys):
     assert "degenerates" in err
 
 
+@pytest.mark.parametrize("op,offset", [("prime", "inf"), ("main-term", "nan")])
+def test_exit_code_non_finite_theta_offset(op, offset, capsys):
+    code, out, err = run_cli(["expsum", "--op", op, "--n", "1000", "--a", "1",
+                              "--q", "3", "--theta-offset", offset], capsys)
+    assert code == 2
+    assert out == ""
+    assert "theta offset must be finite" in err
+
+
 def test_exit_code_group_divisibility(capsys):
     code, _, err = run_cli(["cluster", "--n", "100000", "--k", "2", "--w", "5",
                             "--w0", "1", "--system", "g=4", "--set", "0"],
@@ -269,6 +278,11 @@ STRICT_JSON_RUNS = [
      "--pmax", "1000"],
     ["recur", "--system", "g=4", "--set", "0", "--eps", "0.01",
      "--nmax", "100"],
+    ["recur", "--weighted", "--n", "50000", "--k", "1", "--h", "0,4",
+     "--w", "5", "--w0", "4", "--theta", "0.24", "--system", "g=4,d=1",
+     "--set", "0:0.0:0.5", "--eps", "0.01"],
+    ["expsum", "--op", "minor-scan", "--n", "50000", "--k", "1", "--h", "0,2",
+     "--w", "2", "--theta", "0.24", "--alphas", "0.6180339887498949,0.41"],
     ["cluster", "--n", "100000", "--k", "5", "--tuple-style", "dense",
      "--w", "5", "--w0", "4", "--system", "g=4", "--set", "0",
      "--eps", "0.01", "--m", "1"],

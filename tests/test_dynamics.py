@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurgaps.admissible import ParameterError, make_sieve_params
+from recurgaps import accumulate
 from recurgaps.dynamics import (BoxSet, BumpPsi, Cube, KroneckerSystem,
                                 arc_overlap, build_bump, correlation,
-                                fourier_truncation_order, khintchine_set,
-                                lower_bound_depth, measure,
+                                khintchine_set, measure,
                                 monte_carlo_correlation,
                                 shifted_prime_recurrence_set, torus_norm,
-                                weighted_correlation_sum)
-from recurgaps.sieve import weighted_prime_sum
+                                weighted_correlation_sum, _correlation_kernel)
+from recurgaps.sieve import (progression, weighted_prime_sum, _omega_kernel,
+                             _varpi_kernel)
 from recurgaps.testfn import default_test_function
 
 SILVER = math.sqrt(2.0) - 1.0
@@ -213,27 +214,6 @@ def test_bump_reconstruction_bound():
         assert err <= 2.0 * psi.C0 / (psi.delta1 * K)
 
 
-def test_depth_search_minimality():
-    L0 = lower_bound_depth(2, 0.05, 1.0)
-    target = (1 - 0.05) ** (1 / 3)
-    assert (1 - 1 / L0) ** 2 > target
-    assert L0 == 2 or (1 - 1 / (L0 - 1)) ** 2 <= target
-
-
-def test_truncation_order_warns_at_cap():
-    psi = build_bump(0.1, 0.01, K=10)
-    with pytest.warns(RuntimeWarning, match="cap"):
-        K = fourier_truncation_order(3, 0.1, 1e-4, 1.0, 100, cap=10 ** 4)
-    assert K == 10 ** 4
-
-
-def test_truncation_order_reasonable_when_feasible():
-    K = fourier_truncation_order(1, 0.2, 0.05, 0.5, 4)
-    target = (0.2 - 0.05) * 0.05 / (2 * 0.5) * (1 - (1 - 1 / 4))
-    assert (math.log(K) + 1 / (0.05 * K) + 1) ** 0 / K < target
-    assert K >= 2
-
-
 # ---------------------------------------------------------------------------
 # weighted correlation sum
 # ---------------------------------------------------------------------------
@@ -271,6 +251,23 @@ def test_weighted_correlation_group_alignment(corr_setup):
     # the asymptotic prediction is reported for comparison; at this scale the
     # measured value sits well below it (see the verification suite notes)
     assert a.predicted > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch):
+    # the kernel evaluates Omega and the correlation only where n + h_i is
+    # prime; the total must equal the fsum over every dense term
+    sys_, A = circle_system(), half_circle()
+    p = make_sieve_params(N=5000, h=(0,), theta=0.24999, w=2, W0=1)
+    F = default_test_function(0)
+    ns = progression(p)
+    m = ns + p.h[0]
+    dense = (_varpi_kernel(small_table)(m) * _omega_kernel(p, F, small_table)(ns)
+             * _correlation_kernel(sys_, A)(m - 1))
+    assert 0 < np.count_nonzero(dense) < len(dense)
+    monkeypatch.setattr(accumulate, "CHUNK", chunk)
+    rep = weighted_correlation_sum(p, F, sys_, A, 0, 0.01, small_table)
+    assert rep.measured == math.fsum(dense.tolist())
 
 
 def test_weighted_correlation_requires_group_divisibility(small_table):

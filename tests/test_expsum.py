@@ -10,8 +10,10 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               dirichlet_approx, expsum_discrepancy,
                               expsum_main_term, geometric_phase_sum,
                               minor_arc_scan, prime_expsum, torus_norm,
-                              weighted_expsum, zq_inverse, _theta_frac)
-from recurgaps.primes import build_prime_table, is_prime, phi_int, totient
+                              weighted_expsum, zq_inverse, _phase,
+                              _rational_phase, _theta_frac, _theta_phase)
+from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
+                              primes_between, totient)
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
@@ -28,6 +30,9 @@ def test_rational_point_validation():
         RationalPoint(2, 4, 0.0)
     with pytest.raises(ParameterError):
         RationalPoint(0, 3, 0.0)
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            RationalPoint(1, 3, theta)
     assert RationalPoint(3, 4, 0.0).alpha == 0.75
 
 
@@ -128,8 +133,51 @@ def test_discrepancy_monotone_in_delta(table):
 
 
 def test_discrepancy_validation(table):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="at least 3"):
         expsum_discrepancy(4, 0.0, 10 ** 3, 2, table)
+    with pytest.raises(ParameterError, match="q >= 1"):
+        expsum_discrepancy(0, 0.0, 10 ** 3, 3, table)
+    for delta in (-1e-6, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="delta"):
+            expsum_discrepancy(4, delta, 10 ** 3, 3, table)
+    with pytest.raises(ParameterError, match="table limit"):
+        expsum_discrepancy(4, 0.0, 10 ** 4 + 6, 3, table)
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    return build_prime_table(2 * 250_000 + 1)
+
+
+def _discrepancy_loop(q, delta, x, grid, t):
+    """The scan as one prime_expsum call per (a, theta) grid point."""
+    mu_over_phi = mobius(q, t) / phi_int(q)
+    thetas = np.linspace(-delta, delta, grid) if delta > 0 else np.array([0.0])
+    return max(abs(prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
+                   - mu_over_phi * geometric_phase_sum(x, theta))
+               for a in range(1, q + 1) if math.gcd(a, q) == 1
+               for theta in thetas.tolist())
+
+
+# x = 250000 has 19.5k primes in [x, 2x], past the 16384-element (256 KiB)
+# size from which numpy may reuse a temporary operand; x = 1000 is below it
+@pytest.mark.parametrize("x", [1000, 250_000])
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.37])
+@pytest.mark.parametrize("q", [1, 3, 4, 6, 30])
+def test_discrepancy_equals_per_point_loop(q, delta, x, wide_table):
+    got = expsum_discrepancy(q, delta, x, 5, wide_table)
+    assert got == _discrepancy_loop(q, delta, x, 5, wide_table)
+
+
+@pytest.mark.parametrize("x", [1000, 250_000])
+def test_phase_is_rational_times_theta(x, wide_table):
+    ps = primes_between(x, 2 * x, wide_table)
+    for a, q, theta in ((1, 3, 1e-6), (7, 30, -0.37), (1, 1, 2.5e-3)):
+        r = _rational_phase(ps, a, q)
+        e = _theta_phase(ps, theta)
+        want = r * e
+        got = _phase(ps, RationalPoint(a, q, theta))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_geometric_phase_sum_theta_zero():

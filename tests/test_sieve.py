@@ -9,7 +9,7 @@ from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.primes import build_prime_table, is_prime
 from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum, omega_n,
                              omega_sum, progression, weighted_prime_sum,
-                             _omega_kernel)
+                             _omega_kernel, _varpi_kernel)
 from recurgaps.testfn import default_test_function
 
 
@@ -141,6 +141,20 @@ def test_weighted_prime_sum_matches_direct_log_sum(params_k2, small_table):
         math.log(int(n)) for n in ns if is_prime(int(n), small_table))
     assert rep.measured == pytest.approx(direct, rel=1e-12)
     assert rep.measured > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
+    # the kernel drops the n with n + h_i composite; the total must equal the
+    # fsum over every dense term wp(m) * omega(n), zeros included
+    p = make_sieve_params(N=5000, h=(0,), theta=0.24999, w=2, W0=1)
+    F = default_test_function(0)
+    ns = progression(p)
+    dense = (_varpi_kernel(small_table)(ns + p.h[0])
+             * _omega_kernel(p, F, small_table)(ns))
+    assert 0 < np.count_nonzero(dense) < len(dense)
+    monkeypatch.setattr(accumulate, "CHUNK", chunk)
+    assert weighted_prime_sum(p, F, 0, small_table).measured == math.fsum(dense.tolist())
 
 
 # ---------------------------------------------------------------------------
