@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissible import (ParameterError, choose_b, dense_tuple,
+from .admissible import (DEFAULT_SEED, ParameterError, choose_b, dense_tuple,
                          make_sieve_params)
 from .cluster import consecutive_filter, scan_clusters
 from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
@@ -33,7 +33,6 @@ from .sieve import (bilinear_divisor_sum, omega_n, omega_sum, progression,
 from .testfn import default_test_function
 
 TABLE_LIMIT = 8_000_700  # covers every check below (2N + max shift at N = 4e6)
-DEFAULT_SEED = 20250811
 
 
 @dataclass

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -33,6 +32,9 @@ def _chunk_terms(ns: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray],
         for i in starts:
             yield kernel(ns[i:i + CHUNK])
         return
+    # imported here: concurrent.futures also loads logging, which a
+    # single-threaded run has no use for
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         window: deque = deque()
         for i in starts:

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 MAX_W = (1 << 63) - 1  # chosen residue moduli stay within a 64-bit word
+# The seed of the randomized verify checks, echoed and hashed in every
+# record's config; defined here so the CLI need not import the suite.
+DEFAULT_SEED = 20250811
 
 
 class ParameterError(ValueError):

@@ -1,22 +1,36 @@
 """Smallest-prime-factor sieve and the multiplicative functions built on it.
 
 One table serves primality, the prime log-weight, the Moebius function,
-Euler phi, the divisor count, and squarefree divisor enumeration:
-``spf[n]`` holds the least prime dividing n, so factoring any n <= limit
-is a chain of O(log n) table lookups.  The table is immutable after
-construction and safe to share across worker threads.
+Euler phi and squarefree divisor enumeration: ``spf[n]`` holds the least
+prime dividing n, so factoring any n <= limit is a chain of O(log n) table
+lookups.  The table is immutable after construction and safe to share
+across worker threads.
+
+The table is filled by a cache-blocked sieve of Eratosthenes (Bays &
+Hudson, BIT 17, 1977): BLOCK entries at a time, each base prime p <=
+sqrt(limit) writes p at its multiples, largest prime first, so the least
+prime factor is written last.  A table keeps 4 bytes per entry (uint32
+``spf``) plus 8 per prime; the build's transient peak is about 5.5 bytes
+per entry (the table, one boolean per entry to find the untouched ones,
+and the prime list): 0.68 GiB at the 2^27 budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Upper bound on table size unless the caller raises it explicitly.
-# uint32 entries: 1 << 27 of them is ~0.5 GiB.
+# uint32 entries: 1 << 27 of them is 0.5 GiB, and building them peaks at
+# about 5.5 bytes per entry, ~0.7 GiB.
 DEFAULT_LIMIT_BUDGET = 1 << 27
+
+# Entries of spf sieved at a time (256 KiB of uint32), so that every strided
+# store of one block stays in cache.
+BLOCK = 1 << 16
 
 
 class TableRangeError(ValueError):
@@ -49,16 +63,24 @@ def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTa
             f"table limit {limit} exceeds the entry budget {budget}; "
             f"pass budget= explicitly if this is intended")
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p:: p]
-            block[block == 0] = p
-    ns = np.arange(limit + 1, dtype=np.uint32)
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = ns[untouched]  # untouched entries are prime
-    primes = np.flatnonzero(spf == ns)
-    primes = primes[primes >= 2].astype(np.int64)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p:: p] = False
+    base = np.flatnonzero(small).tolist()  # the primes <= sqrt(limit)
+    for lo in range(0, limit + 1, BLOCK):
+        hi = min(lo + BLOCK, limit + 1)
+        seg = spf[lo:hi]
+        # the base primes with p * p < hi, largest first, so the least
+        # prime factor is the last one written
+        for p in reversed(base[:bisect.bisect_right(base, math.isqrt(hi - 1))]):
+            start = max(p * p, -(-lo // p) * p)
+            seg[start - lo:: p] = p
+    primes = np.flatnonzero(spf[2:] == 0).astype(np.int64, copy=False)
+    primes += 2
+    spf[primes] = primes  # untouched entries are prime
     return PrimeTable(limit=limit, spf=spf, primes=primes)
 
 
@@ -112,14 +134,6 @@ def totient(n: int, t: PrimeTable) -> int:
     out = n
     for p, _ in factorize(n, t):
         out -= out // p
-    return out
-
-
-def tau(n: int, t: PrimeTable) -> int:
-    _check_range(n, t, lo=1)
-    out = 1
-    for _, e in factorize(n, t):
-        out *= e + 1
     return out
 
 

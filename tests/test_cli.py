@@ -1,12 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from recurgaps import cli
+import recurgaps
+from recurgaps import acceptance, cli
+from recurgaps.admissible import DEFAULT_SEED
 from recurgaps.cli import main, parse_set, parse_system
 from recurgaps.serialize import NonFiniteError, config_hash, dumps
 
@@ -298,3 +304,43 @@ def test_every_stdout_line_is_json(args, capsys):
     assert lines
     for line in lines:
         json.loads(line, parse_constant=_reject_constant)
+
+
+def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
+    src = str(Path(recurgaps.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, recurgaps.cli; print(sorted(m for m in "
+             "('recurgaps.acceptance', 'concurrent.futures') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_verify_emits_strict_json_and_exits_1_on_a_failing_check(
+        monkeypatch, capsys):
+    stubs = [
+        acceptance.CriterionResult(num=1, name="stub pass", passed=True,
+                                   budget_s=10.0, elapsed_s=0.5,
+                                   details={"ratio": 1.25}),
+        acceptance.CriterionResult(num=2, name="stub fail", passed=False,
+                                   budget_s=10.0, elapsed_s=0.5),
+    ]
+    calls = []
+
+    def run_all(threads=1, seed=DEFAULT_SEED):
+        calls.append((threads, seed))
+        return stubs
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 1
+    assert calls == [(1, DEFAULT_SEED)]
+    recs = [json.loads(line, parse_constant=_reject_constant)
+            for line in out.splitlines()]
+    assert [(r["criterion"], r["passed"]) for r in recs] == [(1, True),
+                                                            (2, False)]
+    assert all(r["config"]["seed"] == DEFAULT_SEED for r in recs)
+    assert "1/2 checks passed" in err

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurgaps.primes import (PrimeTable, TableRangeError, build_prime_table,
-                              factorize, is_prime, mobius, phi_int,
-                              primes_between, squarefree_divisors, tau,
+from recurgaps.primes import (BLOCK, PrimeTable, TableRangeError,
+                              build_prime_table, factorize, is_prime, mobius,
+                              phi_int, primes_between, squarefree_divisors,
                               totient, varpi)
 
 ORACLE_LIMIT = 10 ** 4
@@ -29,6 +30,29 @@ def _bool_sieve_count(limit):
         if flags[p]:
             flags[p * p:: p] = False
     return int(flags.sum())
+
+
+def _mask_sieve(limit):
+    """Reference table: one whole-table masked pass per sieving prime."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p:: p]
+            block[block == 0] = p
+    ns = np.arange(limit + 1, dtype=np.uint32)
+    untouched = spf == 0
+    untouched[:2] = False
+    spf[untouched] = ns[untouched]
+    primes = np.flatnonzero(spf == ns)
+    return spf, primes[primes >= 2].astype(np.int64)
+
+
+def _assert_matches_mask_sieve(limit):
+    t = build_prime_table(limit)
+    spf, primes = _mask_sieve(limit)
+    assert t.spf.dtype == spf.dtype and t.primes.dtype == primes.dtype
+    assert t.spf.tobytes() == spf.tobytes()
+    assert t.primes.tobytes() == primes.tobytes()
 
 
 def _oracle_factor(n):
@@ -59,10 +83,6 @@ def _oracle_totient(n):
     return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
-def _oracle_tau(n):
-    return sum(1 for d in range(1, n + 1) if n % d == 0)
-
-
 @pytest.fixture(scope="module")
 def table():
     return build_prime_table(ORACLE_LIMIT)
@@ -83,6 +103,37 @@ def test_prime_count_against_two_independent_implementations():
     assert len(t.primes) == _bool_sieve_count(limit)
     td = _trial_division_primes(ORACLE_LIMIT)
     assert t.primes[:len(td)].tolist() == td
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 1])
+def test_blocked_sieve_matches_mask_sieve(limit):
+    _assert_matches_mask_sieve(limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=3 * BLOCK))
+def test_blocked_sieve_matches_mask_sieve_property(limit):
+    _assert_matches_mask_sieve(limit)
+
+
+def test_table_dtypes_and_read_only():
+    t = build_prime_table(BLOCK + 1)
+    assert t.spf.dtype == np.uint32 and t.primes.dtype == np.int64
+    for arr in (t.spf, t.primes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[2] = 0
+
+
+def test_build_peak_memory_stays_near_table_size():
+    tracemalloc.start()
+    try:
+        t = build_prime_table(2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (t.spf.nbytes + t.primes.nbytes)
 
 
 def test_limit_validation():
@@ -126,9 +177,8 @@ def test_mobius_examples(table):
         mobius(0, table)
 
 
-def test_totient_tau_squarefree_examples(table):
+def test_totient_squarefree_examples(table):
     assert totient(30, table) == 8
-    assert tau(12, table) == 6
     assert squarefree_divisors(12, 100, table) == [1, 2, 3, 6]
     assert squarefree_divisors(12, 2, table) == [1, 2]
 
@@ -138,7 +188,6 @@ def test_multiplicative_functions_match_trial_division(table):
         assert mobius(n, table) == _oracle_mobius(n)
     for n in list(range(1, 2000)) + [9973, 9974, 10000]:
         assert mobius(n, table) == _oracle_mobius(n)
-        assert tau(n, table) == len([d for d in range(1, n + 1) if n % d == 0])
     for n in list(range(1, 300)) + [1024, 9973]:
         assert totient(n, table) == _oracle_totient(n)
 
