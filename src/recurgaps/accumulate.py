@@ -1,11 +1,13 @@
-"""Deterministic chunked reduction: one streaming math.fsum per sum.
+"""Deterministic reductions: one exactly rounded math.fsum per sum.
 
-Every progression sum is one streaming ``math.fsum`` over its per-point
-terms, evaluated chunk by chunk.  ``fsum`` returns the correctly rounded
-value of the exact total, which depends only on the multiset of terms, so
-the final double is independent of chunk boundaries and thread count, and
-summing the terms of a partition of the range gives the full-range value
-exactly.  No list of all terms is built: memory is O(CHUNK) per real sum.
+Every progression sum is one ``math.fsum`` over its per-point terms,
+streamed chunk by chunk (``chunked_sum``), or, for a periodic sequence,
+over exact multiples of one period (``periodic_sum``).  ``fsum`` returns
+the correctly rounded value of the exact total, which depends only on the
+multiset of terms, so the final double is independent of chunk boundaries
+and thread count, and summing the terms of a partition of the range gives
+the full-range value exactly.  No list of all terms is built: memory is
+O(CHUNK) per real sum.
 """
 
 from __future__ import annotations
@@ -67,3 +69,20 @@ def chunked_sum(ns: np.ndarray,
 
     re = math.fsum(chain.from_iterable(real_parts(c) for c in terms))
     return complex(re, math.fsum(chain.from_iterable(a.tolist() for a in imag)))
+
+
+def periodic_sum(vals: np.ndarray, length: int) -> float:
+    """Exactly rounded sum of vals[j % len(vals)] over 0 <= j < length.
+
+    Class r occurs c_r = length // per + (r < length % per) times.  The
+    total is summed as vals * 2^b for each set bit b of length // per, plus
+    vals[:length % per]: every such term is exact, so one fsum over them
+    gives the correctly rounded exact total, the same double as the fsum
+    of all length terms, in O(per * log length) work.
+    """
+    if not length:
+        return 0.0
+    q, rem = divmod(length, len(vals))
+    parts = [np.ldexp(vals, b) for b in range(q.bit_length()) if q >> b & 1]
+    parts.append(vals[:rem])
+    return math.fsum(chain.from_iterable(a.tolist() for a in parts))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .expsum import (RationalPoint, classify_arc, expsum_discrepancy,
                      weighted_expsum)
 from .primes import TableRangeError, build_prime_table
 from .serialize import config_hash, dumps
-from .sieve import SumReport, omega_sum, weighted_prime_sum
+from .sieve import SumReport, omega_period, omega_sum, weighted_prime_sum
 from .testfn import default_test_function, piecewise_test_function
 
 DEFAULTS = {
@@ -43,6 +44,41 @@ DEFAULTS = {
 _INT_KEYS = {"n", "k", "w", "w0", "b", "m", "threads", "seed"}
 _FLOAT_KEYS = {"theta", "eps"}
 _BOOL_KEYS = {"consecutive", "timing"}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return val
+
+
+def _config_value(key: str, val: str):
+    if key in _INT_KEYS:
+        try:
+            return int(val)
+        except ValueError:
+            raise ParameterError(
+                f"config key {key!r} must be an integer, got {val!r}") from None
+    if key in _FLOAT_KEYS:
+        try:
+            return _finite_float(val)
+        except argparse.ArgumentTypeError as exc:
+            raise ParameterError(f"config key {key!r} {exc}") from None
+    if key in _BOOL_KEYS:
+        if val.lower() not in _TRUE + _FALSE:
+            raise ParameterError(
+                f"config key {key!r} must be one of {'/'.join(_TRUE + _FALSE)}, "
+                f"got {val!r}")
+        return val.lower() in _TRUE
+    return val
 
 
 def _read_config_file(path: str) -> dict:
@@ -59,14 +95,7 @@ def _read_config_file(path: str) -> dict:
             val = val.strip()
             if key not in DEFAULTS:
                 raise ParameterError(f"unknown config key {key!r}")
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
-            elif key in _BOOL_KEYS:
-                out[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
-                out[key] = val
+            out[key] = _config_value(key, val)
     return out
 
 
@@ -91,8 +120,10 @@ def parse_system(spec: str) -> KroneckerSystem:
         key, _, val = part.partition("=")
         fields[key.strip()] = val.strip()
     g = int(fields.get("g", 1))
+    if g < 1:
+        raise ParameterError(f"group order must be >= 1, got g={g}")
     d = int(fields.get("d", 0))
-    gamma0 = int(fields.get("gamma0", 1 % max(g, 1)))
+    gamma0 = int(fields.get("gamma0", 1 % g))
     kap = fields.get("kappa", "sqrt_primes")
     if d == 0:
         return KroneckerSystem(g=g, d=0, gamma0=gamma0 % g, kappa=())
@@ -190,9 +221,11 @@ def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.table_limit())
-    em.emit_report(omega_sum(p, F, t, threads=cfg["threads"]))
+    om = omega_period(p, F, t)
+    em.emit_report(omega_sum(p, F, t, threads=cfg["threads"], om=om))
     for i in range(p.k + 1):
-        em.emit_report(weighted_prime_sum(p, F, i, t, threads=cfg["threads"]))
+        em.emit_report(weighted_prime_sum(p, F, i, t, threads=cfg["threads"],
+                                          om=om))
     return 0
 
 
@@ -325,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "n" in keys:
             sp.add_argument("--n", type=int)
         if "theta" in keys:
-            sp.add_argument("--theta", type=float)
+            sp.add_argument("--theta", type=_finite_float)
         if "k" in keys:
             sp.add_argument("--k", type=int)
         if "w" in keys:
@@ -339,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tuple-style", dest="tuple_style",
                             choices=("standard", "dense"))
         if "eps" in keys:
-            sp.add_argument("--eps", type=float)
+            sp.add_argument("--eps", type=_finite_float)
         if "m" in keys:
             sp.add_argument("--m", type=int)
         if "consecutive" in keys:
@@ -374,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--i", type=int, default=0)
     sp.add_argument("--delta", type=float, default=0.0)
     sp.add_argument("--grid", type=int, default=41)
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_finite_float, default=0.0)
     sp.add_argument("--alphas", default="0.6180339887498949")
 
     sp = sub.add_parser("recur", help="return sets: integers or shifted primes")

@@ -21,8 +21,7 @@ import numpy as np
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, primes_between
-from .sieve import (SumReport, progression, _omega_kernel, _varpi_kernel,
-                    _main_scale, _require_table)
+from .sieve import SumReport, omega_period, _main_scale
 from .testfn import TestFunction, J_i
 
 
@@ -327,29 +326,16 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     if p.W0 % sys.g != 0:
         raise ParameterError(
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
-    _require_table(p, t)
-    ns = progression(p)
-    omega = _omega_kernel(p, F, t)
-    wp = _varpi_kernel(t)
-    hi = p.h[i]
+    om = omega_period(p, F, t)
     corr_kernel = _correlation_kernel(sys, A)
-    spf = t.spf
-
-    def kern(chunk: np.ndarray) -> np.ndarray:
-        # terms with n + h_i composite are exact +0.0s; dropping them
-        # leaves the fsum unchanged
-        m = chunk + hi
-        on = spf[m] == m
-        m = m[on]
-        return wp(m) * omega(chunk[on]) * corr_kernel(m - 1)
-
-    measured = chunked_sum(ns, kern, threads=threads)
+    qs, kern = om.prime_terms(p.h[i], t, lambda ms: corr_kernel(ms - 1))
+    measured = chunked_sum(qs, kern, threads=threads)
     predicted = (measure(A) ** 2 - eps) * J_i(F, i) * _main_scale(p, p.k)
     params = p.echo()
     params.update({"i": i, "eps": eps, "system": _system_echo(sys),
                    "set_measure": measure(A)})
     rep = SumReport.build("weighted_correlation_sum", measured, predicted,
-                          len(ns), params)
+                          om.count, params)
     return rep
 
 

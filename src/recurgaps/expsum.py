@@ -23,7 +23,7 @@ from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import torus_norm
 from .primes import PrimeTable, phi_int, primes_between, mobius
-from .sieve import SumReport, progression, _omega_kernel, _varpi_kernel, _main_scale, _require_table
+from .sieve import SumReport, omega_period, progression, _varpi_kernel, _main_scale
 from .testfn import TestFunction, J_i
 
 # Default arc-cut exponents: P = N^P_EXP marks major denominators,
@@ -94,13 +94,16 @@ def _theta_phase(ns: np.ndarray, theta: float) -> np.ndarray:
 def _phase(ns: np.ndarray, pt: RationalPoint) -> np.ndarray:
     """e(n * (a/q + theta)) with the rational part reduced exactly.
 
-    The product is always rational times theta, in place: numpy's complex
-    multiply is not commutative bit for bit, and ``out * tmp`` lets numpy
-    reuse the temporary ``tmp`` for large arrays, which swaps the operands.
+    The product is always rational times theta, into a fresh array: numpy's
+    complex multiply is not commutative bit for bit, ``out * tmp`` lets
+    numpy reuse the temporary ``tmp`` for large arrays, which swaps the
+    operands, and an in-place ``out *= tmp`` on one element takes a scalar
+    loop that rounds differently from the vector loop, so a length-1 chunk
+    would change the sum.
     """
     out = _rational_phase(ns, pt.a, pt.q)
     if pt.theta != 0.0:
-        out *= _theta_phase(ns, pt.theta)
+        out = np.multiply(out, _theta_phase(ns, pt.theta), out=np.empty_like(out))
     return out
 
 
@@ -241,15 +244,14 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
     otherwise predicted is 0 and the suppression envelope
     N W^k / (w (log R)^k phi(W)^(k+1)) is attached as `bound`.
     """
-    _require_table(p, t)
+    om = omega_period(p, F, t)
     ns = progression(p)
-    omega = _omega_kernel(p, F, t)
     wp = _varpi_kernel(t)
     hi = p.h[i]
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         m = chunk + hi
-        base = wp(m) * omega(chunk)
+        base = wp(m) * om.at(chunk)
         if pt.q == 1 and pt.theta == 0.0:
             return base.astype(np.complex128)
         return base * _phase(m, pt)

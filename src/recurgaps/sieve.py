@@ -9,10 +9,15 @@ sums S_j(n) = sum_{d | n+h_j squarefree} mu(d) f(log d / log R).  Each
 measured progression sum is reported next to its first-order main term;
 the ratio is the whole point of the experiment.
 
-Summation order is pinned everywhere: per-coordinate subset terms follow
-one fixed preorder, and each total is one streaming ``math.fsum`` over its
-per-n terms (``accumulate.chunked_sum``), so results are bit-identical
-across chunkings and thread counts.
+Omega_n depends on n only through the plan primes dividing n + h_j, so
+along the progression it is periodic with period dividing their product
+P; it is evaluated once on min(P, L) points (``omega_period``) and read
+from that table everywhere.  Summation order is pinned: per-coordinate
+subset terms follow one fixed preorder, and each total is the correctly
+rounded exact sum of its per-n terms -- one ``math.fsum`` over exact
+multiples of the table (``accumulate.periodic_sum``) or over the terms
+streamed in chunks (``accumulate.chunked_sum``) -- so results are
+bit-identical across chunkings and thread counts.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accumulate import chunked_sum
+from .accumulate import CHUNK, chunked_sum, periodic_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, phi_int, squarefree_divisors
+from .primes import PrimeTable, phi_int, primes_between, squarefree_divisors
 from .testfn import TestFunction, J_star, J_i, J_cross, lambda_weight
 
 
@@ -58,13 +63,17 @@ class SumReport:
                          bound=bound, wall_ms=wall_ms)
 
 
-def progression(p: SieveParams) -> np.ndarray:
-    """All n with N <= n <= 2N and n = b (mod W), ascending int64."""
+def _progression_start(p: SieveParams) -> int:
+    """The least n >= N with n = b (mod W)."""
     if p.W > p.N:
         raise ProgressionError(
             f"empty progression: W = {p.W} exceeds N = {p.N}")
-    start = p.N + ((p.b - p.N) % p.W)
-    return np.arange(start, 2 * p.N + 1, p.W, dtype=np.int64)
+    return p.N + ((p.b - p.N) % p.W)
+
+
+def progression(p: SieveParams) -> np.ndarray:
+    """All n with N <= n <= 2N and n = b (mod W), ascending int64."""
+    return np.arange(_progression_start(p), 2 * p.N + 1, p.W, dtype=np.int64)
 
 
 def _divisor_plan(F: TestFunction, R: int,
@@ -144,7 +153,7 @@ def _omega_brute(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> floa
 
 
 def _omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
-    """Chunk kernel: Omega values for an array of progression points.
+    """Omega values for an array of progression points (the table's builder).
 
     On the progression every divisor of n + h_j is coprime to W, so the plan
     may drop primes dividing W; the dropped terms would contribute exact
@@ -183,39 +192,93 @@ def _main_scale(p: SieveParams, log_power: int) -> float:
             / (math.log(p.R) ** log_power * float(phiW) ** (p.k + 1)))
 
 
-def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable,
-              threads: int = 1) -> SumReport:
-    """Sum of Omega_n over the progression vs J_* N W^k/((log R)^(k+1) phi(W)^(k+1))."""
+@dataclass(frozen=True)
+class OmegaPeriod:
+    """Omega over the progression n_j = start + jW, 0 <= j < count, from
+    one period of its values.
+
+    Omega at n_j is vals[j % len(vals)], bit for bit the kernel's value,
+    since the table entries come from the same per-element operations.
+    The progression itself is never materialised here.
+    """
+
+    start: int
+    W: int
+    count: int
+    vals: np.ndarray
+
+    def at(self, ms: np.ndarray) -> np.ndarray:
+        """Omega at the progression points ms."""
+        return self.vals[(ms - self.start) // self.W % len(self.vals)]
+
+    def total(self) -> float:
+        """Exactly rounded sum of Omega over the progression."""
+        return periodic_sum(self.vals, self.count)
+
+    def prime_terms(self, h: int, t: PrimeTable, factor=None):
+        """(qs, kern) for chunked_sum: the sum over n with n + h prime of
+        log(n + h) Omega_n, times factor(n + h) when given.
+
+        qs holds the primes in [n_0 + h, n_last + h]; kern keeps those in
+        the progression's class, so the skipped n, with n + h composite,
+        are the ones whose terms are exact zeros.
+        """
+        lo = self.start + h
+        W, per, vals = self.W, len(self.vals), self.vals
+
+        def kern(qs: np.ndarray) -> np.ndarray:
+            off = qs - lo
+            on = off % W == 0
+            qs = qs[on]
+            terms = np.log(qs.astype(np.float64)) * vals[off[on] // W % per]
+            return terms if factor is None else terms * factor(qs)
+
+        return primes_between(lo, lo + (self.count - 1) * W, t), kern
+
+
+def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
+    """Omega on the first min(P, L) points of the progression of L points,
+    where P is the product of the plan primes (all coprime to W)."""
     _require_table(p, t)
-    ns = progression(p)
+    start = _progression_start(p)
+    count = (2 * p.N - start) // p.W + 1
+    per = min(math.prod(_plan_primes(p, F, t, coprime_W=True)), count)
     kern = _omega_kernel(p, F, t)
-    measured = chunked_sum(ns, kern, threads=threads)
+    vals = np.empty(per)
+    for i in range(0, per, CHUNK):
+        j = min(i + CHUNK, per)
+        vals[i:j] = kern(np.arange(start + i * p.W, start + j * p.W, p.W,
+                                   dtype=np.int64))
+    return OmegaPeriod(start=start, W=p.W, count=count, vals=vals)
+
+
+def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable,
+              threads: int = 1, om: OmegaPeriod | None = None) -> SumReport:
+    """Sum of Omega_n over the progression vs J_* N W^k/((log R)^(k+1) phi(W)^(k+1)).
+
+    om, when given, is omega_period(p, F, t), shared by several sums.  The
+    class-count sum has no chunks to spread, so threads changes nothing.
+    """
+    if om is None:
+        om = omega_period(p, F, t)
     predicted = J_star(F) * _main_scale(p, p.k + 1)
-    return SumReport.build("omega_sum", measured, predicted, len(ns), p.echo())
+    return SumReport.build("omega_sum", om.total(), predicted, om.count, p.echo())
 
 
 def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
-                       t: PrimeTable, threads: int = 1) -> SumReport:
-    """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1))."""
-    _require_table(p, t)
-    ns = progression(p)
-    omega = _omega_kernel(p, F, t)
-    wp = _varpi_kernel(t)
-    spf = t.spf
-    hi = p.h[i]
+                       t: PrimeTable, threads: int = 1,
+                       om: OmegaPeriod | None = None) -> SumReport:
+    """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1)).
 
-    def kern(chunk: np.ndarray) -> np.ndarray:
-        # terms with n + h_i composite are exact +0.0s; dropping them
-        # leaves the fsum unchanged
-        m = chunk + hi
-        on = spf[m] == m
-        return wp(m[on]) * omega(chunk[on])
-
-    measured = chunked_sum(ns, kern, threads=threads)
+    om, when given, is omega_period(p, F, t), shared by several sums.
+    """
+    if om is None:
+        om = omega_period(p, F, t)
+    measured = chunked_sum(*om.prime_terms(p.h[i], t), threads=threads)
     predicted = J_i(F, i) * _main_scale(p, p.k)
     params = p.echo()
     params["i"] = i
-    return SumReport.build("weighted_prime_sum", measured, predicted, len(ns), params)
+    return SumReport.build("weighted_prime_sum", measured, predicted, om.count, params)
 
 
 def _require_table(p: SieveParams, t: PrimeTable) -> None:

@@ -142,8 +142,15 @@ def default_test_function(k: int) -> TestFunction:
 
 def piecewise_test_function(k: int, spec: Sequence[Sequence]) -> TestFunction:
     """Build a factor from (breakpoint, coefficient list) pairs."""
-    pieces = tuple((float(edge), tuple(float(c) for c in coeffs))
-                   for edge, coeffs in spec)
+    try:
+        pieces = tuple((float(edge), tuple(float(c) for c in coeffs))
+                       for edge, coeffs in spec)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            "factor spec must be a list of [edge, [coefficients]] pairs, "
+            f"got {spec!r}") from None
+    if not all(math.isfinite(x) for edge, coeffs in pieces for x in (edge, *coeffs)):
+        raise ParameterError(f"factor spec numbers must be finite, got {spec!r}")
     return TestFunction(k=k, pieces=pieces)
 
 

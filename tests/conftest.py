@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from recurgaps import build_prime_table
 from recurgaps.acceptance import shared_table
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so
+# a property failure there reproduces locally with the same flag
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurgaps import accumulate
-from recurgaps.accumulate import chunked_sum
+from recurgaps.accumulate import chunked_sum, periodic_sum
 
 # bounded so that no partial sum of a short list can overflow
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
@@ -107,3 +108,31 @@ def test_pool_stays_a_bounded_window_ahead(monkeypatch):
                       threads=threads)
     assert got == float(nchunks)
     assert sorted(started) == list(range(nchunks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scaled, min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=3000))
+def test_periodic_sum_matches_fsum_of_the_repeated_terms(period, length):
+    vals = np.array(period, dtype=np.float64)
+    want = math.fsum(np.resize(vals, length).tolist())
+    got = periodic_sum(vals, length)
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 3 * 10 ** 9 + 1, 3 * 10 ** 9 + 2,
+                                    2 ** 40 + 5])
+def test_periodic_sum_ill_conditioned_counts(length):
+    # counts far beyond any materialised list; the big terms cancel to
+    # within one period, and the exact total still rounds correctly
+    vals = np.array([1e16, 1.0, -1e16])
+    q, rem = divmod(length, 3)
+    exact = sum(Fraction(v) * (q + (r < rem)) for r, v in enumerate(vals))
+    assert periodic_sum(vals, length) == float(exact)
+
+
+def test_periodic_sum_of_a_period_longer_than_the_run_is_its_prefix_fsum():
+    vals = np.array([0.1, 0.2, 0.3, 1e-20, -0.6])
+    for length in range(len(vals) + 1):
+        assert periodic_sum(vals, length) == math.fsum(vals[:length].tolist())

@@ -140,6 +140,61 @@ def test_exit_code_non_finite_theta_offset(op, offset, capsys):
     assert "theta offset must be finite" in err
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["sums", "--n", "50000", "--theta", "nan"], "--theta"),
+    (["recur", "--eps", "inf", "--nmax", "10"], "--eps"),
+    (["cluster", "--n", "100000", "--eps=-inf"], "--eps"),
+    (["expsum", "--op", "classify", "--alpha", "nan"], "--alpha"),
+])
+def test_exit_code_non_finite_flag(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("theta = nan", "config key 'theta' must be a finite number, got 'nan'"),
+    ("eps = inf", "config key 'eps' must be a finite number, got 'inf'"),
+    ("n = abc", "config key 'n' must be an integer, got 'abc'"),
+    ("consecutive = maybe", "config key 'consecutive' must be one of"),
+    ("timing = 2", "config key 'timing' must be one of"),
+])
+def test_exit_code_bad_config_value(tmp_path, line, message, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 50000\nk = 1\n{line}\n")
+    code, out, err = run_cli(["--config", str(cfg), "sums"], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_config_booleans_accept_both_spellings(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for value, want in (("Yes", True), ("off", False), ("1", True), ("NO", False)):
+        cfg.write_text(f"consecutive = {value}\n")
+        assert cli._read_config_file(str(cfg)) == {"consecutive": want}
+
+
+@pytest.mark.parametrize("args,message", [
+    (["recur", "--system", "g=0", "--nmax", "10"], "group order must be >= 1"),
+    (["recur", "--system", "g=-3,d=1", "--nmax", "10"], "group order must be >= 1"),
+    (["sums", "--n", "50000", "--k", "1", "--f-spec", "[1]"],
+     "factor spec must be a list of [edge, [coefficients]] pairs"),
+    (["sums", "--n", "50000", "--k", "1", "--f-spec", '[[0.5, "x"]]'],
+     "factor spec must be a list of [edge, [coefficients]] pairs"),
+    (["sums", "--n", "50000", "--k", "1", "--f-spec", "[[NaN, [1]]]"],
+     "factor spec numbers must be finite"),
+])
+def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_exit_code_group_divisibility(capsys):
     code, _, err = run_cli(["cluster", "--n", "100000", "--k", "2", "--w", "5",
                             "--w0", "1", "--system", "g=4", "--set", "0"],

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from recurgaps import accumulate
 from recurgaps.admissible import ParameterError, make_sieve_params
+from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
+                                weighted_correlation_sum, _correlation_kernel)
+from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table, is_prime
 from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum, omega_n,
-                             omega_sum, progression, weighted_prime_sum,
-                             _omega_kernel, _varpi_kernel)
+                             omega_period, omega_sum, progression,
+                             weighted_prime_sum, _omega_kernel, _plan_primes,
+                             _varpi_kernel)
 from recurgaps.testfn import default_test_function
 
 
@@ -104,22 +108,23 @@ def test_omega_sum_thread_invariance(params_k2, small_table):
     assert a.measured == b.measured
 
 
-def test_omega_sum_subrange_additivity(params_k0, small_table, monkeypatch):
-    # the total is bit-identical for every chunk size, and the exactly
-    # rounded sum of the left and right subrange terms is the full value
+def test_omega_sum_subrange_additivity(small_table):
+    # one period of Omega (P = 15015) repeats across the split point: the
+    # table reads the kernel's value bit for bit on both subranges, and the
+    # exactly rounded sum of the left and right subrange terms is the total
+    p = make_sieve_params(N=60_000, h=(0,), theta=0.24999, w=2, W0=1)
     F = default_test_function(0)
-    totals = set()
-    for chunk in (1, 7, 8192):
-        monkeypatch.setattr(accumulate, "CHUNK", chunk)
-        totals.add(omega_sum(params_k0, F, small_table).measured)
-    assert len(totals) == 1
-    full = totals.pop()
-    ns = progression(params_k0)
-    mid = params_k0.N + 31_415
-    kern = _omega_kernel(params_k0, F, small_table)
+    om = omega_period(p, F, small_table)
+    ns = progression(p)
+    assert len(om.vals) == 15015 < om.count == len(ns) < 2 * len(om.vals)
+    mid = p.N + 31_415
+    kern = _omega_kernel(p, F, small_table)
     left, right = kern(ns[ns <= mid]), kern(ns[ns > mid])
     assert len(left) and len(right)
-    assert math.fsum(np.concatenate([left, right]).tolist()) == full
+    assert np.array_equal(om.at(ns[ns <= mid]), left)
+    assert np.array_equal(om.at(ns[ns > mid]), right)
+    full = math.fsum(np.concatenate([left, right]).tolist())
+    assert omega_sum(p, F, small_table).measured == full
 
 
 def test_omega_sum_scales_with_N(small_table):
@@ -155,6 +160,80 @@ def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
     assert weighted_prime_sum(p, F, 0, small_table).measured == math.fsum(dense.tolist())
+
+
+_HALF_ARC = KroneckerSystem.with_sqrt_kappa(g=1, d=1)
+_HALF_SET = BoxSet(g=1, d=1, pieces=((0, Cube((0.0,), 0.5)),))
+
+
+def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
+    """Every progression sum equals math.fsum over its dense per-n terms,
+    zeros included, with Omega evaluated by the kernel at every n."""
+    F = default_test_function(p.k)
+    t = _HYP_TABLE
+    ns = progression(p)
+    m = ns + p.h[i]
+    omega = _omega_kernel(p, F, t)(ns)
+    base = _varpi_kernel(t)(m) * omega
+    phased = base * _phase(m, pt)
+    corr = base * _correlation_kernel(_HALF_ARC, _HALF_SET)(m - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulate, "CHUNK", chunk)
+        got = [omega_sum(p, F, t).measured,
+               weighted_prime_sum(p, F, i, t).measured,
+               weighted_expsum(p, F, i, pt, t).measured,
+               weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i, 0.01,
+                                        t).measured]
+    want = [math.fsum(omega.tolist()), math.fsum(base.tolist()),
+            complex(math.fsum(phased.real.tolist()),
+                    math.fsum(phased.imag.tolist())),
+            math.fsum(corr.tolist())]
+    assert [x.hex() for x in got[:2] + got[3:]] == [
+        x.hex() for x in want[:2] + want[3:]]
+    assert ((got[2].real.hex(), got[2].imag.hex())
+            == (want[2].real.hex(), want[2].imag.hex()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2000, max_value=20_000),
+       st.floats(min_value=0.1, max_value=0.2499),
+       st.sampled_from([(0,), (0, 2), (0, 4), (0, 2, 6), (0, 4, 6),
+                        (2, 6, 8)]),
+       st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=2),
+       st.sampled_from([(1, 1, 0.0), (1, 3, 0.0), (2, 5, 1e-3),
+                        (1, 2, -0.01)]),
+       st.sampled_from([1, 7, 8192]))
+def test_sums_equal_dense_fsum(N, theta, h, w, i, frac, chunk):
+    try:
+        p = make_sieve_params(N=N, h=h, theta=theta, w=w, W0=1)
+    except ParameterError:  # no residue b for this tuple at this w
+        assume(False)
+    _assert_sums_equal_dense_fsum(p, i % len(h), RationalPoint(*frac), chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+@pytest.mark.parametrize("N,theta,k,period", [
+    (50_000, 0.1, 1, 1),             # empty plan: Omega is constant
+    (60_000, 0.24999, 0, 15015),     # P < L < 2P: one period and a part
+])
+def test_sums_equal_dense_fsum_at_the_period_extremes(N, theta, k, period,
+                                                      chunk):
+    p = make_sieve_params(N=N, h=(0, 2)[:k + 1], theta=theta, w=2, W0=1)
+    F = default_test_function(k)
+    assert len(omega_period(p, F, _HYP_TABLE).vals) == period
+    _assert_sums_equal_dense_fsum(p, k, RationalPoint(1, 3, 0.01), chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+def test_sums_equal_dense_fsum_when_the_period_exceeds_the_run(chunk):
+    # W0 = 64 keeps every odd plan prime: P = 15015 > L = 782, so the
+    # table holds Omega at every point of the progression
+    p = make_sieve_params(N=100_000, h=(0,), theta=0.24999, w=2, W0=64)
+    F = default_test_function(0)
+    om = omega_period(p, F, _HYP_TABLE)
+    P = math.prod(_plan_primes(p, F, _HYP_TABLE, coprime_W=True))
+    assert P == 15015 > om.count == len(om.vals)
+    _assert_sums_equal_dense_fsum(p, 0, RationalPoint(1, 3, 0.01), chunk)
 
 
 # ---------------------------------------------------------------------------
