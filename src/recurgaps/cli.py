@@ -30,7 +30,7 @@ from .expsum import (RationalPoint, classify_arc, expsum_discrepancy,
                      weighted_expsum)
 from .primes import TableRangeError, build_prime_table
 from .serialize import config_hash, dumps
-from .sieve import SumReport, omega_period, omega_sum, weighted_prime_sum
+from .sieve import SumReport, omega_sum, weighted_prime_sum
 from .testfn import default_test_function, piecewise_test_function
 
 DEFAULTS = {
@@ -221,11 +221,9 @@ def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.table_limit())
-    om = omega_period(p, F, t)
-    em.emit_report(omega_sum(p, F, t, threads=cfg["threads"], om=om))
+    em.emit_report(omega_sum(p, F, t, threads=cfg["threads"]))
     for i in range(p.k + 1):
-        em.emit_report(weighted_prime_sum(p, F, i, t, threads=cfg["threads"],
-                                          om=om))
+        em.emit_report(weighted_prime_sum(p, F, i, t, threads=cfg["threads"]))
     return 0
 
 

@@ -18,7 +18,7 @@ from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import BoxSet, KroneckerSystem, _correlation_kernel, _system_echo, correlation, measure
 from .primes import PrimeTable, is_prime, primes_between
-from .sieve import (SumReport, omega_period, progression, _varpi_kernel,
+from .sieve import (SumReport, progression, _omega_kernel, _varpi_kernel,
                     _main_scale, _require_table)
 from .testfn import TestFunction, J_i, J_star
 
@@ -59,8 +59,9 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    om = omega_period(p, F, t)
+    _require_table(p, t)
     ns = progression(p)
+    omega = _omega_kernel(p, F, t)
     wp = _varpi_kernel(t)
     corr = _correlation_kernel(sys, A)
     thresh = measure(A) ** 2 - eps
@@ -72,7 +73,7 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
         for hi in hs:
             mvals = chunk + hi
             inner = inner + wp(mvals) * (corr(mvals - 1) - thresh)
-        return om.at(chunk) * (inner - cap)
+        return omega(chunk) * (inner - cap)
 
     measured = chunked_sum(ns, kern, threads=threads)
     scale = _main_scale(p, p.k)

@@ -21,7 +21,8 @@ import numpy as np
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, primes_between
-from .sieve import SumReport, omega_period, _main_scale
+from .sieve import (SumReport, omega_period, progression, _varpi_kernel,
+                    _main_scale)
 from .testfn import TestFunction, J_i
 
 
@@ -327,15 +328,27 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
         raise ParameterError(
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     om = omega_period(p, F, t)
+    ns = progression(p)
+    wp = _varpi_kernel(t)
+    hi = p.h[i]
     corr_kernel = _correlation_kernel(sys, A)
-    qs, kern = om.prime_terms(p.h[i], t, lambda ms: corr_kernel(ms - 1))
-    measured = chunked_sum(qs, kern, threads=threads)
+    spf = t.spf
+
+    def kern(chunk: np.ndarray) -> np.ndarray:
+        # terms with n + h_i composite are exact +0.0s; dropping them
+        # leaves the fsum unchanged
+        m = chunk + hi
+        on = spf[m] == m
+        m = m[on]
+        return wp(m) * om.at(chunk[on]) * corr_kernel(m - 1)
+
+    measured = chunked_sum(ns, kern, threads=threads)
     predicted = (measure(A) ** 2 - eps) * J_i(F, i) * _main_scale(p, p.k)
     params = p.echo()
     params.update({"i": i, "eps": eps, "system": _system_echo(sys),
                    "set_measure": measure(A)})
     rep = SumReport.build("weighted_correlation_sum", measured, predicted,
-                          om.count, params)
+                          len(ns), params)
     return rep
 
 

@@ -11,13 +11,15 @@ the ratio is the whole point of the experiment.
 
 Omega_n depends on n only through the plan primes dividing n + h_j, so
 along the progression it is periodic with period dividing their product
-P; it is evaluated once on min(P, L) points (``omega_period``) and read
-from that table everywhere.  Summation order is pinned: per-coordinate
-subset terms follow one fixed preorder, and each total is the correctly
-rounded exact sum of its per-n terms -- one ``math.fsum`` over exact
-multiples of the table (``accumulate.periodic_sum``) or over the terms
-streamed in chunks (``accumulate.chunked_sum``) -- so results are
-bit-identical across chunkings and thread counts.
+P; it is evaluated once on min(P, L) points (``omega_period``) and the
+sums here and in expsum and dynamics read it from that table.
+
+Summation order is pinned: per-coordinate subset terms follow one fixed
+preorder, and each total is the correctly rounded exact sum of its per-n
+terms -- one ``math.fsum`` over exact multiples of the table
+(``accumulate.periodic_sum``) or over the terms streamed in chunks
+(``accumulate.chunked_sum``) -- so results are bit-identical across
+chunkings and thread counts.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .accumulate import CHUNK, chunked_sum, periodic_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, phi_int, primes_between, squarefree_divisors
+from .primes import PrimeTable, phi_int, squarefree_divisors
 from .testfn import TestFunction, J_star, J_i, J_cross, lambda_weight
 
 
@@ -153,7 +155,7 @@ def _omega_brute(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> floa
 
 
 def _omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
-    """Omega values for an array of progression points (the table's builder).
+    """Chunk kernel: Omega values for an array of progression points.
 
     On the progression every divisor of n + h_j is coprime to W, so the plan
     may drop primes dividing W; the dropped terms would contribute exact
@@ -199,7 +201,6 @@ class OmegaPeriod:
 
     Omega at n_j is vals[j % len(vals)], bit for bit the kernel's value,
     since the table entries come from the same per-element operations.
-    The progression itself is never materialised here.
     """
 
     start: int
@@ -214,26 +215,6 @@ class OmegaPeriod:
     def total(self) -> float:
         """Exactly rounded sum of Omega over the progression."""
         return periodic_sum(self.vals, self.count)
-
-    def prime_terms(self, h: int, t: PrimeTable, factor=None):
-        """(qs, kern) for chunked_sum: the sum over n with n + h prime of
-        log(n + h) Omega_n, times factor(n + h) when given.
-
-        qs holds the primes in [n_0 + h, n_last + h]; kern keeps those in
-        the progression's class, so the skipped n, with n + h composite,
-        are the ones whose terms are exact zeros.
-        """
-        lo = self.start + h
-        W, per, vals = self.W, len(self.vals), self.vals
-
-        def kern(qs: np.ndarray) -> np.ndarray:
-            off = qs - lo
-            on = off % W == 0
-            qs = qs[on]
-            terms = np.log(qs.astype(np.float64)) * vals[off[on] // W % per]
-            return terms if factor is None else terms * factor(qs)
-
-        return primes_between(lo, lo + (self.count - 1) * W, t), kern
 
 
 def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
@@ -253,32 +234,37 @@ def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
 
 
 def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable,
-              threads: int = 1, om: OmegaPeriod | None = None) -> SumReport:
+              threads: int = 1) -> SumReport:
     """Sum of Omega_n over the progression vs J_* N W^k/((log R)^(k+1) phi(W)^(k+1)).
 
-    om, when given, is omega_period(p, F, t), shared by several sums.  The
-    class-count sum has no chunks to spread, so threads changes nothing.
+    The class-count sum has no chunks to spread, so threads changes nothing.
     """
-    if om is None:
-        om = omega_period(p, F, t)
+    om = omega_period(p, F, t)
     predicted = J_star(F) * _main_scale(p, p.k + 1)
     return SumReport.build("omega_sum", om.total(), predicted, om.count, p.echo())
 
 
 def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
-                       t: PrimeTable, threads: int = 1,
-                       om: OmegaPeriod | None = None) -> SumReport:
-    """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1)).
+                       t: PrimeTable, threads: int = 1) -> SumReport:
+    """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1))."""
+    om = omega_period(p, F, t)
+    ns = progression(p)
+    wp = _varpi_kernel(t)
+    spf = t.spf
+    hi = p.h[i]
 
-    om, when given, is omega_period(p, F, t), shared by several sums.
-    """
-    if om is None:
-        om = omega_period(p, F, t)
-    measured = chunked_sum(*om.prime_terms(p.h[i], t), threads=threads)
+    def kern(chunk: np.ndarray) -> np.ndarray:
+        # terms with n + h_i composite are exact +0.0s; dropping them
+        # leaves the fsum unchanged
+        m = chunk + hi
+        on = spf[m] == m
+        return wp(m[on]) * om.at(chunk[on])
+
+    measured = chunked_sum(ns, kern, threads=threads)
     predicted = J_i(F, i) * _main_scale(p, p.k)
     params = p.echo()
     params["i"] = i
-    return SumReport.build("weighted_prime_sum", measured, predicted, om.count, params)
+    return SumReport.build("weighted_prime_sum", measured, predicted, len(ns), params)
 
 
 def _require_table(p: SieveParams, t: PrimeTable) -> None:

@@ -1,10 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import recurgaps
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               dirichlet_approx, expsum_discrepancy,
@@ -178,6 +183,62 @@ def test_phase_is_rational_times_theta(x, wide_table):
         want = r * e
         got = _phase(ps, RationalPoint(a, q, theta))
         assert got.tobytes() == want.tobytes()
+
+
+# Run in a fresh interpreter, since numpy picks its SIMD loops at import:
+# _phase gives the same bits per element whatever the length of the array
+# (1, 7 or all of it), and weighted_expsum with one point per chunk equals
+# math.fsum over the dense terms.
+_CHUNK_PROBE = """
+import math
+import numpy as np
+from recurgaps import accumulate
+from recurgaps.admissible import make_sieve_params
+from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
+from recurgaps.primes import build_prime_table
+from recurgaps.sieve import _omega_kernel, _varpi_kernel, progression
+from recurgaps.testfn import default_test_function
+
+p = make_sieve_params(N=20_000, h=(0, 2), theta=0.1, w=2, W0=1)
+F = default_test_function(1)
+t = build_prime_table(2 * p.N + 10)
+pt = RationalPoint(1, 3, 0.01)
+ns = progression(p)
+m = ns + p.h[1]
+whole = _phase(m, pt)
+for size in (1, 7):
+    parts = [_phase(m[i:i + size], pt) for i in range(0, len(m), size)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+dense = _varpi_kernel(t)(m) * _omega_kernel(p, F, t)(ns) * whole
+accumulate.CHUNK = 1
+got = weighted_expsum(p, F, 1, pt, t).measured
+want = complex(math.fsum(dense.real.tolist()), math.fsum(dense.imag.tolist()))
+assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+print("ok")
+"""
+
+
+def _simd_masks() -> list[str]:
+    """NPY_DISABLE_CPU_FEATURES values that leave numpy each SIMD level it
+    can dispatch to on this CPU, from all of them down to its baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return [" ".join(found[i:]) for i in range(len(found), -1, -1)]
+
+
+@pytest.mark.parametrize("mask", _simd_masks())
+def test_phase_is_chunk_invariant_at_every_simd_level(mask):
+    src = str(Path(recurgaps.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=mask)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _CHUNK_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_geometric_phase_sum_theta_zero():
