@@ -23,11 +23,10 @@ from .admissible import (DEFAULT_SEED, ParameterError, choose_b, dense_tuple,
 from .cluster import consecutive_filter, scan_clusters
 from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
                        khintchine_set, measure, monte_carlo_correlation,
-                       shifted_prime_recurrence_set, weighted_correlation_sum)
+                       shifted_prime_recurrence_set)
 from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
 from .primes import PrimeTable, build_prime_table, is_prime, primes_between
-from .serialize import dumps
 from .sieve import (bilinear_divisor_sum, omega_n, omega_sum, progression,
                     weighted_prime_sum)
 from .testfn import default_test_function
@@ -124,7 +123,7 @@ def criterion_2(t: PrimeTable) -> CriterionResult:
 
 # -- 3 -----------------------------------------------------------------------
 
-def criterion_3(t: PrimeTable, threads: int = 1) -> CriterionResult:
+def criterion_3(t: PrimeTable) -> CriterionResult:
     """Progression sums vs main terms at N = 1e6 and 4e6 (k=2, w=5, theta=0.1):
     ratio window [0.5, 1.5] plus improvement at the larger N.
 
@@ -136,9 +135,8 @@ def criterion_3(t: PrimeTable, threads: int = 1) -> CriterionResult:
         ratios = {}
         for N in (10 ** 6, 4 * 10 ** 6):
             p = make_sieve_params(N=N, h=(0, 6, 12), theta=0.1, w=5, W0=1)
-            reps = [omega_sum(p, F, t, threads=threads)]
-            reps += [weighted_prime_sum(p, F, i, t, threads=threads)
-                     for i in range(3)]
+            reps = [omega_sum(p, F, t)]
+            reps += [weighted_prime_sum(p, F, i, t) for i in range(3)]
             ratios[N] = [r.ratio for r in reps]
         window = all(0.5 <= r <= 1.5 for rs in ratios.values() for r in rs)
         trend = all(abs(r4 - 1.0) <= abs(r1 - 1.0) + 0.05
@@ -153,7 +151,7 @@ def criterion_3(t: PrimeTable, threads: int = 1) -> CriterionResult:
 
 # -- 4 -----------------------------------------------------------------------
 
-def criterion_4(t: PrimeTable, threads: int = 1) -> CriterionResult:
+def criterion_4(t: PrimeTable) -> CriterionResult:
     """Weighted exponential sum consistency: trivial frequency matches the
     real prime sum to 1e-9 relative; q=2 phase sign; suppression off the
     divisors of W."""
@@ -162,13 +160,13 @@ def criterion_4(t: PrimeTable, threads: int = 1) -> CriterionResult:
         F = default_test_function(2)
         details, ok = {}, True
 
-        base = weighted_prime_sum(p, F, 0, t, threads=threads)
-        triv = weighted_expsum(p, F, 0, RationalPoint(1, 1, 0.0), t, threads=threads)
+        base = weighted_prime_sum(p, F, 0, t)
+        triv = weighted_expsum(p, F, 0, RationalPoint(1, 1, 0.0), t)
         rel = abs(triv.measured - base.measured) / abs(base.measured)
         details["trivial_rel_error"] = rel
         ok &= rel <= 1e-9 and abs(triv.measured.imag) == 0.0
 
-        half = weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0), t, threads=threads)
+        half = weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0), t)
         sign_match = (half.measured.real < 0) == (half.predicted.real < 0)
         imag_small = abs(half.measured.imag) <= 1e-6 * abs(half.measured.real)
         details["q2_sign_match"] = sign_match
@@ -176,11 +174,10 @@ def criterion_4(t: PrimeTable, threads: int = 1) -> CriterionResult:
         ok &= sign_match and imag_small
 
         main_mag = abs(weighted_expsum(
-            p, F, 0, RationalPoint(1, 2, 0.0), t, threads=threads).predicted)
+            p, F, 0, RationalPoint(1, 2, 0.0), t).predicted)
         worst = 0.0
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            rep = weighted_expsum(p, F, 0, RationalPoint(1, q, 0.0), t,
-                                  threads=threads)
+            rep = weighted_expsum(p, F, 0, RationalPoint(1, q, 0.0), t)
             worst = max(worst, abs(rep.measured) / main_mag)
         details["offdivisor_worst_ratio"] = worst
         ok &= worst <= 0.5
@@ -409,50 +406,18 @@ def criterion_10(t: PrimeTable) -> CriterionResult:
     return _timed(10, "bump Fourier envelope and truncation bound", 60.0, run)
 
 
-# -- 11 ----------------------------------------------------------------------
-
-def criterion_11(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Byte-identical JSONL from the threaded operations across thread
-    counts 1, 2, 4 with one fixed config."""
-    def run():
-        def bundle(threads: int) -> bytes:
-            p = make_sieve_params(N=10 ** 5, h=(0, 6, 12), theta=0.1, w=5, W0=1)
-            F = default_test_function(2)
-            z4 = KroneckerSystem.cyclic(4)
-            A = BoxSet(g=4, d=0, pieces=((0, Cube((), 1.0)),))
-            p4 = make_sieve_params(N=10 ** 5, h=(0, 24, 48), theta=0.1, w=5, W0=4)
-            reps = [omega_sum(p, F, t, threads=threads)]
-            reps += [weighted_prime_sum(p, F, i, t, threads=threads)
-                     for i in range(3)]
-            reps.append(weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0), t,
-                                        threads=threads))
-            reps.append(weighted_correlation_sum(p4, F, z4, A, 0, 0.01, t,
-                                                 threads=threads))
-            lines = [dumps({"op": r.op, "measured": r.measured,
-                            "predicted": r.predicted, "ratio": r.ratio,
-                            "count": r.count, "params": r.params})
-                     for r in reps]
-            return ("\n".join(lines) + "\n").encode()
-
-        blobs = {n: bundle(n) for n in (1, 2, 4)}
-        ok = blobs[1] == blobs[2] == blobs[4]
-        return ok, {"bytes": len(blobs[1]), "identical_across_threads": ok}
-    return _timed(11, "byte-identical output across thread counts", 120.0, run)
-
-
-def run_all(threads: int = 1, seed: int = DEFAULT_SEED,
+def run_all(seed: int = DEFAULT_SEED,
             table: PrimeTable | None = None) -> list[CriterionResult]:
     t = table if table is not None else shared_table()
     return [
         criterion_1(t, seed=seed),
         criterion_2(t),
-        criterion_3(t, threads=threads),
-        criterion_4(t, threads=threads),
+        criterion_3(t),
+        criterion_4(t),
         criterion_5(t),
         criterion_6(t, seed=seed),
         criterion_7(t),
         criterion_8(t),
         criterion_9(t),
         criterion_10(t),
-        criterion_11(t, seed=seed),
     ]

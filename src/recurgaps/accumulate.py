@@ -4,52 +4,25 @@ Every progression sum is one ``math.fsum`` over its per-point terms,
 streamed chunk by chunk (``chunked_sum``), or, for a periodic sequence,
 over exact multiples of one period (``periodic_sum``).  ``fsum`` returns
 the correctly rounded value of the exact total, which depends only on the
-multiset of terms, so the final double is independent of chunk boundaries
-and thread count, and summing the terms of a partition of the range gives
-the full-range value exactly.  No list of all terms is built: memory is
-O(CHUNK) per real sum.
+multiset of terms, so the final double is independent of chunk boundaries,
+and summing the terms of a partition of the range gives the full-range
+value exactly.  Chunks are evaluated one after another on the calling
+thread; no list of all terms is built, so memory is O(CHUNK) per real sum.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-CHUNK = 1 << 13  # progression elements per chunk; fixed, never tied to threads
-
-
-def _chunk_terms(ns: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray],
-                 threads: int) -> Iterator[np.ndarray]:
-    """kernel on consecutive CHUNK slices of ns, yielded in chunk order.
-
-    With threads > 1 a pool evaluates the kernel at most 2 * threads chunks
-    ahead of the consumer; the reduction itself stays in the caller.
-    """
-    starts = range(0, len(ns), CHUNK)
-    if threads <= 1 or len(starts) <= 1:
-        for i in starts:
-            yield kernel(ns[i:i + CHUNK])
-        return
-    # imported here: concurrent.futures also loads logging, which a
-    # single-threaded run has no use for
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window: deque = deque()
-        for i in starts:
-            window.append(pool.submit(kernel, ns[i:i + CHUNK]))
-            if len(window) >= 2 * threads:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+CHUNK = 1 << 13  # progression elements per chunk; fixed, so memory is O(CHUNK)
 
 
 def chunked_sum(ns: np.ndarray,
                 kernel: Callable[[np.ndarray], np.ndarray],
-                threads: int = 1,
                 complex_valued: bool = False):
     """Exactly rounded sum of kernel(ns), with ns processed in CHUNK slices.
 
@@ -58,7 +31,7 @@ def chunked_sum(ns: np.ndarray,
     imaginary parts (8 bytes per term) for a second fsum.  Empty ns gives
     0.0 (0j when complex_valued) without calling kernel.
     """
-    terms = _chunk_terms(ns, kernel, threads)
+    terms = (kernel(ns[i:i + CHUNK]) for i in range(0, len(ns), CHUNK))
     if not complex_valued:
         return math.fsum(chain.from_iterable(c.tolist() for c in terms))
     imag: list[np.ndarray] = []

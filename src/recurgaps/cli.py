@@ -2,8 +2,9 @@
 
 All structured output is JSONL (one object per line) on stdout or --out;
 humans get progress and the verify table on stderr.  Identical configs
-(including seed and thread count) produce byte-identical JSONL; wall-clock
-timing is only attached under --timing because it would break that.
+(including seed) produce byte-identical JSONL; wall-clock timing is only
+attached under --timing because it would break that.  Every run is
+single-threaded.
 
 Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 (and 1 when `verify` finds a failing check).
@@ -37,11 +38,11 @@ DEFAULTS = {
     "n": 10 ** 6, "theta": 0.1, "k": 2, "w": 5, "w0": 1, "b": None,
     "eps": 0.01, "m": 1, "consecutive": False, "system": "g=4",
     "set": "0", "f_spec": "default", "h": None, "tuple_style": "standard",
-    "out": None, "threads": 1, "seed": DEFAULT_SEED,
+    "out": None, "seed": DEFAULT_SEED,
     "timing": False,
 }
 
-_INT_KEYS = {"n", "k", "w", "w0", "b", "m", "threads", "seed"}
+_INT_KEYS = {"n", "k", "w", "w0", "b", "m", "seed"}
 _FLOAT_KEYS = {"theta", "eps"}
 _BOOL_KEYS = {"consecutive", "timing"}
 _TRUE = ("1", "true", "yes", "on")
@@ -60,18 +61,27 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _int_field(text: str, what: str) -> int:
+    """int(text), or a ParameterError naming the flag or key `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _float_field(text: str, what: str) -> float:
+    """A finite float(text), or a ParameterError naming `what`."""
+    try:
+        return _finite_float(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ParameterError(f"{what} {exc}") from None
+
+
 def _config_value(key: str, val: str):
     if key in _INT_KEYS:
-        try:
-            return int(val)
-        except ValueError:
-            raise ParameterError(
-                f"config key {key!r} must be an integer, got {val!r}") from None
+        return _int_field(val, f"config key {key!r}")
     if key in _FLOAT_KEYS:
-        try:
-            return _finite_float(val)
-        except argparse.ArgumentTypeError as exc:
-            raise ParameterError(f"config key {key!r} {exc}") from None
+        return _float_field(val, f"config key {key!r}")
     if key in _BOOL_KEYS:
         if val.lower() not in _TRUE + _FALSE:
             raise ParameterError(
@@ -119,17 +129,18 @@ def parse_system(spec: str) -> KroneckerSystem:
             continue
         key, _, val = part.partition("=")
         fields[key.strip()] = val.strip()
-    g = int(fields.get("g", 1))
+    g = _int_field(fields.get("g", "1"), "--system g")
     if g < 1:
         raise ParameterError(f"group order must be >= 1, got g={g}")
-    d = int(fields.get("d", 0))
-    gamma0 = int(fields.get("gamma0", 1 % g))
+    d = _int_field(fields.get("d", "0"), "--system d")
+    gamma0 = _int_field(fields.get("gamma0", str(1 % g)), "--system gamma0")
     kap = fields.get("kappa", "sqrt_primes")
     if d == 0:
         return KroneckerSystem(g=g, d=0, gamma0=gamma0 % g, kappa=())
     if kap == "sqrt_primes":
         return KroneckerSystem.with_sqrt_kappa(g=g, d=d, gamma0=gamma0)
-    kappa = tuple(float(x) % 1.0 for x in kap.split(":"))
+    kappa = tuple(_float_field(x, "--system kappa") % 1.0
+                  for x in kap.split(":"))
     return KroneckerSystem(g=g, d=d, gamma0=gamma0 % g, kappa=kappa)
 
 
@@ -144,7 +155,7 @@ def parse_set(spec: str, sys_: KroneckerSystem) -> BoxSet:
         if not chunk:
             continue
         parts = chunk.split(":")
-        gamma = int(parts[0])
+        gamma = _int_field(parts[0], "--set gamma")
         if sys_.d == 0:
             if len(parts) > 1:
                 raise ParameterError(
@@ -154,14 +165,17 @@ def parse_set(spec: str, sys_: KroneckerSystem) -> BoxSet:
             if len(parts) != 3:
                 raise ParameterError(
                     f"piece {chunk!r} must be gamma:c1,..,cd:side for d={sys_.d}")
-            corner = tuple(float(x) for x in parts[1].split(","))
-            pieces.append((gamma, Cube(corner, float(parts[2]))))
+            corner = tuple(_float_field(x, "--set corner")
+                           for x in parts[1].split(","))
+            side = _float_field(parts[2], "--set side")
+            pieces.append((gamma, Cube(corner, side)))
     return BoxSet(g=sys_.g, d=sys_.d, pieces=tuple(pieces))
 
 
 def _build_tuple(cfg: dict) -> AdmissibleTuple:
     if cfg.get("h"):
-        return AdmissibleTuple(tuple(int(x) for x in str(cfg["h"]).split(",")))
+        return AdmissibleTuple(tuple(_int_field(x, "--h shift")
+                                     for x in str(cfg["h"]).split(",")))
     if cfg["tuple_style"] == "dense":
         return dense_tuple(cfg["k"], cfg["w0"])
     return standard_tuple(cfg["k"], cfg["w0"])
@@ -180,10 +194,10 @@ def _build_F(cfg: dict, k: int):
 
 
 class _Emitter:
-    # thread count and output path are execution details with no effect on
-    # computed values, so they stay out of the reproducibility echo/hash
+    # the output path has no effect on computed values, so it stays out of
+    # the reproducibility echo/hash
     def __init__(self, cfg: dict, stream):
-        self.cfg = {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+        self.cfg = {k: v for k, v in cfg.items() if k != "out"}
         self.hash = config_hash(self.cfg)
         self.stream = stream
         self.timing = cfg.get("timing", False)
@@ -221,9 +235,9 @@ def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.table_limit())
-    em.emit_report(omega_sum(p, F, t, threads=cfg["threads"]))
+    em.emit_report(omega_sum(p, F, t))
     for i in range(p.k + 1):
-        em.emit_report(weighted_prime_sum(p, F, i, t, threads=cfg["threads"]))
+        em.emit_report(weighted_prime_sum(p, F, i, t))
     return 0
 
 
@@ -256,26 +270,28 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
                  "b": args.b_res, "a": pt.a, "q": pt.q,
                  "theta_offset": pt.theta, "value": val})
         return 0
-    if op == "weighted":
+    if op in ("weighted", "minor-scan"):
         p = _build_params(cfg)
+        if not 0 <= args.i <= p.k:
+            raise ParameterError(f"--i must be in 0..{p.k}, got {args.i}")
         F = _build_F(cfg, p.k)
-        t = table(p.table_limit())
-        em.emit_report(weighted_expsum(p, F, args.i, pt, t,
-                                       threads=cfg["threads"]))
-        return 0
-    if op == "minor-scan":
-        p = _build_params(cfg)
-        F = _build_F(cfg, p.k)
-        t = table(p.table_limit())
-        alphas = [float(x) for x in args.alphas.split(",")]
-        for rec in minor_arc_scan(p, F, args.i, alphas, t,
-                                  threads=cfg["threads"]):
+        if op == "weighted":
+            em.emit_report(weighted_expsum(p, F, args.i, pt,
+                                           table(p.table_limit())))
+            return 0
+        alphas = [_float_field(x, "--alphas entry")
+                  for x in args.alphas.split(",")]
+        for rec in minor_arc_scan(p, F, args.i, alphas, table(p.table_limit())):
             em.emit({"op": "minor_arc_scan", **rec})
         return 0
     raise ParameterError(f"unknown expsum op {op!r}")
 
 
 def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
+    for flag in ("pmax", "nmax"):
+        bound = getattr(args, flag)
+        if bound is not None and bound < 1:
+            raise ParameterError(f"--{flag} must be >= 1, got {bound}")
     sys_ = parse_system(cfg["system"])
     A = parse_set(cfg["set"], sys_)
     if args.weighted:
@@ -284,7 +300,7 @@ def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
         t = table(p.table_limit())
         for i in range(p.k + 1):
             em.emit_report(weighted_correlation_sum(
-                p, F, sys_, A, i, cfg["eps"], t, threads=cfg["threads"]))
+                p, F, sys_, A, i, cfg["eps"], t))
         return 0
     if args.pmax is not None:
         t = table(max(args.pmax, 2))
@@ -308,8 +324,7 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.table_limit())
-    em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"], t,
-                                threads=cfg["threads"]))
+    em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"], t))
     reports = scan_clusters(p, sys_, A, cfg["eps"], cfg["m"], t)
     reports = consecutive_filter(reports, p, t)
     for rep in reports:
@@ -328,7 +343,7 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
 
 def _cmd_verify(cfg: dict, em: _Emitter, table) -> int:
     from . import acceptance  # the suite's import cost is paid by verify only
-    results = acceptance.run_all(threads=cfg["threads"], seed=cfg["seed"])
+    results = acceptance.run_all(seed=cfg["seed"])
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -382,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "f_spec" in keys:
             sp.add_argument("--f-spec", dest="f_spec")
         sp.add_argument("--out")
-        sp.add_argument("--threads", type=int)
+        # accepted for compatibility with scripts that pass --threads 1
+        sp.add_argument("--threads", type=int, choices=(1,),
+                        help="runs are single-threaded; only 1 is accepted")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--timing", action="store_const", const=True)
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .dynamics import BoxSet, KroneckerSystem, _correlation_kernel, _system_echo, correlation, measure
-from .primes import PrimeTable, is_prime, primes_between
+from .dynamics import BoxSet, KroneckerSystem, _correlation_kernel, _system_echo, measure
+from .primes import PrimeTable, primes_between
 from .sieve import (SumReport, progression, _omega_kernel, _varpi_kernel,
                     _main_scale, _require_table)
 from .testfn import TestFunction, J_i, J_star
@@ -42,8 +42,7 @@ class ClusterReport:
 
 
 def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
-                 A: BoxSet, eps: float, m: int, t: PrimeTable,
-                 threads: int = 1) -> SumReport:
+                 A: BoxSet, eps: float, m: int, t: PrimeTable) -> SumReport:
     """Weighted detector over the progression:
 
         sum_n Omega_n ( sum_i varpi(n+h_i) (corr(n+h_i-1) - (mu(A)^2 - eps))
@@ -75,7 +74,7 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
             inner = inner + wp(mvals) * (corr(mvals - 1) - thresh)
         return omega(chunk) * (inner - cap)
 
-    measured = chunked_sum(ns, kern, threads=threads)
+    measured = chunked_sum(ns, kern)
     scale = _main_scale(p, p.k)
     predicted = (p.k * (eps / 2.0) * J_i(F, 0)
                  - cap * 2.0 * J_star(F) / math.log(p.R)) * scale

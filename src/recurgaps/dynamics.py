@@ -316,8 +316,7 @@ def build_bump(delta0: float, delta1: float, K: int = 10_000) -> BumpPsi:
 
 def weighted_correlation_sum(p: SieveParams, F: TestFunction,
                              sys: KroneckerSystem, A: BoxSet, i: int,
-                             eps: float, t: PrimeTable,
-                             threads: int = 1) -> SumReport:
+                             eps: float, t: PrimeTable) -> SumReport:
     """Progression sum of varpi(n+h_i) Omega_n * correlation(n+h_i-1)
     against (measure(A)^2 - eps) times the prime-sum main term.
 
@@ -342,7 +341,7 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
         m = m[on]
         return wp(m) * om.at(chunk[on]) * corr_kernel(m - 1)
 
-    measured = chunked_sum(ns, kern, threads=threads)
+    measured = chunked_sum(ns, kern)
     predicted = (measure(A) ** 2 - eps) * J_i(F, i) * _main_scale(p, p.k)
     params = p.echo()
     params.update({"i": i, "eps": eps, "system": _system_echo(sys),

@@ -236,7 +236,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
 
 
 def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
-                    t: PrimeTable, threads: int = 1) -> SumReport:
+                    t: PrimeTable) -> SumReport:
     """Progression sum of varpi(n+h_i) e((n+h_i)(a/q+theta)) Omega_n.
 
     Predicted main term applies when q divides W:
@@ -256,7 +256,7 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
             return base.astype(np.complex128)
         return base * _phase(m, pt)
 
-    measured = chunked_sum(ns, kern, threads=threads, complex_valued=True)
+    measured = chunked_sum(ns, kern, complex_valued=True)
     scale = J_i(F, i) * _main_scale(p, p.k) / p.N  # per-n main scale
     params = p.echo()
     params.update({"i": i, "a": pt.a, "q": pt.q, "theta_offset": pt.theta})
@@ -348,8 +348,7 @@ def classify_arc(alpha: float, N: int,
 
 
 def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,
-                   alphas: list[float], t: PrimeTable,
-                   threads: int = 1) -> list[dict]:
+                   alphas: list[float], t: PrimeTable) -> list[dict]:
     """|weighted sum| at minor frequencies, against the theta=0 major
     main-term magnitude for contrast."""
     records = []
@@ -361,7 +360,7 @@ def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,
             raise ParameterError(f"alpha={alpha} is not minor at N={p.N}")
         theta = alpha - label.a / label.q
         pt = RationalPoint(a=label.a, q=label.q, theta=theta)
-        rep = weighted_expsum(p, F, i, pt, t, threads=threads)
+        rep = weighted_expsum(p, F, i, pt, t)
         records.append({
             "alpha": alpha,
             "a": label.a,

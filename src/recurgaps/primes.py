@@ -3,8 +3,8 @@
 One table serves primality, the prime log-weight, the Moebius function,
 Euler phi and squarefree divisor enumeration: ``spf[n]`` holds the least
 prime dividing n, so factoring any n <= limit is a chain of O(log n) table
-lookups.  The table is immutable after construction and safe to share
-across worker threads.
+lookups.  The table is immutable after construction, so one table serves
+every sum of a run.
 
 The table is filled by a cache-blocked sieve of Eratosthenes (Bays &
 Hudson, BIT 17, 1977): BLOCK entries at a time, each base prime p <=

@@ -19,7 +19,7 @@ preorder, and each total is the correctly rounded exact sum of its per-n
 terms -- one ``math.fsum`` over exact multiples of the table
 (``accumulate.periodic_sum``) or over the terms streamed in chunks
 (``accumulate.chunked_sum``) -- so results are bit-identical across
-chunkings and thread counts.
+chunkings.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .accumulate import CHUNK, chunked_sum, periodic_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, phi_int, squarefree_divisors
-from .testfn import TestFunction, J_star, J_i, J_cross, lambda_weight
+from .testfn import TestFunction, J_star, J_i, lambda_weight
 
 
 class ProgressionError(ParameterError):
@@ -233,11 +233,11 @@ def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
     return OmegaPeriod(start=start, W=p.W, count=count, vals=vals)
 
 
-def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable,
-              threads: int = 1) -> SumReport:
+def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable) -> SumReport:
     """Sum of Omega_n over the progression vs J_* N W^k/((log R)^(k+1) phi(W)^(k+1)).
 
-    The class-count sum has no chunks to spread, so threads changes nothing.
+    An exact class-count sum over the period table; the progression itself
+    is never built.
     """
     om = omega_period(p, F, t)
     predicted = J_star(F) * _main_scale(p, p.k + 1)
@@ -245,7 +245,7 @@ def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable,
 
 
 def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
-                       t: PrimeTable, threads: int = 1) -> SumReport:
+                       t: PrimeTable) -> SumReport:
     """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1))."""
     om = omega_period(p, F, t)
     ns = progression(p)
@@ -260,7 +260,7 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
         on = spf[m] == m
         return wp(m[on]) * om.at(chunk[on])
 
-    measured = chunked_sum(ns, kern, threads=threads)
+    measured = chunked_sum(ns, kern)
     predicted = J_i(F, i) * _main_scale(p, p.k)
     params = p.echo()
     params["i"] = i

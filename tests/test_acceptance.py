@@ -121,10 +121,3 @@ def test_criterion_10_bump_envelope(big_table):
     assert res.details["recon_err_K1000"] <= res.details["recon_bound_K1000"]
     assert res.runtime_ok
     assert res.passed
-
-
-def test_criterion_11_thread_determinism(big_table):
-    res = _report(acceptance.criterion_11(big_table))
-    assert res.details["identical_across_threads"]
-    assert res.runtime_ok
-    assert res.passed

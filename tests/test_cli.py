@@ -187,6 +187,24 @@ def test_config_booleans_accept_both_spellings(tmp_path, capsys):
      "factor spec must be a list of [edge, [coefficients]] pairs"),
     (["sums", "--n", "50000", "--k", "1", "--f-spec", "[[NaN, [1]]]"],
      "factor spec numbers must be finite"),
+    (["recur", "--system", "g=abc", "--nmax", "10"],
+     "--system g must be an integer, got 'abc'"),
+    (["recur", "--system", "g=4,d=1,kappa=0.5:nan", "--nmax", "10"],
+     "--system kappa must be a finite number, got 'nan'"),
+    (["recur", "--system", "g=4", "--set", "x", "--nmax", "10"],
+     "--set gamma must be an integer, got 'x'"),
+    (["recur", "--system", "g=1,d=1", "--set", "0:0.1:abc", "--nmax", "10"],
+     "--set side must be a finite number, got 'abc'"),
+    (["sums", "--n", "50000", "--h", "0,x"],
+     "--h shift must be an integer, got 'x'"),
+    (["expsum", "--op", "minor-scan", "--n", "20000", "--alphas", "nan"],
+     "--alphas entry must be a finite number, got 'nan'"),
+    (["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--i", "5"],
+     "--i must be in 0..1, got 5"),
+    (["expsum", "--op", "minor-scan", "--n", "50000", "--k", "1", "--i", "-1"],
+     "--i must be in 0..1, got -1"),
+    (["recur", "--nmax", "-5"], "--nmax must be >= 1, got -5"),
+    (["recur", "--pmax", "0"], "--pmax must be >= 1, got 0"),
 ])
 def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     code, out, err = run_cli(args, capsys)
@@ -203,15 +221,26 @@ def test_exit_code_group_divisibility(capsys):
     assert "group order" in err
 
 
-def test_byte_identity_across_threads(tmp_path, capsys):
-    blobs = []
-    for threads in ("1", "3"):
-        path = tmp_path / f"out{threads}.jsonl"
-        code, _, _ = run_cli(["sums", "--n", "50000", "--k", "2", "--w", "5",
-                              "--threads", threads, "--out", str(path)], capsys)
-        assert code == 0
-        blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1]
+def test_threads_flag_accepts_only_one(tmp_path, capsys):
+    # runs are single-threaded; --threads 1 is kept for scripts that pass it
+    args = ["sums", "--n", "50000", "--k", "2", "--w", "5"]
+    _, plain, _ = run_cli(args, capsys)
+    code, out, _ = run_cli(args + ["--threads", "1"], capsys)
+    assert code == 0
+    assert out == plain
+    for bad in ("2", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--threads", bad])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --threads: invalid choice" in captured.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    code, out, err = run_cli(["--config", str(cfg)] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown config key 'threads'" in err
 
 
 # sha256 of the stdout these commands gave before progression sums moved
@@ -385,14 +414,14 @@ def test_verify_emits_strict_json_and_exits_1_on_a_failing_check(
     ]
     calls = []
 
-    def run_all(threads=1, seed=DEFAULT_SEED):
-        calls.append((threads, seed))
+    def run_all(seed=DEFAULT_SEED):
+        calls.append(seed)
         return stubs
 
     monkeypatch.setattr(acceptance, "run_all", run_all)
     code, out, err = run_cli(["verify"], capsys)
     assert code == 1
-    assert calls == [(1, DEFAULT_SEED)]
+    assert calls == [DEFAULT_SEED]
     recs = [json.loads(line, parse_constant=_reject_constant)
             for line in out.splitlines()]
     assert [(r["criterion"], r["passed"]) for r in recs] == [(1, True),

@@ -101,15 +101,6 @@ def test_detector_positive_implies_scan_nonempty(small_table):
     assert all(r.width <= 12 for r in reports)
 
 
-def test_detector_thread_invariance(small_table):
-    sys_, A = z4_setup()
-    p = make_sieve_params(N=10 ** 5, h=(0, 24, 48), theta=0.1, w=5, W0=4)
-    F = default_test_function(2)
-    a = detector_sum(p, F, sys_, A, 0.01, 1, small_table, threads=1)
-    b = detector_sum(p, F, sys_, A, 0.01, 1, small_table, threads=4)
-    assert a.measured == b.measured
-
-
 def test_scan_ignores_weights(small_table):
     # reports never read F; identical output whatever the weights would be
     sys_, A = z4_setup()

@@ -377,13 +377,6 @@ def test_weighted_off_divisor_bound_attached(sieve_setup):
     assert abs(rep.measured) < rep.bound  # desk-scale sanity, not the theorem
 
 
-def test_weighted_thread_invariance(sieve_setup):
-    p, F, t = sieve_setup
-    a = weighted_expsum(p, F, 1, RationalPoint(1, 3, 0.0), t, threads=1)
-    b = weighted_expsum(p, F, 1, RationalPoint(1, 3, 0.0), t, threads=4)
-    assert a.measured == b.measured
-
-
 def test_minor_arc_scan_records(sieve_setup):
     p, F, t = sieve_setup
     recs = minor_arc_scan(p, F, 0, [GOLD], t)

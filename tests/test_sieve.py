@@ -101,13 +101,6 @@ def test_omega_sum_report_fields(params_k2, small_table):
     assert rep.params["N"] == params_k2.N
 
 
-def test_omega_sum_thread_invariance(params_k2, small_table):
-    F = default_test_function(2)
-    a = omega_sum(params_k2, F, small_table, threads=1)
-    b = omega_sum(params_k2, F, small_table, threads=3)
-    assert a.measured == b.measured
-
-
 def test_omega_sum_subrange_additivity(small_table):
     # one period of Omega (P = 15015) repeats across the split point: the
     # table reads the kernel's value bit for bit on both subranges, and the
