@@ -53,23 +53,27 @@ def test_complex_matches_componentwise_fsum(pairs, chunk):
     assert got == want
 
 
+@pytest.mark.parametrize("reps", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [1, 2, 8192])
-def test_ill_conditioned_terms(monkeypatch, chunk):
-    values = np.array([1e16, 1.0, -1e16])
-    assert np.sum(values) != 1.0  # naive float summation loses the 1
-    ns = np.arange(3, dtype=np.int64)
+def test_ill_conditioned_terms(monkeypatch, chunk, reps):
+    # the cancelling triple repeated, so chunk edges fall inside triples
+    values = np.tile([1e16, 1.0, -1e16], reps)
+    assert np.sum(values) != reps  # naive float summation loses the 1s
+    ns = np.arange(len(values), dtype=np.int64)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
-    assert chunked_sum(ns, lookup(values)) == 1.0
+    assert chunked_sum(ns, lookup(values)) == float(reps)
     cvalues = values * (1 - 2j)
     assert chunked_sum(ns, lookup(cvalues),
-                       complex_valued=True) == complex(1.0, -2.0)
+                       complex_valued=True) == complex(reps, -2 * reps)
 
 
-def test_empty_progression():
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_empty_progression(monkeypatch, chunk):
     def kernel(chunk):
         raise AssertionError("kernel called on an empty progression")
 
     ns = np.zeros(0, dtype=np.int64)
+    monkeypatch.setattr(accumulate, "CHUNK", chunk)
     real = chunked_sum(ns, kernel)
     cplx = chunked_sum(ns, kernel, complex_valued=True)
     assert type(real) is float and real == 0.0
