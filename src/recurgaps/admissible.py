@@ -230,6 +230,11 @@ class SieveParams:
     def table_limit(self) -> int:
         return 2 * self.N + max(self.h) + 1
 
+    def base_table_limit(self) -> int:
+        """Table limit for the sums that sieve the window themselves: the
+        base primes up to isqrt(2N + max h)."""
+        return math.isqrt(2 * self.N + max(self.h)) + 1
+
     def echo(self) -> dict:
         return {"N": self.N, "theta": self.theta, "R": self.R, "w": self.w,
                 "W0": self.W0, "W": self.W, "b": self.b, "k": self.k,

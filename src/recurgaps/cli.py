@@ -234,7 +234,7 @@ def _cmd_tuple(cfg: dict, em: _Emitter, table) -> int:
 def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
-    t = table(p.table_limit())
+    t = table(p.base_table_limit())
     em.emit_report(omega_sum(p, F, t))
     for i in range(p.k + 1):
         em.emit_report(weighted_prime_sum(p, F, i, t))
@@ -277,11 +277,12 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
         F = _build_F(cfg, p.k)
         if op == "weighted":
             em.emit_report(weighted_expsum(p, F, args.i, pt,
-                                           table(p.table_limit())))
+                                           table(p.base_table_limit())))
             return 0
         alphas = [_float_field(x, "--alphas entry")
                   for x in args.alphas.split(",")]
-        for rec in minor_arc_scan(p, F, args.i, alphas, table(p.table_limit())):
+        for rec in minor_arc_scan(p, F, args.i, alphas,
+                                  table(p.base_table_limit())):
             em.emit({"op": "minor_arc_scan", **rec})
         return 0
     raise ParameterError(f"unknown expsum op {op!r}")
@@ -297,7 +298,7 @@ def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
     if args.weighted:
         p = _build_params(cfg)
         F = _build_F(cfg, p.k)
-        t = table(p.table_limit())
+        t = table(p.base_table_limit())
         for i in range(p.k + 1):
             em.emit_report(weighted_correlation_sum(
                 p, F, sys_, A, i, cfg["eps"], t))

@@ -18,9 +18,24 @@ from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import BoxSet, KroneckerSystem, _correlation_kernel, _system_echo, measure
 from .primes import PrimeTable, primes_between
-from .sieve import (SumReport, progression, _omega_kernel, _varpi_kernel,
-                    _main_scale, _require_table)
+from .sieve import SumReport, progression, _omega_kernel, _main_scale
 from .testfn import TestFunction, J_i, J_star
+
+
+def _require_table(p: SieveParams, t: PrimeTable) -> None:
+    if t.limit < 2 * p.N + max(p.h):
+        raise ParameterError(
+            f"prime table limit {t.limit} below 2N + max(h) = {2 * p.N + max(p.h)}")
+
+
+def _varpi_kernel(t: PrimeTable):
+    spf = t.spf
+
+    def kern(m: np.ndarray) -> np.ndarray:
+        pm = spf[m] == m
+        return np.where(pm, np.log(m.astype(np.float64)), 0.0)
+
+    return kern
 
 
 @dataclass(frozen=True)

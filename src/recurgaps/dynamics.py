@@ -21,7 +21,7 @@ import numpy as np
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, primes_between
-from .sieve import (SumReport, omega_period, progression, _varpi_kernel,
+from .sieve import (SumReport, lazy_progression, omega_period, shift_primes,
                     _main_scale)
 from .testfn import TestFunction, J_i
 
@@ -327,19 +327,17 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
         raise ParameterError(
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     om = omega_period(p, F, t)
-    ns = progression(p)
-    wp = _varpi_kernel(t)
+    ns = lazy_progression(p)
     hi = p.h[i]
+    prime = shift_primes(p, hi, t)
     corr_kernel = _correlation_kernel(sys, A)
-    spf = t.spf
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         # terms with n + h_i composite are exact +0.0s; dropping them
         # leaves the fsum unchanged
+        chunk = chunk[prime.at(chunk)]
         m = chunk + hi
-        on = spf[m] == m
-        m = m[on]
-        return wp(m) * om.at(chunk[on]) * corr_kernel(m - 1)
+        return np.log(m.astype(np.float64)) * om.at(chunk) * corr_kernel(m - 1)
 
     measured = chunked_sum(ns, kern)
     predicted = (measure(A) ** 2 - eps) * J_i(F, i) * _main_scale(p, p.k)

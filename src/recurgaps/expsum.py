@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import torus_norm
 from .primes import PrimeTable, phi_int, primes_between, mobius
-from .sieve import SumReport, omega_period, progression, _varpi_kernel, _main_scale
+from .sieve import (SumReport, lazy_progression, omega_period, shift_primes,
+                    _main_scale)
 from .testfn import TestFunction, J_i
 
 # Default arc-cut exponents: P = N^P_EXP marks major denominators,
@@ -224,15 +226,23 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     rational = [_rational_phase(ps, a, q)
                 for a in range(1, q + 1) if math.gcd(a, q) == 1]
     mu_over_phi = mobius(q, t) / phi_int(q)
-    thetas = np.linspace(-delta, delta, theta_grid) if delta > 0 else np.array([0.0])
     best = 0.0
-    for theta in thetas.tolist():
+    for theta in _theta_grid(delta, theta_grid) if delta > 0 else [0.0]:
         center = mu_over_phi * geometric_phase_sum(x, theta)
         e = _theta_phase(ps, theta) if theta != 0.0 else None
         for r in rational:
             phase = r if e is None else r * e
             best = max(best, abs(complex(np.sum(logs * phase)) - center))
     return best
+
+
+def _theta_grid(delta: float, points: int) -> Iterator[float]:
+    """np.linspace(-delta, delta, points), bit for bit, one point at a time:
+    j * step - delta for j < points - 1, then delta itself."""
+    step = (delta - -delta) / (points - 1)
+    for j in range(points - 1):
+        yield j * step - delta
+    yield delta
 
 
 def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
@@ -245,13 +255,14 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
     N W^k / (w (log R)^k phi(W)^(k+1)) is attached as `bound`.
     """
     om = omega_period(p, F, t)
-    ns = progression(p)
-    wp = _varpi_kernel(t)
+    ns = lazy_progression(p)
     hi = p.h[i]
+    prime = shift_primes(p, hi, t)
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         m = chunk + hi
-        base = wp(m) * om.at(chunk)
+        wp = np.where(prime.at(chunk), np.log(m.astype(np.float64)), 0.0)
+        base = wp * om.at(chunk)
         if pt.q == 1 and pt.theta == 0.0:
             return base.astype(np.complex128)
         return base * _phase(m, pt)

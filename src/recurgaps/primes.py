@@ -1,4 +1,5 @@
-"""Smallest-prime-factor sieve and the multiplicative functions built on it.
+"""Smallest-prime-factor sieve, the multiplicative functions built on it,
+and segmented primality along an arithmetic progression.
 
 One table serves primality, the prime log-weight, the Moebius function,
 Euler phi and squarefree divisor enumeration: ``spf[n]`` holds the least
@@ -13,6 +14,12 @@ prime factor is written last.  A table keeps 4 bytes per entry (uint32
 ``spf``) plus 8 per prime; the build's transient peak is about 5.5 bytes
 per entry (the table, one boolean per entry to find the untouched ones,
 and the prime list): 0.68 GiB at the 2^27 budget.
+
+An op that needs primality only on a window does not build that table:
+``ap_primality`` sieves the points of an arithmetic progression directly,
+with the base primes up to the square root of its last point, SEGMENT
+points at a time in its callers, so its memory is O(SEGMENT + sqrt(x))
+wherever the window lies.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ DEFAULT_LIMIT_BUDGET = 1 << 27
 # Entries of spf sieved at a time (256 KiB of uint32), so that every strided
 # store of one block stays in cache.
 BLOCK = 1 << 16
+
+# Progression points sieved at a time by ap_primality's callers: a mask of
+# 256 KiB, like a BLOCK of spf, so its strided stores stay in cache.
+SEGMENT = 1 << 18
 
 
 class TableRangeError(ValueError):
@@ -82,6 +93,51 @@ def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTa
     primes += 2
     spf[primes] = primes  # untouched entries are prime
     return PrimeTable(limit=limit, spf=spf, primes=primes)
+
+
+def ap_primality(first: int, step: int, count: int,
+                 base: np.ndarray) -> np.ndarray:
+    """Exact is-prime mask of first + j * step for 0 <= j < count.
+
+    ``base`` is an ascending int64 array holding at least every prime up to
+    the square root of the last value.  Each base prime p crosses out the
+    values it divides from the first one >= p * p on, so p itself is kept
+    and every composite is crossed out by its least prime factor; when p
+    divides ``step`` the values are all = first (mod p), so it crosses out
+    all of them from there or none.  Values below 2 are not prime.
+    """
+    if step < 1 or count < 0:
+        raise ValueError(f"need step >= 1 and count >= 0, got {step}, {count}")
+    mask = np.ones(count, dtype=bool)
+    if not count:
+        return mask
+    if first < 2:
+        mask[:-((first - 2) // step)] = False  # the values below 2
+    root = math.isqrt(max(first + (count - 1) * step, 0))
+    ps = base[:np.searchsorted(base, root, side="right")]
+    jmin = np.maximum(-((first - ps * ps) // step), 0)  # first value >= p * p
+    divides = step % ps == 0
+    for p, j in zip(ps[divides].tolist(), jmin[divides].tolist()):
+        if first % p == 0:
+            mask[j:] = False
+    ps, jmin = ps[~divides], jmin[~divides]
+    # the values divisible by p are those with j = -first / step (mod p)
+    r = (-first) % ps * _inverse_mod(step % ps, ps) % ps
+    for p, j in zip(ps.tolist(), (jmin + (r - jmin) % ps).tolist()):
+        mask[j:: p] = False
+    return mask
+
+
+def _inverse_mod(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """a^-1 mod p for each prime p of ps, as a^(p-2) by square and multiply
+    (every product is below p^2, so p < 3e9 keeps it in int64)."""
+    out = np.ones_like(ps)
+    e = ps - 2
+    while e.any():
+        out = np.where(e & 1, out * a % ps, out)
+        a = a * a % ps
+        e >>= 1
+    return out
 
 
 def _check_range(n: int, t: PrimeTable, lo: int = 2) -> None:

@@ -14,6 +14,14 @@ along the progression it is periodic with period dividing their product
 P; it is evaluated once on min(P, L) points (``omega_period``) and the
 sums here and in expsum and dynamics read it from that table.
 
+Those sums read primality the same way, point by point along the chunk
+scan: ``shift_primes`` sieves the shifted progression n + h_i itself,
+SEGMENT points at a time (``primes.ap_primality``), and ``lazy_progression``
+builds the points CHUNK at a time.  So they need a prime table only up to
+isqrt(2N + max h) -- the sieve's base primes, which include the plan
+primes -- and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides the
+Omega table.
+
 Summation order is pinned: per-coordinate subset terms follow one fixed
 preorder, and each total is the correctly rounded exact sum of its per-n
 terms -- one ``math.fsum`` over exact multiples of the table
@@ -31,6 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import primes
 from .accumulate import CHUNK, chunked_sum, periodic_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, phi_int, squarefree_divisors
@@ -73,9 +82,86 @@ def _progression_start(p: SieveParams) -> int:
     return p.N + ((p.b - p.N) % p.W)
 
 
+def _points(p: SieveParams) -> range:
+    """The n with N <= n <= 2N and n = b (mod W), ascending."""
+    return range(_progression_start(p), 2 * p.N + 1, p.W)
+
+
 def progression(p: SieveParams) -> np.ndarray:
     """All n with N <= n <= 2N and n = b (mod W), ascending int64."""
-    return np.arange(_progression_start(p), 2 * p.N + 1, p.W, dtype=np.int64)
+    return lazy_progression(p)[:]
+
+
+class LazyProgression:
+    """The progression as ``chunked_sum`` reads it: ``len()`` and slices,
+    each slice built as an int64 array when it is taken, so a chunk scan
+    holds CHUNK points at a time."""
+
+    def __init__(self, points: range):
+        self.points = points
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        r = self.points[s]
+        return np.arange(r.start, r.stop, r.step, dtype=np.int64)
+
+
+def lazy_progression(p: SieveParams) -> LazyProgression:
+    """The progression of ``progression(p)``, built a slice at a time."""
+    return LazyProgression(_points(p))
+
+
+class ShiftPrimes:
+    """Whether n + h is prime, for the points n of one progression, sieved
+    SEGMENT points at a time (``primes.ap_primality``) as a chunk scan
+    advances.
+
+    ``at`` is read like ``OmegaPeriod.at``, one chunk of consecutive
+    progression points at a time.  Chunks need not line up with segments:
+    the mask held runs from the latest chunk's first point to the end of
+    the last segment sieved, so a forward scan sieves each point once and
+    holds at most a chunk and a segment.
+    """
+
+    def __init__(self, points: range, h: int, base: np.ndarray):
+        self.points = points
+        self.h = h
+        self.base = base
+        self._lo = 0                           # index of _mask[0]
+        self._mask = np.zeros(0, dtype=bool)
+
+    def at(self, ns: np.ndarray) -> np.ndarray:
+        """Boolean mask: n + h is prime, for consecutive progression points ns."""
+        if not len(ns):
+            return np.zeros(0, dtype=bool)
+        lo = (int(ns[0]) - self.points.start) // self.points.step
+        hi = lo + len(ns)
+        if int(ns[-1]) != self.points[hi - 1]:
+            raise ValueError("points must be consecutive progression points")
+        end = self._lo + len(self._mask)
+        if not self._lo <= lo < hi <= end:
+            if self._lo <= lo < end:
+                parts, j = [self._mask[lo - self._lo:]], end
+            else:
+                parts, j = [], lo
+            while j < hi:
+                n = min(primes.SEGMENT, len(self.points) - j)
+                parts.append(primes.ap_primality(
+                    self.points[j] + self.h, self.points.step, n, self.base))
+                j += n
+            self._lo, self._mask = lo, np.concatenate(parts)
+        return self._mask[lo - self._lo:hi - self._lo]
+
+
+def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
+    """Primality of n + h along the progression, sieved with the primes of
+    t up to isqrt(2N + max h)."""
+    _require_table(p, t)
+    root = math.isqrt(2 * p.N + max(p.h))
+    base = t.primes[:np.searchsorted(t.primes, root, side="right")]
+    return ShiftPrimes(_points(p), h, base)
 
 
 def _divisor_plan(F: TestFunction, R: int,
@@ -177,16 +263,6 @@ def _omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
     return kernel
 
 
-def _varpi_kernel(t: PrimeTable):
-    spf = t.spf
-
-    def kern(m: np.ndarray) -> np.ndarray:
-        pm = spf[m] == m
-        return np.where(pm, np.log(m.astype(np.float64)), 0.0)
-
-    return kern
-
-
 def _main_scale(p: SieveParams, log_power: int) -> float:
     """N * W^k / ((log R)^log_power * phi(W)^(k+1))."""
     phiW = phi_int(p.W)
@@ -221,8 +297,8 @@ def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
     """Omega on the first min(P, L) points of the progression of L points,
     where P is the product of the plan primes (all coprime to W)."""
     _require_table(p, t)
-    start = _progression_start(p)
-    count = (2 * p.N - start) // p.W + 1
+    pts = _points(p)
+    start, count = pts.start, len(pts)
     per = min(math.prod(_plan_primes(p, F, t, coprime_W=True)), count)
     kern = _omega_kernel(p, F, t)
     vals = np.empty(per)
@@ -248,17 +324,15 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
                        t: PrimeTable) -> SumReport:
     """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1))."""
     om = omega_period(p, F, t)
-    ns = progression(p)
-    wp = _varpi_kernel(t)
-    spf = t.spf
+    ns = lazy_progression(p)
     hi = p.h[i]
+    prime = shift_primes(p, hi, t)
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         # terms with n + h_i composite are exact +0.0s; dropping them
         # leaves the fsum unchanged
-        m = chunk + hi
-        on = spf[m] == m
-        return wp(m[on]) * om.at(chunk[on])
+        chunk = chunk[prime.at(chunk)]
+        return np.log((chunk + hi).astype(np.float64)) * om.at(chunk)
 
     measured = chunked_sum(ns, kern)
     predicted = J_i(F, i) * _main_scale(p, p.k)
@@ -268,9 +342,11 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
 
 
 def _require_table(p: SieveParams, t: PrimeTable) -> None:
-    if t.limit < 2 * p.N + max(p.h):
+    root = math.isqrt(2 * p.N + max(p.h))
+    if t.limit < root:
         raise ParameterError(
-            f"prime table limit {t.limit} below 2N + max(h) = {2 * p.N + max(p.h)}")
+            f"prime table limit {t.limit} below isqrt(2N + max(h)) = {root}: "
+            f"the window is sieved with the primes up to it")
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,31 @@ def test_timing_excludes_table_build(monkeypatch, capsys):
     assert all(0.0 < w < delay_s * 1000.0 for w in walls)
 
 
+@pytest.mark.parametrize("args,max_h", [
+    (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
+      "--theta", "0.24"], 2),
+    (["expsum", "--op", "weighted", "--n", "50000", "--k", "2", "--w", "5",
+      "--q", "3", "--theta-offset", "0.001"], 12),
+    (["expsum", "--op", "minor-scan", "--n", "50000", "--k", "2", "--w", "5"],
+     12),
+    (["recur", "--weighted", "--n", "50000", "--k", "1", "--h", "0,4",
+      "--w", "2", "--w0", "4", "--theta", "0.2", "--system", "g=4"], 4),
+], ids=["sums", "weighted", "minor-scan", "recur-weighted"])
+def test_progression_sums_request_only_base_primes(args, max_h, monkeypatch,
+                                                   capsys):
+    limits = []
+    build = cli.build_prime_table
+
+    def recording_build(limit):
+        limits.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(cli, "build_prime_table", recording_build)
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and lines_of(out)
+    assert limits and max(limits) <= math.isqrt(2 * 50000 + max_h) + 1
+
+
 def test_repeat_run_byte_identity(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):

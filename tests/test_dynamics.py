@@ -12,8 +12,7 @@ from recurgaps.dynamics import (BoxSet, BumpPsi, Cube, KroneckerSystem,
                                 monte_carlo_correlation,
                                 shifted_prime_recurrence_set, torus_norm,
                                 weighted_correlation_sum, _correlation_kernel)
-from recurgaps.sieve import (progression, weighted_prime_sum, _omega_kernel,
-                             _varpi_kernel)
+from recurgaps.sieve import progression, weighted_prime_sum, _omega_kernel
 from recurgaps.testfn import default_test_function
 
 SILVER = math.sqrt(2.0) - 1.0
@@ -262,7 +261,8 @@ def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch)
     F = default_test_function(0)
     ns = progression(p)
     m = ns + p.h[0]
-    dense = (_varpi_kernel(small_table)(m) * _omega_kernel(p, F, small_table)(ns)
+    varpi = np.where(small_table.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
+    dense = (varpi * _omega_kernel(p, F, small_table)(ns)
              * _correlation_kernel(sys_, A)(m - 1))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recurgaps
+from recurgaps import expsum
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               dirichlet_approx, expsum_discrepancy,
                               expsum_main_term, geometric_phase_sum,
                               minor_arc_scan, prime_expsum, torus_norm,
                               weighted_expsum, zq_inverse, _phase,
-                              _rational_phase, _theta_frac, _theta_phase)
+                              _rational_phase, _theta_frac, _theta_grid,
+                              _theta_phase)
 from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
                               primes_between, totient)
 from recurgaps.sieve import weighted_prime_sum
@@ -149,6 +152,46 @@ def test_discrepancy_validation(table):
         expsum_discrepancy(4, 0.0, 10 ** 4 + 6, 3, table)
 
 
+@pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])
+@pytest.mark.parametrize("delta", [1e-6, 1.1e-6, 0.3, 5e-9])
+def test_theta_grid_equals_linspace(delta, grid):
+    got = np.fromiter(_theta_grid(delta, grid), dtype=np.float64, count=grid)
+    assert got.tobytes() == np.linspace(-delta, delta, grid).tobytes()
+
+
+def test_discrepancy_builds_no_grid_array(table, monkeypatch):
+    # a billion-point grid: the scan starts at once and is stopped after
+    # three points, with np.linspace gone and memory far below 8 GB
+    class Stop(Exception):
+        pass
+
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("the theta grid was built as an array")
+
+    seen = []
+    phase_sum = expsum.geometric_phase_sum
+
+    def stop_after_three(x, theta):
+        seen.append(theta)
+        if len(seen) == 3:
+            raise Stop
+        return phase_sum(x, theta)
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    monkeypatch.setattr(expsum, "geometric_phase_sum", stop_after_three)
+    grid, delta = 10 ** 9, 1e-6
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            expsum_discrepancy(4, delta, 10 ** 3, grid, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    step = (delta - -delta) / (grid - 1)
+    assert seen == [-delta, step - delta, 2 * step - delta]
+
+
 @pytest.fixture(scope="module")
 def wide_table():
     return build_prime_table(2 * 250_000 + 1)
@@ -196,7 +239,7 @@ from recurgaps import accumulate
 from recurgaps.admissible import make_sieve_params
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table
-from recurgaps.sieve import _omega_kernel, _varpi_kernel, progression
+from recurgaps.sieve import _omega_kernel, progression
 from recurgaps.testfn import default_test_function
 
 p = make_sieve_params(N=20_000, h=(0, 2), theta=0.1, w=2, W0=1)
@@ -209,7 +252,8 @@ whole = _phase(m, pt)
 for size in (1, 7):
     parts = [_phase(m[i:i + size], pt) for i in range(0, len(m), size)]
     assert np.concatenate(parts).tobytes() == whole.tobytes(), size
-dense = _varpi_kernel(t)(m) * _omega_kernel(p, F, t)(ns) * whole
+varpi = np.where(t.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
+dense = varpi * _omega_kernel(p, F, t)(ns) * whole
 accumulate.CHUNK = 1
 got = weighted_expsum(p, F, 1, pt, t).measured
 want = complex(math.fsum(dense.real.tolist()), math.fsum(dense.imag.tolist()))

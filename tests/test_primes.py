@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recurgaps.primes import (BLOCK, PrimeTable, TableRangeError,
-                              build_prime_table, factorize, is_prime, mobius,
-                              phi_int, primes_between, squarefree_divisors,
-                              totient, varpi)
+                              ap_primality, build_prime_table, factorize,
+                              is_prime, mobius, phi_int, primes_between,
+                              squarefree_divisors, totient, varpi)
 
 ORACLE_LIMIT = 10 ** 4
 
@@ -242,3 +242,70 @@ def test_phi_int_matches_table(table):
 
 
 _HYP_TABLE = build_prime_table(ORACLE_LIMIT)
+
+
+# ap_primality against the spf table, wherever the two overlap: the values
+# first + j * step all lie in [0, ORACLE_LIMIT].
+
+def _spf_primality(first, step, count, table):
+    vals = first + step * np.arange(count, dtype=np.int64)
+    return (vals >= 2) & (table.spf[vals] == vals)
+
+
+def _assert_ap_matches_table(first, step, count, table):
+    got = ap_primality(first, step, count, table.primes)
+    assert got.dtype == bool and len(got) == count
+    assert np.array_equal(got, _spf_primality(first, step, count, table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=ORACLE_LIMIT),
+       st.integers(min_value=1, max_value=ORACLE_LIMIT),
+       st.integers(min_value=0, max_value=400))
+def test_ap_primality_matches_table(first, step, count):
+    count = min(count, (ORACLE_LIMIT - first) // step + 1)
+    _assert_ap_matches_table(first, step, count, _HYP_TABLE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 97]),
+       st.sampled_from([1, 2, 3, 4, 6, 9, 10, 30, 49, 210, 2310]),
+       st.sampled_from(["0", "1", "2", "p", "p*p-step", "p*p", "any"]),
+       st.integers(min_value=0, max_value=ORACLE_LIMIT),
+       st.integers(min_value=1, max_value=300))
+def test_ap_primality_edge_starts(p, step, which, any_first, count):
+    # steps that share factors with the base primes, and progressions that
+    # start at 0, 1, 2, a base prime p, or one step below p^2
+    first = {"0": 0, "1": 1, "2": 2, "p": p, "p*p-step": p * p - step,
+             "p*p": p * p, "any": any_first}[which]
+    if first < 0:
+        first += step * (-first // step + 1)
+    count = min(count, (ORACLE_LIMIT - first) // step + 1)
+    _assert_ap_matches_table(first, step, count, _HYP_TABLE)
+
+
+def test_ap_primality_keeps_a_base_prime_on_a_step_it_divides(table):
+    # every value is a multiple of 3, and only 3 itself is prime
+    got = ap_primality(3, 3, 5, table.primes)
+    assert got.tolist() == [True, False, False, False, False]
+    assert ap_primality(0, 1, 4, table.primes).tolist() == [
+        False, False, True, True]
+    assert ap_primality(5, 7, 0, table.primes).tolist() == []
+
+
+def test_ap_primality_needs_only_base_primes(table):
+    # a window far above the table, checked against trial division
+    first, step, count = 10 ** 7 + 1, 6, 500
+    base = table.primes[table.primes <= math.isqrt(first + step * count)]
+    got = ap_primality(first, step, count, base)
+    want = [all((first + j * step) % q for q in base.tolist())
+            for j in range(count)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < count
+
+
+def test_ap_primality_rejects_bad_shapes(table):
+    with pytest.raises(ValueError, match="step"):
+        ap_primality(1, 0, 5, table.primes)
+    with pytest.raises(ValueError, match="count"):
+        ap_primality(1, 2, -1, table.primes)

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from recurgaps import accumulate
+from recurgaps import accumulate, primes
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 weighted_correlation_sum, _correlation_kernel)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table, is_prime
-from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum, omega_n,
-                             omega_period, omega_sum, progression,
-                             weighted_prime_sum, _omega_kernel, _plan_primes,
-                             _varpi_kernel)
+from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum,
+                             lazy_progression, omega_n, omega_period,
+                             omega_sum, progression, shift_primes,
+                             weighted_prime_sum, _omega_kernel, _plan_primes)
 from recurgaps.testfn import default_test_function
+
+
+def _dense_varpi(t, m):
+    """log m where the full spf table says m is prime, else 0.0."""
+    return np.where(t.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +153,7 @@ def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
     p = make_sieve_params(N=5000, h=(0,), theta=0.24999, w=2, W0=1)
     F = default_test_function(0)
     ns = progression(p)
-    dense = (_varpi_kernel(small_table)(ns + p.h[0])
+    dense = (_dense_varpi(small_table, ns + p.h[0])
              * _omega_kernel(p, F, small_table)(ns))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
@@ -167,7 +172,7 @@ def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
     ns = progression(p)
     m = ns + p.h[i]
     omega = _omega_kernel(p, F, t)(ns)
-    base = _varpi_kernel(t)(m) * omega
+    base = _dense_varpi(t, m) * omega
     phased = base * _phase(m, pt)
     corr = base * _correlation_kernel(_HALF_ARC, _HALF_SET)(m - 1)
     with pytest.MonkeyPatch.context() as mp:
@@ -227,6 +232,100 @@ def test_sums_equal_dense_fsum_when_the_period_exceeds_the_run(chunk):
     P = math.prod(_plan_primes(p, F, _HYP_TABLE, coprime_W=True))
     assert P == 15015 > om.count == len(om.vals)
     _assert_sums_equal_dense_fsum(p, 0, RationalPoint(1, 3, 0.01), chunk)
+
+
+# ---------------------------------------------------------------------------
+# segmented primality along the shifted progressions
+# ---------------------------------------------------------------------------
+
+_SEGMENT_PARAMS = [
+    make_sieve_params(N=5000, h=(0, 2), theta=0.24, w=2, W0=1),
+    make_sieve_params(N=20_000, h=(0, 6, 12), theta=0.1, w=5, W0=1),
+    make_sieve_params(N=10 ** 5, h=(0, 4), theta=0.2, w=11, W0=4,
+                      consecutive=True),
+]
+
+
+def _base_table(p):
+    return build_prime_table(p.base_table_limit())
+
+
+def test_lazy_progression_slices_like_the_array():
+    p = _SEGMENT_PARAMS[0]
+    ns, lazy = progression(p), lazy_progression(p)
+    assert len(lazy) == len(ns)
+    for i, j in [(0, 1), (0, 3), (5, 12), (len(ns) - 2, len(ns) + 5),
+                 (len(ns), len(ns) + 3), (0, None)]:
+        got = lazy[i:j]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ns[i:j])
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("segment", [1, 3, 7])
+@pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
+def test_shift_primes_matches_the_table_at_segment_edges(p, segment, chunk,
+                                                         small_table,
+                                                         monkeypatch):
+    # chunks that straddle segments, and segments shorter than chunks
+    monkeypatch.setattr(primes, "SEGMENT", segment)
+    ns, lazy, base = progression(p), lazy_progression(p), _base_table(p)
+    for h in p.h:
+        look = shift_primes(p, h, base)
+        got = np.concatenate([look.at(lazy[i:i + chunk])
+                              for i in range(0, len(lazy), chunk)])
+        m = ns + h
+        assert np.array_equal(got, small_table.spf[m] == m)
+
+
+def test_shift_primes_takes_consecutive_points_only(small_table):
+    p = _SEGMENT_PARAMS[0]
+    look = shift_primes(p, 0, small_table)
+    assert look.at(np.zeros(0, dtype=np.int64)).tolist() == []
+    with pytest.raises(ValueError, match="consecutive"):
+        look.at(progression(p)[::2][:3])
+
+
+def _weighted_sums(p, t):
+    F = default_test_function(p.k)
+    pt = RationalPoint(1, 3, 0.01)
+    out = []
+    for i in range(p.k + 1):
+        out.append(weighted_prime_sum(p, F, i, t).measured.hex())
+        z = weighted_expsum(p, F, i, pt, t).measured
+        out.append((z.real.hex(), z.imag.hex()))
+        out.append(weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i,
+                                            0.01, t).measured.hex())
+    return out
+
+
+@pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
+def test_weighted_sums_need_only_the_base_primes(p, small_table):
+    base = _base_table(p)
+    assert base.limit == math.isqrt(2 * p.N + max(p.h)) + 1
+    assert _weighted_sums(p, base) == _weighted_sums(p, small_table)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("segment", [1, 3, 7])
+def test_weighted_sums_ignore_segment_and_chunk_edges(segment, chunk,
+                                                      small_table):
+    p = _SEGMENT_PARAMS[1]
+    want = _weighted_sums(p, small_table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        mp.setattr(accumulate, "CHUNK", chunk)
+        assert _weighted_sums(p, _base_table(p)) == want
+
+
+def test_weighted_sums_name_the_base_bound():
+    p = _SEGMENT_PARAMS[1]
+    short = build_prime_table(math.isqrt(2 * p.N + max(p.h)) - 1)
+    F = default_test_function(p.k)
+    with pytest.raises(ParameterError, match=r"isqrt\(2N \+ max\(h\)\)"):
+        weighted_prime_sum(p, F, 0, short)
+    with pytest.raises(ParameterError, match="isqrt"):
+        shift_primes(p, 0, short)
 
 
 # ---------------------------------------------------------------------------
