@@ -453,15 +453,11 @@ def main(argv=None) -> int:
         out = open(cfg["out"], "w") if cfg.get("out") else sys.stdout
         try:
             em = _Emitter(cfg, out)
-            tables: dict[int, object] = {}
 
             def table(limit: int):
-                have = max(tables) if tables else 0
-                if have < limit:
-                    tables.clear()
-                    tables[limit] = build_prime_table(limit)
-                    em.restart_clock()  # wall_ms never counts the table build
-                return tables[max(tables)]
+                t = build_prime_table(limit)
+                em.restart_clock()  # wall_ms never counts the table build
+                return t
 
             if args.subcommand == "tuple":
                 return _cmd_tuple(cfg, em, table)

@@ -16,9 +16,10 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .dynamics import BoxSet, KroneckerSystem, _correlation_kernel, _system_echo, measure
+from .dynamics import (BoxSet, KroneckerSystem, correlation_kernel, measure,
+                       system_echo)
 from .primes import PrimeTable, primes_between
-from .sieve import SumReport, progression, _omega_kernel, _main_scale
+from .sieve import SumReport, main_scale, omega_kernel, points, progression
 from .testfn import TestFunction, J_i, J_star
 
 
@@ -74,10 +75,10 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     _require_table(p, t)
-    ns = progression(p)
-    omega = _omega_kernel(p, F, t)
+    pts = points(p)
+    omega = omega_kernel(p, F, t)
     wp = _varpi_kernel(t)
-    corr = _correlation_kernel(sys, A)
+    corr = correlation_kernel(sys, A)
     thresh = measure(A) ** 2 - eps
     cap = m * math.log(3 * p.N)
     hs = p.h
@@ -89,14 +90,14 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
             inner = inner + wp(mvals) * (corr(mvals - 1) - thresh)
         return omega(chunk) * (inner - cap)
 
-    measured = chunked_sum(ns, kern)
-    scale = _main_scale(p, p.k)
+    measured = chunked_sum(pts, kern)
+    scale = main_scale(p, p.k)
     predicted = (p.k * (eps / 2.0) * J_i(F, 0)
                  - cap * 2.0 * J_star(F) / math.log(p.R)) * scale
     params = p.echo()
-    params.update({"eps": eps, "m": m, "system": _system_echo(sys),
+    params.update({"eps": eps, "m": m, "system": system_echo(sys),
                    "set_measure": measure(A)})
-    return SumReport.build("detector_sum", measured, predicted, len(ns), params)
+    return SumReport.build("detector_sum", measured, predicted, len(pts), params)
 
 
 def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
@@ -115,7 +116,7 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
     _require_table(p, t)
     ns = progression(p)
     wp = _varpi_kernel(t)
-    corr = _correlation_kernel(sys, A)
+    corr = correlation_kernel(sys, A)
     thresh = measure(A) ** 2 - eps
     cap = m * math.log(3 * p.N)
     spf = t.spf

@@ -21,8 +21,7 @@ import numpy as np
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, primes_between
-from .sieve import (SumReport, lazy_progression, omega_period, shift_primes,
-                    _main_scale)
+from .sieve import SumReport, main_scale, points, prime_kernel
 from .testfn import TestFunction, J_i
 
 
@@ -209,13 +208,8 @@ def khintchine_set(sys: KroneckerSystem, A: BoxSet, eps: float,
     """All n in [0, n_max] with correlation(n) >= measure(A)^2 - eps."""
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    thresh = measure(A) ** 2 - eps
-    if sys.d == 0:
-        by_class = np.array([correlation(sys, A, r) for r in range(sys.g)])
-        ns = np.arange(0, n_max + 1, dtype=np.int64)
-        return ns[by_class[ns % sys.g] >= thresh]
-    out = [n for n in range(n_max + 1) if correlation(sys, A, n) >= thresh]
-    return np.array(out, dtype=np.int64)
+    ns = np.arange(0, n_max + 1, dtype=np.int64)
+    return ns[correlation_kernel(sys, A)(ns) >= measure(A) ** 2 - eps]
 
 
 def shifted_prime_recurrence_set(sys: KroneckerSystem, A: BoxSet, eps: float,
@@ -225,13 +219,8 @@ def shifted_prime_recurrence_set(sys: KroneckerSystem, A: BoxSet, eps: float,
         raise ParameterError(f"eps must be positive, got {eps}")
     if p_max > t.limit:
         raise ParameterError(f"p_max={p_max} beyond table limit {t.limit}")
-    thresh = measure(A) ** 2 - eps
     ps = primes_between(2, p_max, t)
-    if sys.d == 0:
-        by_class = np.array([correlation(sys, A, r) for r in range(sys.g)])
-        return ps[by_class[(ps - 1) % sys.g] >= thresh]
-    keep = [int(p) for p in ps if correlation(sys, A, int(p) - 1) >= thresh]
-    return np.array(keep, dtype=np.int64)
+    return ps[correlation_kernel(sys, A)(ps - 1) >= measure(A) ** 2 - eps]
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +315,19 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     if p.W0 % sys.g != 0:
         raise ParameterError(
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
-    om = omega_period(p, F, t)
-    ns = lazy_progression(p)
-    hi = p.h[i]
-    prime = shift_primes(p, hi, t)
-    corr_kernel = _correlation_kernel(sys, A)
-
-    def kern(chunk: np.ndarray) -> np.ndarray:
-        # terms with n + h_i composite are exact +0.0s; dropping them
-        # leaves the fsum unchanged
-        chunk = chunk[prime.at(chunk)]
-        m = chunk + hi
-        return np.log(m.astype(np.float64)) * om.at(chunk) * corr_kernel(m - 1)
-
-    measured = chunked_sum(ns, kern)
-    predicted = (measure(A) ** 2 - eps) * J_i(F, i) * _main_scale(p, p.k)
+    corr = correlation_kernel(sys, A)
+    kern = prime_kernel(p, F, i, t, lambda m: corr(m - 1))
+    pts = points(p)
+    measured = chunked_sum(pts, kern)
+    predicted = (measure(A) ** 2 - eps) * J_i(F, i) * main_scale(p, p.k)
     params = p.echo()
-    params.update({"i": i, "eps": eps, "system": _system_echo(sys),
+    params.update({"i": i, "eps": eps, "system": system_echo(sys),
                    "set_measure": measure(A)})
-    rep = SumReport.build("weighted_correlation_sum", measured, predicted,
-                          len(ns), params)
-    return rep
+    return SumReport.build("weighted_correlation_sum", measured, predicted,
+                           len(pts), params)
 
 
-def _correlation_kernel(sys: KroneckerSystem, A: BoxSet):
+def correlation_kernel(sys: KroneckerSystem, A: BoxSet):
     """Vector of correlation values; residue lookup when the torus is absent."""
     if sys.d == 0:
         by_class = np.array([correlation(sys, A, r) for r in range(sys.g)])
@@ -362,6 +340,6 @@ def _correlation_kernel(sys: KroneckerSystem, A: BoxSet):
     return kern
 
 
-def _system_echo(sys: KroneckerSystem) -> dict:
+def system_echo(sys: KroneckerSystem) -> dict:
     return {"g": sys.g, "d": sys.d, "gamma0": sys.gamma0,
             "kappa": list(sys.kappa)}

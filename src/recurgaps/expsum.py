@@ -24,8 +24,7 @@ from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import torus_norm
 from .primes import PrimeTable, phi_int, primes_between, mobius
-from .sieve import (SumReport, lazy_progression, omega_period, shift_primes,
-                    _main_scale)
+from .sieve import SumReport, main_scale, points, prime_kernel
 from .testfn import TestFunction, J_i
 
 # Default arc-cut exponents: P = N^P_EXP marks major denominators,
@@ -254,30 +253,24 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
     otherwise predicted is 0 and the suppression envelope
     N W^k / (w (log R)^k phi(W)^(k+1)) is attached as `bound`.
     """
-    om = omega_period(p, F, t)
-    ns = lazy_progression(p)
     hi = p.h[i]
-    prime = shift_primes(p, hi, t)
-
-    def kern(chunk: np.ndarray) -> np.ndarray:
-        m = chunk + hi
-        wp = np.where(prime.at(chunk), np.log(m.astype(np.float64)), 0.0)
-        base = wp * om.at(chunk)
-        if pt.q == 1 and pt.theta == 0.0:
-            return base.astype(np.complex128)
-        return base * _phase(m, pt)
-
-    measured = chunked_sum(ns, kern, complex_valued=True)
-    scale = J_i(F, i) * _main_scale(p, p.k) / p.N  # per-n main scale
+    pts = points(p)
+    top = pts[-1] + hi  # the largest n + h_i the scan would phase
+    if pt.theta != 0.0 and top >= (1 << _SPLIT_BITS):
+        raise ParameterError(
+            f"phase e(n theta) needs n < 2^{_SPLIT_BITS}, got n = {top}")
+    kern = prime_kernel(p, F, i, t, lambda m: _phase(m, pt))
+    measured = chunked_sum(pts, kern, complex_valued=True)
+    scale = J_i(F, i) * main_scale(p, p.k) / p.N  # per-n main scale
     params = p.echo()
     params.update({"i": i, "a": pt.a, "q": pt.q, "theta_offset": pt.theta})
     if p.W % pt.q == 0:
         phase = np.exp(2j * np.pi * ((pt.a * ((p.b + hi) % pt.q)) % pt.q) / pt.q)
         predicted = phase * scale * geometric_phase_sum(p.N, pt.theta)
         return SumReport.build("weighted_expsum", measured, complex(predicted),
-                               len(ns), params)
-    bound = _main_scale(p, p.k) / p.w
-    return SumReport.build("weighted_expsum", measured, 0j, len(ns), params,
+                               len(pts), params)
+    bound = main_scale(p, p.k) / p.w
+    return SumReport.build("weighted_expsum", measured, 0j, len(pts), params,
                            bound=bound)
 
 
@@ -363,7 +356,7 @@ def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,
     """|weighted sum| at minor frequencies, against the theta=0 major
     main-term magnitude for contrast."""
     records = []
-    main_mag = abs(J_i(F, i) * _main_scale(p, p.k) / p.N
+    main_mag = abs(J_i(F, i) * main_scale(p, p.k) / p.N
                    * geometric_phase_sum(p.N, 0.0))
     for alpha in alphas:
         label = classify_arc(alpha, p.N)

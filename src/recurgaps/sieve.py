@@ -14,13 +14,14 @@ along the progression it is periodic with period dividing their product
 P; it is evaluated once on min(P, L) points (``omega_period``) and the
 sums here and in expsum and dynamics read it from that table.
 
-Those sums read primality the same way, point by point along the chunk
-scan: ``shift_primes`` sieves the shifted progression n + h_i itself,
-SEGMENT points at a time (``primes.ap_primality``), and ``lazy_progression``
-builds the points CHUNK at a time.  So they need a prime table only up to
-isqrt(2N + max h) -- the sieve's base primes, which include the plan
-primes -- and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides the
-Omega table.
+Every sum of varpi(n+h_i) Omega_n times a factor of n+h_i builds its
+terms through one pipeline, ``prime_kernel``: ``shift_primes`` sieves the
+shifted progression n + h_i itself, SEGMENT points at a time
+(``primes.ap_primality``), as ``chunked_sum`` walks the ``points`` range
+CHUNK at a time, and the factor is read only where n + h_i is prime.  So
+those sums need a prime table only up to isqrt(2N + max h) -- the sieve's
+base primes, which include the plan primes -- and run in
+O(CHUNK + SEGMENT + sqrt(N)) memory besides the Omega table.
 
 Summation order is pinned: per-coordinate subset terms follow one fixed
 preorder, and each total is the correctly rounded exact sum of its per-n
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,17 +62,15 @@ class SumReport:
     count: int
     params: dict
     bound: float | None = None
-    wall_ms: float | None = None
 
     @staticmethod
     def build(op: str, measured, predicted, count: int, params: dict,
-              bound: float | None = None, wall_ms: float | None = None) -> "SumReport":
+              bound: float | None = None) -> "SumReport":
         ratio = None
         if abs(predicted) > 0:
             ratio = measured / predicted
         return SumReport(op=op, measured=measured, predicted=predicted,
-                         ratio=ratio, count=count, params=params,
-                         bound=bound, wall_ms=wall_ms)
+                         ratio=ratio, count=count, params=params, bound=bound)
 
 
 def _progression_start(p: SieveParams) -> int:
@@ -82,35 +81,15 @@ def _progression_start(p: SieveParams) -> int:
     return p.N + ((p.b - p.N) % p.W)
 
 
-def _points(p: SieveParams) -> range:
+def points(p: SieveParams) -> range:
     """The n with N <= n <= 2N and n = b (mod W), ascending."""
     return range(_progression_start(p), 2 * p.N + 1, p.W)
 
 
 def progression(p: SieveParams) -> np.ndarray:
     """All n with N <= n <= 2N and n = b (mod W), ascending int64."""
-    return lazy_progression(p)[:]
-
-
-class LazyProgression:
-    """The progression as ``chunked_sum`` reads it: ``len()`` and slices,
-    each slice built as an int64 array when it is taken, so a chunk scan
-    holds CHUNK points at a time."""
-
-    def __init__(self, points: range):
-        self.points = points
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, s: slice) -> np.ndarray:
-        r = self.points[s]
-        return np.arange(r.start, r.stop, r.step, dtype=np.int64)
-
-
-def lazy_progression(p: SieveParams) -> LazyProgression:
-    """The progression of ``progression(p)``, built a slice at a time."""
-    return LazyProgression(_points(p))
+    r = points(p)
+    return np.arange(r.start, r.stop, r.step, dtype=np.int64)
 
 
 class ShiftPrimes:
@@ -161,7 +140,7 @@ def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
     _require_table(p, t)
     root = math.isqrt(2 * p.N + max(p.h))
     base = t.primes[:np.searchsorted(t.primes, root, side="right")]
-    return ShiftPrimes(_points(p), h, base)
+    return ShiftPrimes(points(p), h, base)
 
 
 def _divisor_plan(F: TestFunction, R: int,
@@ -240,7 +219,7 @@ def _omega_brute(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> floa
     return s * s
 
 
-def _omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
+def omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
     """Chunk kernel: Omega values for an array of progression points.
 
     On the progression every divisor of n + h_j is coprime to W, so the plan
@@ -263,7 +242,7 @@ def _omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
     return kernel
 
 
-def _main_scale(p: SieveParams, log_power: int) -> float:
+def main_scale(p: SieveParams, log_power: int) -> float:
     """N * W^k / ((log R)^log_power * phi(W)^(k+1))."""
     phiW = phi_int(p.W)
     return (p.N * float(p.W) ** p.k
@@ -297,10 +276,10 @@ def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
     """Omega on the first min(P, L) points of the progression of L points,
     where P is the product of the plan primes (all coprime to W)."""
     _require_table(p, t)
-    pts = _points(p)
+    pts = points(p)
     start, count = pts.start, len(pts)
     per = min(math.prod(_plan_primes(p, F, t, coprime_W=True)), count)
-    kern = _omega_kernel(p, F, t)
+    kern = omega_kernel(p, F, t)
     vals = np.empty(per)
     for i in range(0, per, CHUNK):
         j = min(i + CHUNK, per)
@@ -316,29 +295,42 @@ def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable) -> SumReport:
     is never built.
     """
     om = omega_period(p, F, t)
-    predicted = J_star(F) * _main_scale(p, p.k + 1)
+    predicted = J_star(F) * main_scale(p, p.k + 1)
     return SumReport.build("omega_sum", om.total(), predicted, om.count, p.echo())
+
+
+def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
+                 factor: Callable[[np.ndarray], np.ndarray] | None = None):
+    """Chunk kernel for the sum of varpi(n+h_i) Omega_n factor(n+h_i) over
+    the progression: log(m) Omega_n (times factor(m)) at the n of a chunk
+    with m = n + h_i prime.
+
+    Every other term is an exact zero, which ``math.fsum`` drops, so the
+    kernel keeps only the prime ones and evaluates factor there alone.
+    """
+    om = omega_period(p, F, t)
+    hi = p.h[i]
+    prime = shift_primes(p, hi, t)
+
+    def kern(ns: np.ndarray) -> np.ndarray:
+        ns = ns[prime.at(ns)]
+        m = ns + hi
+        terms = np.log(m) * om.at(ns)
+        return terms if factor is None else terms * factor(m)
+
+    return kern
 
 
 def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
                        t: PrimeTable) -> SumReport:
     """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1))."""
-    om = omega_period(p, F, t)
-    ns = lazy_progression(p)
-    hi = p.h[i]
-    prime = shift_primes(p, hi, t)
-
-    def kern(chunk: np.ndarray) -> np.ndarray:
-        # terms with n + h_i composite are exact +0.0s; dropping them
-        # leaves the fsum unchanged
-        chunk = chunk[prime.at(chunk)]
-        return np.log((chunk + hi).astype(np.float64)) * om.at(chunk)
-
-    measured = chunked_sum(ns, kern)
-    predicted = J_i(F, i) * _main_scale(p, p.k)
+    kern = prime_kernel(p, F, i, t)
+    pts = points(p)
+    measured = chunked_sum(pts, kern)
+    predicted = J_i(F, i) * main_scale(p, p.k)
     params = p.echo()
     params["i"] = i
-    return SumReport.build("weighted_prime_sum", measured, predicted, len(ns), params)
+    return SumReport.build("weighted_prime_sum", measured, predicted, len(pts), params)
 
 
 def _require_table(p: SieveParams, t: PrimeTable) -> None:

@@ -19,7 +19,7 @@ terms_of = st.lists(st.one_of(finite, scaled), max_size=60)
 
 
 def lookup(values: np.ndarray):
-    """Kernel reading per-point terms off an index progression."""
+    """Kernel reading per-point terms off a chunk of indices."""
     return lambda idx: values[idx]
 
 
@@ -27,7 +27,7 @@ def lookup(values: np.ndarray):
 @given(terms_of, st.integers(min_value=1, max_value=17))
 def test_real_matches_fsum(terms, chunk):
     values = np.array(terms, dtype=np.float64)
-    ns = np.arange(len(values), dtype=np.int64)
+    ns = range(len(values))
     want = math.fsum(values.tolist())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accumulate, "CHUNK", chunk)
@@ -43,7 +43,7 @@ def test_real_matches_fsum(terms, chunk):
 def test_complex_matches_componentwise_fsum(pairs, chunk):
     values = np.array([complex(re, im) for re, im in pairs],
                       dtype=np.complex128)
-    ns = np.arange(len(values), dtype=np.int64)
+    ns = range(len(values))
     want = complex(math.fsum(values.real.tolist()),
                    math.fsum(values.imag.tolist()))
     with pytest.MonkeyPatch.context() as mp:
@@ -59,7 +59,7 @@ def test_ill_conditioned_terms(monkeypatch, chunk, reps):
     # the cancelling triple repeated, so chunk edges fall inside triples
     values = np.tile([1e16, 1.0, -1e16], reps)
     assert np.sum(values) != reps  # naive float summation loses the 1s
-    ns = np.arange(len(values), dtype=np.int64)
+    ns = range(len(values))
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
     assert chunked_sum(ns, lookup(values)) == float(reps)
     cvalues = values * (1 - 2j)
@@ -72,7 +72,7 @@ def test_empty_progression(monkeypatch, chunk):
     def kernel(chunk):
         raise AssertionError("kernel called on an empty progression")
 
-    ns = np.zeros(0, dtype=np.int64)
+    ns = range(0)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
     real = chunked_sum(ns, kernel)
     cplx = chunked_sum(ns, kernel, complex_valued=True)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -245,20 +246,46 @@ def test_threads_flag_accepts_only_one(tmp_path, capsys):
 
 # sha256 of the stdout these commands gave before progression sums moved
 # from pure-Python expansions to one streaming math.fsum and before the
-# wall_ms clock restart; the bytes without --timing must not change
+# wall_ms clock restart (the first two), or before the weighted sums
+# shared one prime-shift kernel (the rest); the bytes without --timing
+# must not change
 GOLDEN_STDOUT = [
-    (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
+    ("sums",
+     ["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
       "--theta", "0.24"],
      "7329614190ce4566dbf94b08268403c54065793c381c3627230671dc9074ef51"),
-    (["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--h", "0,2",
+    ("expsum",
+     ["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--h", "0,2",
       "--w", "2", "--theta", "0.24", "--a", "1", "--q", "3",
       "--theta-offset", "0.01"],
      "21fc179a2572a1f61b898a47807c92995afaf9140ab849330125ea7c68b83b99"),
+    ("expsum-weighted-q1",
+     ["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--h", "0,2",
+      "--w", "2", "--theta", "0.24", "--q", "1"],
+     "d5b39e708d74c618d83d4cc29c5ade3bda5792d8c07425f2145045092b6b4d82"),
+    ("expsum-minor-scan",
+     ["expsum", "--op", "minor-scan", "--n", "50000", "--k", "2", "--w", "5"],
+     "d2ec6e9b511fc909cf2aed2df073efd55092132b2ad215743e6c865f8df21244"),
+    ("recur-weighted-cyclic",
+     ["recur", "--weighted", "--n", "100000", "--k", "1", "--h", "0,4",
+      "--w", "2", "--w0", "4", "--theta", "0.2", "--system", "g=4"],
+     "f9f56cfecbae43a538134f5c8fe329cf771d69cff8ec449927629aef90eadfba"),
+    ("recur-weighted-torus",
+     ["recur", "--weighted", "--n", "50000", "--k", "1", "--h", "0,4",
+      "--w", "2", "--w0", "4", "--theta", "0.2", "--system", "g=4,d=1",
+      "--set", "0:0.0:0.5"],
+     "5f0bf62b5a924f374c20aedb01be723a638ebea922288575a896950eef27dab4"),
+    ("recur-nmax-torus",
+     ["recur", "--nmax", "3000", "--system", "g=4,d=1", "--set", "0:0.0:0.5"],
+     "386d1b77ea9d5acefc3b6db31ac0b18e028f5679e175534d7535c60a8f4cf93f"),
+    ("recur-pmax-cyclic",
+     ["recur", "--pmax", "100000", "--system", "g=4", "--set", "0"],
+     "431577069f0b9c1bbcd91a49f57b6d9c1131f36c9cf89c13684109a1944f1437"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN_STDOUT,
-                         ids=[a[0] for a, _ in GOLDEN_STDOUT])
+@pytest.mark.parametrize("args,digest", [g[1:] for g in GOLDEN_STDOUT],
+                         ids=[g[0] for g in GOLDEN_STDOUT])
 def test_stdout_without_timing_unchanged(args, digest, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
@@ -426,6 +453,17 @@ def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a helper used across modules is public in the module that defines it
+    leaks = []
+    for path in sorted(Path(recurgaps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                leaks += [f"{path.name}:{node.lineno} {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert leaks == []
 
 
 def test_verify_emits_strict_json_and_exits_1_on_a_failing_check(

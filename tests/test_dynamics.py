@@ -8,11 +8,11 @@ from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps import accumulate
 from recurgaps.dynamics import (BoxSet, BumpPsi, Cube, KroneckerSystem,
                                 arc_overlap, build_bump, correlation,
-                                khintchine_set, measure,
+                                correlation_kernel, khintchine_set, measure,
                                 monte_carlo_correlation,
                                 shifted_prime_recurrence_set, torus_norm,
-                                weighted_correlation_sum, _correlation_kernel)
-from recurgaps.sieve import progression, weighted_prime_sum, _omega_kernel
+                                weighted_correlation_sum)
+from recurgaps.sieve import omega_kernel, progression, weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
 SILVER = math.sqrt(2.0) - 1.0
@@ -262,8 +262,8 @@ def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch)
     ns = progression(p)
     m = ns + p.h[0]
     varpi = np.where(small_table.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
-    dense = (varpi * _omega_kernel(p, F, small_table)(ns)
-             * _correlation_kernel(sys_, A)(m - 1))
+    dense = (varpi * omega_kernel(p, F, small_table)(ns)
+             * correlation_kernel(sys_, A)(m - 1))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
     rep = weighted_correlation_sum(p, F, sys_, A, 0, 0.01, small_table)

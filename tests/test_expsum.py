@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recurgaps
-from recurgaps import expsum
+from recurgaps import expsum, sieve
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               dirichlet_approx, expsum_discrepancy,
@@ -239,7 +239,7 @@ from recurgaps import accumulate
 from recurgaps.admissible import make_sieve_params
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table
-from recurgaps.sieve import _omega_kernel, progression
+from recurgaps.sieve import omega_kernel, progression
 from recurgaps.testfn import default_test_function
 
 p = make_sieve_params(N=20_000, h=(0, 2), theta=0.1, w=2, W0=1)
@@ -253,7 +253,7 @@ for size in (1, 7):
     parts = [_phase(m[i:i + size], pt) for i in range(0, len(m), size)]
     assert np.concatenate(parts).tobytes() == whole.tobytes(), size
 varpi = np.where(t.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
-dense = varpi * _omega_kernel(p, F, t)(ns) * whole
+dense = varpi * omega_kernel(p, F, t)(ns) * whole
 accumulate.CHUNK = 1
 got = weighted_expsum(p, F, 1, pt, t).measured
 want = complex(math.fsum(dense.real.tolist()), math.fsum(dense.imag.tolist()))
@@ -339,6 +339,20 @@ def test_geometric_phase_sum_matches_direct_property(x, theta):
 def test_theta_frac_rejects_n_beyond_split_range():
     with pytest.raises(ParameterError, match=r"2\^28"):
         _theta_frac(np.array([5, 1 << 28], dtype=np.int64), 0.1)
+
+
+def test_weighted_expsum_rejects_n_beyond_split_range_before_the_scan(
+        small_table, monkeypatch):
+    # 2N + max h >= 2^28 with a theta offset: the bound is checked before
+    # the Omega table is built, not when the scan first reaches such an n
+    def no_scan(*args, **kwargs):
+        raise AssertionError("Omega table built before the range check")
+
+    monkeypatch.setattr(sieve, "omega_period", no_scan)
+    p = make_sieve_params(N=140_000_000, h=(0, 2), theta=0.24, w=2, W0=1)
+    F = default_test_function(1)
+    with pytest.raises(ParameterError, match=r"2\^28"):
+        weighted_expsum(p, F, 0, RationalPoint(1, 3, 0.01), small_table)
 
 
 # ---------------------------------------------------------------------------

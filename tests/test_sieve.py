@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 from recurgaps import accumulate, primes
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
-                                weighted_correlation_sum, _correlation_kernel)
+                                correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table, is_prime
 from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum,
-                             lazy_progression, omega_n, omega_period,
-                             omega_sum, progression, shift_primes,
-                             weighted_prime_sum, _omega_kernel, _plan_primes)
+                             omega_kernel, omega_n, omega_period, omega_sum,
+                             progression, shift_primes, weighted_prime_sum,
+                             _plan_primes)
 from recurgaps.testfn import default_test_function
 
 
@@ -116,7 +116,7 @@ def test_omega_sum_subrange_additivity(small_table):
     ns = progression(p)
     assert len(om.vals) == 15015 < om.count == len(ns) < 2 * len(om.vals)
     mid = p.N + 31_415
-    kern = _omega_kernel(p, F, small_table)
+    kern = omega_kernel(p, F, small_table)
     left, right = kern(ns[ns <= mid]), kern(ns[ns > mid])
     assert len(left) and len(right)
     assert np.array_equal(om.at(ns[ns <= mid]), left)
@@ -154,7 +154,7 @@ def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
     F = default_test_function(0)
     ns = progression(p)
     dense = (_dense_varpi(small_table, ns + p.h[0])
-             * _omega_kernel(p, F, small_table)(ns))
+             * omega_kernel(p, F, small_table)(ns))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
     assert weighted_prime_sum(p, F, 0, small_table).measured == math.fsum(dense.tolist())
@@ -171,10 +171,10 @@ def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
     t = _HYP_TABLE
     ns = progression(p)
     m = ns + p.h[i]
-    omega = _omega_kernel(p, F, t)(ns)
+    omega = omega_kernel(p, F, t)(ns)
     base = _dense_varpi(t, m) * omega
     phased = base * _phase(m, pt)
-    corr = base * _correlation_kernel(_HALF_ARC, _HALF_SET)(m - 1)
+    corr = base * correlation_kernel(_HALF_ARC, _HALF_SET)(m - 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accumulate, "CHUNK", chunk)
         got = [omega_sum(p, F, t).measured,
@@ -250,17 +250,6 @@ def _base_table(p):
     return build_prime_table(p.base_table_limit())
 
 
-def test_lazy_progression_slices_like_the_array():
-    p = _SEGMENT_PARAMS[0]
-    ns, lazy = progression(p), lazy_progression(p)
-    assert len(lazy) == len(ns)
-    for i, j in [(0, 1), (0, 3), (5, 12), (len(ns) - 2, len(ns) + 5),
-                 (len(ns), len(ns) + 3), (0, None)]:
-        got = lazy[i:j]
-        assert got.dtype == np.int64
-        assert np.array_equal(got, ns[i:j])
-
-
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("segment", [1, 3, 7])
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
@@ -269,11 +258,11 @@ def test_shift_primes_matches_the_table_at_segment_edges(p, segment, chunk,
                                                          monkeypatch):
     # chunks that straddle segments, and segments shorter than chunks
     monkeypatch.setattr(primes, "SEGMENT", segment)
-    ns, lazy, base = progression(p), lazy_progression(p), _base_table(p)
+    ns, base = progression(p), _base_table(p)
     for h in p.h:
         look = shift_primes(p, h, base)
-        got = np.concatenate([look.at(lazy[i:i + chunk])
-                              for i in range(0, len(lazy), chunk)])
+        got = np.concatenate([look.at(ns[i:i + chunk])
+                              for i in range(0, len(ns), chunk)])
         m = ns + h
         assert np.array_equal(got, small_table.spf[m] == m)
 
