@@ -17,7 +17,7 @@ from .expsum import (ArcLabel, RationalPoint, classify_arc, dirichlet_approx,
                      expsum_discrepancy, expsum_main_term, minor_arc_scan,
                      prime_expsum, weighted_expsum)
 from .primes import (PrimeTable, TableRangeError, build_prime_table, is_prime,
-                     mobius, squarefree_divisors, totient, varpi)
+                     mobius, squarefree_divisors)
 from .sieve import (SumReport, bilinear_divisor_sum, omega_n, omega_sum,
                     progression, weighted_prime_sum)
 from .testfn import (TestFunction, J_cross, J_i, J_star, default_test_function,

@@ -227,12 +227,9 @@ class SieveParams:
     def h(self) -> tuple[int, ...]:
         return self.tuple.h
 
-    def table_limit(self) -> int:
-        return 2 * self.N + max(self.h) + 1
-
     def base_table_limit(self) -> int:
-        """Table limit for the sums that sieve the window themselves: the
-        base primes up to isqrt(2N + max h)."""
+        """Table limit for the ops that sieve their window [N, 2N + max h]:
+        the base primes up to isqrt(2N + max h)."""
         return math.isqrt(2 * self.N + max(self.h)) + 1
 
     def echo(self) -> dict:

@@ -249,7 +249,8 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
                  "a": label.a, "q": label.q, "P": label.P, "Q": label.Q})
         return 0
     if op == "discrepancy":
-        t = table(2 * cfg["n"] + 1)
+        # the window's base primes, and mobius(q)
+        t = table(max(math.isqrt(2 * cfg["n"]), args.q) + 1)
         val = expsum_discrepancy(args.q, args.delta, cfg["n"], args.grid, t)
         em.emit({"op": "expsum_discrepancy", "q": args.q, "delta": args.delta,
                  "x": cfg["n"], "grid": args.grid, "value": val,
@@ -257,14 +258,14 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
         return 0
     pt = RationalPoint(args.a, args.q, args.theta_offset)
     if op == "prime":
-        t = table(2 * cfg["n"] + 1)
+        t = table(math.isqrt(2 * cfg["n"]) + 1)
         val = prime_expsum(cfg["n"], args.d_mod, args.b_res, pt, t)
         em.emit({"op": "prime_expsum", "x": cfg["n"], "D": args.d_mod,
                  "b": args.b_res, "a": pt.a, "q": pt.q,
                  "theta_offset": pt.theta, "value": val})
         return 0
     if op == "main-term":
-        t = table(2 * cfg["n"] + 1)
+        t = table(pt.q + 1)  # mobius(q / (D, q)); no window is read
         val = expsum_main_term(cfg["n"], args.d_mod, args.b_res, pt, t)
         em.emit({"op": "expsum_main_term", "x": cfg["n"], "D": args.d_mod,
                  "b": args.b_res, "a": pt.a, "q": pt.q,
@@ -304,7 +305,7 @@ def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
                 p, F, sys_, A, i, cfg["eps"], t))
         return 0
     if args.pmax is not None:
-        t = table(max(args.pmax, 2))
+        t = table(math.isqrt(args.pmax) + 1)
         ps = shifted_prime_recurrence_set(sys_, A, cfg["eps"], args.pmax, t)
         em.emit({"op": "shifted_prime_recurrence_set", "eps": cfg["eps"],
                  "pmax": args.pmax, "count": len(ps),
@@ -324,7 +325,7 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
     A = parse_set(cfg["set"], sys_)
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
-    t = table(p.table_limit())
+    t = table(p.base_table_limit())
     em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"], t))
     reports = scan_clusters(p, sys_, A, cfg["eps"], cfg["m"], t)
     reports = consecutive_filter(reports, p, t)

@@ -5,6 +5,11 @@ positivity certifies existence of a window with m+1 recurrent primes, and
 a direct unweighted scan that lists every such window outright.  The scan
 is the ground truth (it never reads the sieve weights); the detector is
 reported alongside because its sign is the existence argument.
+
+The detector and the scan sieve each shifted progression n + h_i
+(``sieve.shift_primes``) and the consecutive filter sieves [N + min h,
+2N + max h] once, so all read the primes up to isqrt(2N + max h) only.
+The scan holds its progression: a window above 2^27 is refused first.
 """
 
 from __future__ import annotations
@@ -18,25 +23,10 @@ from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import (BoxSet, KroneckerSystem, correlation_kernel, measure,
                        system_echo)
-from .primes import PrimeTable, primes_between
-from .sieve import SumReport, main_scale, omega_kernel, points, progression
+from .primes import PrimeTable, primes_in, require_window
+from .sieve import (SumReport, main_scale, omega_kernel, points, progression,
+                    shift_primes)
 from .testfn import TestFunction, J_i, J_star
-
-
-def _require_table(p: SieveParams, t: PrimeTable) -> None:
-    if t.limit < 2 * p.N + max(p.h):
-        raise ParameterError(
-            f"prime table limit {t.limit} below 2N + max(h) = {2 * p.N + max(p.h)}")
-
-
-def _varpi_kernel(t: PrimeTable):
-    spf = t.spf
-
-    def kern(m: np.ndarray) -> np.ndarray:
-        pm = spf[m] == m
-        return np.where(pm, np.log(m.astype(np.float64)), 0.0)
-
-    return kern
 
 
 @dataclass(frozen=True)
@@ -74,20 +64,20 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    _require_table(p, t)
+    require_window(2 * p.N + max(p.h))
     pts = points(p)
     omega = omega_kernel(p, F, t)
-    wp = _varpi_kernel(t)
+    shifts = [(hi, shift_primes(p, hi, t)) for hi in p.h]
     corr = correlation_kernel(sys, A)
     thresh = measure(A) ** 2 - eps
     cap = m * math.log(3 * p.N)
-    hs = p.h
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         inner = np.zeros(len(chunk))
-        for hi in hs:
+        for hi, prime in shifts:
             mvals = chunk + hi
-            inner = inner + wp(mvals) * (corr(mvals - 1) - thresh)
+            wp = np.where(prime.at(chunk), np.log(mvals.astype(np.float64)), 0.0)
+            inner = inner + wp * (corr(mvals - 1) - thresh)
         return omega(chunk) * (inner - cap)
 
     measured = chunked_sum(pts, kern)
@@ -113,25 +103,21 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    _require_table(p, t)
+    require_window(2 * p.N + max(p.h))
     ns = progression(p)
-    wp = _varpi_kernel(t)
     corr = correlation_kernel(sys, A)
     thresh = measure(A) ** 2 - eps
     cap = m * math.log(3 * p.N)
-    spf = t.spf
 
     hits = []
     recur_ok = []
     varpis = []
     for hi in p.h:
         mvals = ns + hi
-        hits.append(spf[mvals] == mvals)
+        hits.append(shift_primes(p, hi, t).at(ns))
         recur_ok.append(corr(mvals - 1) >= thresh)
-        varpis.append(wp(mvals))
-    good = np.zeros(len(ns), dtype=np.int64)
-    for hmask, rmask in zip(hits, recur_ok):
-        good += (hmask & rmask).astype(np.int64)
+        varpis.append(np.where(hits[-1], np.log(mvals.astype(np.float64)), 0.0))
+    good = np.sum([h & r for h, r in zip(hits, recur_ok)], axis=0)
 
     out: list[ClusterReport] = []
     for idx in np.flatnonzero(good >= m + 1):
@@ -154,9 +140,14 @@ def consecutive_filter(reports: list[ClusterReport], p: SieveParams,
     true for every report; a violation means the residue construction is
     broken and raises immediately.
     """
+    if not reports:
+        return []
+    # every report's primes lie in [N + min h, 2N + max h]: sieve it once
+    window = primes_in(range(p.N + min(p.h), 2 * p.N + max(p.h) + 1), t)
     out = []
     for rep in reports:
-        between = primes_between(rep.primes[0], rep.primes[-1], t)
+        i, j = np.searchsorted(window, [rep.primes[0], rep.primes[-1] + 1])
+        between = window[i:j]
         flag = len(between) == len(rep.primes) and all(
             int(q) in rep.primes for q in between)
         if p.forced and not flag:

@@ -20,9 +20,13 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, primes_between
+from .primes import PrimeTable, primes_in
 from .sieve import SumReport, main_scale, points, prime_kernel
 from .testfn import TestFunction, J_i
+
+# Largest n_max of khintchine_set, which holds every n up to it: `recur
+# --nmax` peaks at 589 MiB there, about what `recur --pmax` takes at 2^27.
+NMAX_BOUND = 1 << 22
 
 
 def torus_norm(x: float) -> float:
@@ -208,6 +212,9 @@ def khintchine_set(sys: KroneckerSystem, A: BoxSet, eps: float,
     """All n in [0, n_max] with correlation(n) >= measure(A)^2 - eps."""
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
+    if n_max > NMAX_BOUND:
+        raise ParameterError(
+            f"--nmax {n_max} exceeds the bound 2^22 = {NMAX_BOUND}")
     ns = np.arange(0, n_max + 1, dtype=np.int64)
     return ns[correlation_kernel(sys, A)(ns) >= measure(A) ** 2 - eps]
 
@@ -217,9 +224,7 @@ def shifted_prime_recurrence_set(sys: KroneckerSystem, A: BoxSet, eps: float,
     """Primes p <= p_max with correlation(p - 1) >= measure(A)^2 - eps."""
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    if p_max > t.limit:
-        raise ParameterError(f"p_max={p_max} beyond table limit {t.limit}")
-    ps = primes_between(2, p_max, t)
+    ps = primes_in(range(2, p_max + 1), t)
     return ps[correlation_kernel(sys, A)(ps - 1) >= measure(A) ** 2 - eps]
 
 

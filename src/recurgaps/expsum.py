@@ -23,7 +23,7 @@ import numpy as np
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import torus_norm
-from .primes import PrimeTable, phi_int, primes_between, mobius
+from .primes import PrimeTable, mobius, phi_int, primes_in
 from .sieve import SumReport, main_scale, points, prime_kernel
 from .testfn import TestFunction, J_i
 
@@ -144,21 +144,13 @@ def geometric_phase_sum(x: int, theta: float) -> complex:
     return complex(c * r, s * r)
 
 
-def _window_primes(x: int, t: PrimeTable) -> np.ndarray:
-    """The primes in [x, 2x]."""
-    if 2 * x > t.limit:
-        raise ParameterError(f"table limit {t.limit} below 2x = {2 * x}")
-    return primes_between(x, 2 * x, t)
-
-
 def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
     """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
     if D < 1:
         raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
         raise ParameterError(f"gcd(b, D) must be 1, got b={b}, D={D}")
-    ps = _window_primes(x, t)
-    ps = ps[ps % D == b % D]
+    ps = primes_in(range(x + (b - x) % D, 2 * x + 1, D), t)
     if not len(ps):
         return 0j
     return complex(np.sum(np.log(ps.astype(np.float64)) * _phase(ps, pt)))
@@ -182,6 +174,8 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -
     zero unless gcd(D, q) and q/(D, q) are coprime, with vbar the inverse of
     q/(D,q) mod (D,q).
     """
+    if D < 1:
+        raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
         raise ParameterError(f"gcd(b, D) must be 1, got b={b}, D={D}")
     in_class, vbar = zq_inverse(D, pt.q)
@@ -189,8 +183,6 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -
         return 0j
     u = math.gcd(D, pt.q)
     v = pt.q // u
-    if v > t.limit:
-        raise ParameterError(f"q/(D,q) = {v} beyond table limit")
     mu_v = mobius(v, t) if v > 1 else 1
     if mu_v == 0:
         return 0j
@@ -220,7 +212,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
         raise ParameterError(f"theta grid needs at least 3 points, got {theta_grid}")
     if not 0.0 <= delta < math.inf:
         raise ParameterError(f"delta must be finite and non-negative, got {delta}")
-    ps = _window_primes(x, t)
+    ps = primes_in(range(x, 2 * x + 1), t)
     logs = np.log(ps.astype(np.float64))
     rational = [_rational_phase(ps, a, q)
                 for a in range(1, q + 1) if math.gcd(a, q) == 1]

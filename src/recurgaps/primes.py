@@ -1,11 +1,16 @@
-"""Smallest-prime-factor sieve, the multiplicative functions built on it,
-and segmented primality along an arithmetic progression.
+"""Primality on a window, and the smallest-prime-factor table behind it.
 
-One table serves primality, the prime log-weight, the Moebius function,
-Euler phi and squarefree divisor enumeration: ``spf[n]`` holds the least
-prime dividing n, so factoring any n <= limit is a chain of O(log n) table
-lookups.  The table is immutable after construction, so one table serves
-every sum of a run.
+Every op learns primality one way: ``ap_primality`` sieves the values of
+an arithmetic progression with the base primes up to the square root of
+its last value (``base_primes``), SEGMENT values at a time in its callers
+(``primes_in``, ``sieve.ShiftPrimes``), in O(SEGMENT + sqrt(x)) memory
+wherever the window lies.  An op that holds its whole window refuses one
+above DEFAULT_LIMIT_BUDGET before any sieving (``require_window``).
+
+``spf[n]`` holds the least prime dividing n, so factoring n <= limit is a
+chain of O(log n) lookups.  The ops build it only up to isqrt of their
+window, or up to q for mobius(q); ``verify`` and the tests build one over
+a whole window, as an oracle.
 
 The table is filled by a cache-blocked sieve of Eratosthenes (Bays &
 Hudson, BIT 17, 1977): BLOCK entries at a time, each base prime p <=
@@ -14,12 +19,6 @@ prime factor is written last.  A table keeps 4 bytes per entry (uint32
 ``spf``) plus 8 per prime; the build's transient peak is about 5.5 bytes
 per entry (the table, one boolean per entry to find the untouched ones,
 and the prime list): 0.68 GiB at the 2^27 budget.
-
-An op that needs primality only on a window does not build that table:
-``ap_primality`` sieves the points of an arithmetic progression directly,
-with the base primes up to the square root of its last point, SEGMENT
-points at a time in its callers, so its memory is O(SEGMENT + sqrt(x))
-wherever the window lies.
 """
 
 from __future__ import annotations
@@ -30,9 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Upper bound on table size unless the caller raises it explicitly.
-# uint32 entries: 1 << 27 of them is 0.5 GiB, and building them peaks at
-# about 5.5 bytes per entry, ~0.7 GiB.
+from .admissible import ParameterError
+
+# Upper bound on table size unless the caller raises it explicitly, and on
+# the last value of a window that an op holds whole.  uint32 entries: 1 << 27
+# of them is 0.5 GiB, and building them peaks at about 5.5 bytes per entry,
+# ~0.7 GiB; prime_expsum over [2^26, 2^27] peaks at 0.23 GiB.
 DEFAULT_LIMIT_BUDGET = 1 << 27
 
 # Entries of spf sieved at a time (256 KiB of uint32), so that every strided
@@ -140,6 +142,38 @@ def _inverse_mod(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return out
 
 
+def base_primes(t: PrimeTable, top: int) -> np.ndarray:
+    """The primes of t up to isqrt(top): all that ap_primality needs to
+    sieve a window whose values are at most top."""
+    root = math.isqrt(max(top, 0))
+    if t.limit < root:
+        raise ParameterError(f"prime table limit {t.limit} below isqrt({top}) "
+                             f"= {root}, up to which the window is sieved")
+    return t.primes[:np.searchsorted(t.primes, root, side="right")]
+
+
+def require_window(top: int) -> None:
+    """Refuse a window held whole whose last value is above the budget."""
+    if top > DEFAULT_LIMIT_BUDGET:
+        raise ParameterError(
+            f"window reaches {top}, above the budget 2^27 = "
+            f"{DEFAULT_LIMIT_BUDGET} for an op that holds its window")
+
+
+def primes_in(r: range, t: PrimeTable) -> np.ndarray:
+    """The prime values of an ascending range, as an ascending int64 array,
+    sieved SEGMENT values at a time with the base primes of t."""
+    if not len(r):
+        return np.zeros(0, dtype=np.int64)
+    require_window(r[-1])
+    base = base_primes(t, r[-1])
+    parts = []
+    for j in range(0, len(r), SEGMENT):
+        mask = ap_primality(r[j], r.step, min(SEGMENT, len(r) - j), base)
+        parts.append(np.flatnonzero(mask) * r.step + r[j])
+    return np.concatenate(parts)
+
+
 def _check_range(n: int, t: PrimeTable, lo: int = 2) -> None:
     if not lo <= n <= t.limit:
         raise TableRangeError(f"n={n} outside table range [{lo}, {t.limit}]")
@@ -148,12 +182,6 @@ def _check_range(n: int, t: PrimeTable, lo: int = 2) -> None:
 def is_prime(n: int, t: PrimeTable) -> bool:
     _check_range(n, t)
     return int(t.spf[n]) == n
-
-
-def varpi(n: int, t: PrimeTable) -> float:
-    """log n if n is prime, else 0 (the weight on primes in all sums here)."""
-    _check_range(n, t)
-    return math.log(n) if int(t.spf[n]) == n else 0.0
 
 
 def factorize(n: int, t: PrimeTable) -> list[tuple[int, int]]:
@@ -183,14 +211,6 @@ def mobius(n: int, t: PrimeTable) -> int:
             return 0
         count += 1
     return -1 if count % 2 else 1
-
-
-def totient(n: int, t: PrimeTable) -> int:
-    _check_range(n, t, lo=1)
-    out = n
-    for p, _ in factorize(n, t):
-        out -= out // p
-    return out
 
 
 def squarefree_divisors(n: int, bound: int, t: PrimeTable) -> list[int]:

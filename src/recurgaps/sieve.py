@@ -137,10 +137,7 @@ class ShiftPrimes:
 def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
     """Primality of n + h along the progression, sieved with the primes of
     t up to isqrt(2N + max h)."""
-    _require_table(p, t)
-    root = math.isqrt(2 * p.N + max(p.h))
-    base = t.primes[:np.searchsorted(t.primes, root, side="right")]
-    return ShiftPrimes(points(p), h, base)
+    return ShiftPrimes(points(p), h, primes.base_primes(t, 2 * p.N + max(p.h)))
 
 
 def _divisor_plan(F: TestFunction, R: int,
@@ -275,7 +272,8 @@ class OmegaPeriod:
 def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
     """Omega on the first min(P, L) points of the progression of L points,
     where P is the product of the plan primes (all coprime to W)."""
-    _require_table(p, t)
+    # the table must hold the window's base primes, the plan primes among them
+    primes.base_primes(t, 2 * p.N + max(p.h))
     pts = points(p)
     start, count = pts.start, len(pts)
     per = min(math.prod(_plan_primes(p, F, t, coprime_W=True)), count)
@@ -331,14 +329,6 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
     params = p.echo()
     params["i"] = i
     return SumReport.build("weighted_prime_sum", measured, predicted, len(pts), params)
-
-
-def _require_table(p: SieveParams, t: PrimeTable) -> None:
-    root = math.isqrt(2 * p.N + max(p.h))
-    if t.limit < root:
-        raise ParameterError(
-            f"prime table limit {t.limit} below isqrt(2N + max(h)) = {root}: "
-            f"the window is sieved with the primes up to it")
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_choose_b_consecutive_infeasible():
 def test_make_sieve_params_validates():
     p = make_sieve_params(N=10 ** 5, h=(0, 6, 12), theta=0.1, w=5, W0=1)
     assert p.R == 3 and p.W == 30 and p.b == 1
-    assert p.table_limit() == 2 * 10 ** 5 + 13
+    assert p.base_table_limit() == math.isqrt(2 * 10 ** 5 + 12) + 1
 
     with pytest.raises(ParameterError, match="theta"):
         make_sieve_params(N=10 ** 5, h=(0, 2), theta=0.3, w=5)

@@ -206,6 +206,11 @@ def test_config_booleans_accept_both_spellings(tmp_path, capsys):
      "--i must be in 0..1, got -1"),
     (["recur", "--nmax", "-5"], "--nmax must be >= 1, got -5"),
     (["recur", "--pmax", "0"], "--pmax must be >= 1, got 0"),
+    (["expsum", "--op", "main-term", "--d-mod", "-3", "--b-res", "1",
+      "--q", "4"], "modulus D must be positive, got -3"),
+    (["expsum", "--op", "main-term", "--d-mod", "0", "--b-res", "1",
+      "--q", "4"], "modulus D must be positive, got 0"),
+    (["recur", "--nmax", "4194305"], "--nmax 4194305 exceeds the bound 2^22"),
 ])
 def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     code, out, err = run_cli(args, capsys)
@@ -281,6 +286,36 @@ GOLDEN_STDOUT = [
     ("recur-pmax-cyclic",
      ["recur", "--pmax", "100000", "--system", "g=4", "--set", "0"],
      "431577069f0b9c1bbcd91a49f57b6d9c1131f36c9cf89c13684109a1944f1437"),
+    # recorded before these ops stopped reading a table over their window
+    ("expsum-prime-d-mod",
+     ["expsum", "--op", "prime", "--n", "1000000", "--d-mod", "3",
+      "--b-res", "1", "--a", "1", "--q", "4"],
+     "df7e66a7e028da2788dcd62b30ca3206c12053316499ee20253e4c98f83a2043"),
+    ("expsum-prime-theta",
+     ["expsum", "--op", "prime", "--n", "250000", "--a", "1", "--q", "4",
+      "--theta-offset", "0.001"],
+     "38ddd22544d3643ced5f1b72408ce95e217cb5f332c7bf46cffb5c9cadf86092"),
+    ("expsum-main-term",
+     ["expsum", "--op", "main-term", "--n", "1000000", "--a", "1", "--q", "3",
+      "--theta-offset", "1e-6"],
+     "b71a54da048353e40c6c34f110c6fcaefbf669834cee2cfb2d005dfef9649961"),
+    ("expsum-discrepancy",
+     ["expsum", "--op", "discrepancy", "--q", "4", "--delta", "1e-6",
+      "--grid", "5", "--n", "250000"],
+     "1b6b25a0448a497b11dcc429d6544bfcc8c8884f81bbf804208eaaf940d2c163"),
+    ("expsum-discrepancy-segments",
+     ["expsum", "--op", "discrepancy", "--q", "3", "--delta", "1e-5",
+      "--grid", "3", "--n", "1000000"],
+     "b61b93c3c76348e84c3d51f9a6c94d839db0ef2bb15e622a8697a9fda2f3d19e"),
+    ("recur-pmax-torus",
+     ["recur", "--pmax", "300000", "--system", "g=4,d=1", "--set",
+      "0:0.0:0.5"],
+     "4015bdfac1b19d55125da7a33290b05280abc62556893a207beb20f92a6d045b"),
+    ("cluster-consecutive",
+     ["cluster", "--n", "100000", "--h", "0,4", "--w", "11", "--w0", "4",
+      "--consecutive", "--system", "g=4", "--set", "0", "--eps", "0.01",
+      "--m", "1"],
+     "edb2f8d982cea2ed4a6564d9c5826ca89b1796cc06449f7e42c53e24591756a8"),
 ]
 
 
@@ -309,17 +344,40 @@ def test_timing_excludes_table_build(monkeypatch, capsys):
     assert all(0.0 < w < delay_s * 1000.0 for w in walls)
 
 
-@pytest.mark.parametrize("args,max_h", [
+# The window each op sieves reaches `top`; it may ask for a table up to
+# isqrt(top), or up to q where it needs mobius(q).  Only verify builds a
+# table over a whole window.
+@pytest.mark.parametrize("args,top,q", [
     (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
-      "--theta", "0.24"], 2),
+      "--theta", "0.24"], 100002, 0),
     (["expsum", "--op", "weighted", "--n", "50000", "--k", "2", "--w", "5",
-      "--q", "3", "--theta-offset", "0.001"], 12),
+      "--q", "3", "--theta-offset", "0.001"], 100012, 0),
     (["expsum", "--op", "minor-scan", "--n", "50000", "--k", "2", "--w", "5"],
-     12),
+     100012, 0),
     (["recur", "--weighted", "--n", "50000", "--k", "1", "--h", "0,4",
-      "--w", "2", "--w0", "4", "--theta", "0.2", "--system", "g=4"], 4),
-], ids=["sums", "weighted", "minor-scan", "recur-weighted"])
-def test_progression_sums_request_only_base_primes(args, max_h, monkeypatch,
+      "--w", "2", "--w0", "4", "--theta", "0.2", "--system", "g=4"],
+     100004, 0),
+    (["expsum", "--op", "prime", "--n", "50000", "--d-mod", "3", "--a", "1",
+      "--q", "4", "--theta-offset", "0.001"], 100000, 0),
+    (["expsum", "--op", "main-term", "--n", "50000", "--a", "1", "--q", "3",
+      "--theta-offset", "1e-6"], 0, 3),
+    (["expsum", "--op", "discrepancy", "--n", "50000", "--q", "400",
+      "--grid", "3", "--delta", "1e-6"], 100000, 400),
+    (["expsum", "--op", "discrepancy", "--n", "50000", "--q", "4",
+      "--grid", "3"], 100000, 4),
+    (["expsum", "--op", "classify", "--alpha", "0.5", "--n", "50000"], 0, 0),
+    (["recur", "--pmax", "100000", "--system", "g=4,d=1",
+      "--set", "0:0.0:0.5"], 100000, 0),
+    (["recur", "--nmax", "1000", "--system", "g=4", "--set", "0"], 0, 0),
+    (["cluster", "--n", "50000", "--k", "5", "--tuple-style", "dense",
+      "--w", "5", "--w0", "4", "--system", "g=4", "--set", "0"], 100036, 0),
+    (["cluster", "--n", "50000", "--h", "0,4", "--w", "11", "--w0", "4",
+      "--consecutive", "--system", "g=4", "--set", "0"], 100004, 0),
+    (["tuple", "--k", "2"], 0, 0),
+], ids=["sums", "weighted", "minor-scan", "recur-weighted", "prime",
+        "main-term", "discrepancy-q", "discrepancy", "classify", "recur-pmax",
+        "recur-nmax", "cluster", "cluster-consecutive", "tuple"])
+def test_progression_sums_request_only_base_primes(args, top, q, monkeypatch,
                                                    capsys):
     limits = []
     build = cli.build_prime_table
@@ -331,7 +389,34 @@ def test_progression_sums_request_only_base_primes(args, max_h, monkeypatch,
     monkeypatch.setattr(cli, "build_prime_table", recording_build)
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and lines_of(out)
-    assert limits and max(limits) <= math.isqrt(2 * 50000 + max_h) + 1
+    assert max(limits, default=0) <= max(math.isqrt(top), q) + 1
+
+
+@pytest.mark.parametrize("args", [
+    ["expsum", "--op", "prime", "--n", "70000000"],
+    ["expsum", "--op", "discrepancy", "--n", "70000000"],
+    ["recur", "--pmax", "140000000"],
+    ["cluster", "--n", "70000000", "--k", "5", "--tuple-style", "dense",
+     "--w", "5", "--w0", "4", "--system", "g=4"],
+], ids=["prime", "discrepancy", "recur-pmax", "cluster"])
+def test_held_window_above_budget_exits_2_before_sieving(args, monkeypatch,
+                                                         capsys):
+    limits = []
+    build = cli.build_prime_table
+
+    def recording_build(limit):
+        limits.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(cli, "build_prime_table", recording_build)
+    monkeypatch.setattr(
+        "recurgaps.primes.ap_primality",
+        lambda *a: pytest.fail("sieved a window above the budget"))
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "budget 2^27" in err
+    assert max(limits) < 20_000
 
 
 def test_repeat_run_byte_identity(tmp_path, capsys):

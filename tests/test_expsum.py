@@ -21,7 +21,7 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               _rational_phase, _theta_frac, _theta_grid,
                               _theta_phase)
 from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
-                              primes_between, totient)
+                              primes_between)
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
@@ -148,8 +148,9 @@ def test_discrepancy_validation(table):
     for delta in (-1e-6, math.inf, math.nan):
         with pytest.raises(ParameterError, match="delta"):
             expsum_discrepancy(4, delta, 10 ** 3, 3, table)
-    with pytest.raises(ParameterError, match="table limit"):
-        expsum_discrepancy(4, 0.0, 10 ** 4 + 6, 3, table)
+    # the window [x, 2x] is sieved with the primes up to isqrt(2x) = 44
+    with pytest.raises(ParameterError, match=r"isqrt\(2000\) = 44"):
+        expsum_discrepancy(4, 0.0, 10 ** 3, 3, build_prime_table(43))
 
 
 @pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])

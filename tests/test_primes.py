@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurgaps.primes import (BLOCK, PrimeTable, TableRangeError,
-                              ap_primality, build_prime_table, factorize,
-                              is_prime, mobius, phi_int, primes_between,
-                              squarefree_divisors, totient, varpi)
+from recurgaps import primes
+from recurgaps.admissible import ParameterError
+from recurgaps.primes import (BLOCK, DEFAULT_LIMIT_BUDGET, PrimeTable,
+                              TableRangeError, ap_primality, build_prime_table,
+                              factorize, is_prime, mobius, phi_int,
+                              primes_between, primes_in, squarefree_divisors)
 
 ORACLE_LIMIT = 10 ** 4
 
@@ -159,16 +161,6 @@ def test_primes_strictly_increasing_and_mutually_indivisible(table):
         assert all(q % p for q in head[i + 1:])
 
 
-def test_varpi(table):
-    assert varpi(4, table) == 0.0
-    assert varpi(5, table) == math.log(5)
-    assert varpi(2, table) == math.log(2)
-    with pytest.raises(TableRangeError):
-        varpi(ORACLE_LIMIT + 1, table)
-    with pytest.raises(TableRangeError):
-        varpi(1, table)
-
-
 def test_mobius_examples(table):
     assert mobius(1, table) == 1
     assert mobius(12, table) == 0
@@ -178,7 +170,7 @@ def test_mobius_examples(table):
 
 
 def test_totient_squarefree_examples(table):
-    assert totient(30, table) == 8
+    assert phi_int(30) == 8
     assert squarefree_divisors(12, 100, table) == [1, 2, 3, 6]
     assert squarefree_divisors(12, 2, table) == [1, 2]
 
@@ -189,7 +181,7 @@ def test_multiplicative_functions_match_trial_division(table):
     for n in list(range(1, 2000)) + [9973, 9974, 10000]:
         assert mobius(n, table) == _oracle_mobius(n)
     for n in list(range(1, 300)) + [1024, 9973]:
-        assert totient(n, table) == _oracle_totient(n)
+        assert phi_int(n) == _oracle_totient(n)
 
 
 def test_mobius_divisor_sum_identity(table):
@@ -237,7 +229,7 @@ def test_primes_between(table):
 
 def test_phi_int_matches_table(table):
     for n in (1, 2, 30, 9973, 9996):
-        assert phi_int(n) == totient(n, table) if n >= 1 else True
+        assert phi_int(n) == _oracle_totient(n)
     assert phi_int(2 ** 31 - 1) == 2 ** 31 - 2  # Mersenne prime
 
 
@@ -309,3 +301,47 @@ def test_ap_primality_rejects_bad_shapes(table):
         ap_primality(1, 0, 5, table.primes)
     with pytest.raises(ValueError, match="count"):
         ap_primality(1, 2, -1, table.primes)
+
+
+# primes_in against the table primes of the same range, with SEGMENT cut
+# small so that most ranges span several segments.
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-50, max_value=ORACLE_LIMIT),
+       st.integers(min_value=-50, max_value=ORACLE_LIMIT + 1),
+       st.integers(min_value=1, max_value=60),
+       st.sampled_from([1, 2, 7, 64, 1 << 18]))
+def test_primes_in_matches_table(start, stop, step, segment):
+    r = range(start, stop, step)
+    want = [v for v in r if v >= 2 and int(_HYP_TABLE.spf[v]) == v]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        got = primes_in(r, _HYP_TABLE)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_primes_in_segment_edges(table):
+    # ranges that end on, or one value either side of, a segment boundary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", 10)
+        for stop in (19, 20, 21, 22, 31, 32, 33):
+            for start in (0, 1, 2, 3, 10, 11):
+                want = primes_between(start, stop - 1, table).tolist()
+                assert primes_in(range(start, stop), table).tolist() == want
+    assert primes_in(range(5, 5), None).tolist() == []
+
+
+def test_primes_in_needs_only_base_primes_and_a_window_in_budget():
+    small = build_prime_table(100)  # base primes for values up to 10200
+    got = primes_in(range(9000, 10201, 3), small)
+    assert got.tolist() == [v for v in range(9000, 10201, 3)
+                            if all(v % q for q in range(2, math.isqrt(v) + 1))]
+    with pytest.raises(ParameterError, match=r"isqrt\(10202\) = 101"):
+        primes_in(range(9000, 10203), small)
+    # the budget bounds the last value, inclusively, before any sieving
+    top = DEFAULT_LIMIT_BUDGET
+    assert primes_in(range(top - 1, top + 1),
+                     build_prime_table(math.isqrt(top))).tolist() == []
+    with pytest.raises(ParameterError, match=r"2\^27"):
+        primes_in(range(top, top + 2), small)

@@ -311,7 +311,8 @@ def test_weighted_sums_name_the_base_bound():
     p = _SEGMENT_PARAMS[1]
     short = build_prime_table(math.isqrt(2 * p.N + max(p.h)) - 1)
     F = default_test_function(p.k)
-    with pytest.raises(ParameterError, match=r"isqrt\(2N \+ max\(h\)\)"):
+    top = 2 * p.N + max(p.h)
+    with pytest.raises(ParameterError, match=rf"isqrt\({top}\)"):
         weighted_prime_sum(p, F, 0, short)
     with pytest.raises(ParameterError, match="isqrt"):
         shift_primes(p, 0, short)
