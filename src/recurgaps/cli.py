@@ -4,7 +4,11 @@ All structured output is JSONL (one object per line) on stdout or --out;
 humans get progress and the verify table on stderr.  Identical configs
 (including seed) produce byte-identical JSONL; wall-clock timing is only
 attached under --timing because it would break that.  Every run is
-single-threaded.
+single-threaded: this module sets OPENBLAS_NUM_THREADS=1 before numpy
+loads, as numpy's OpenBLAS otherwise starts a worker thread that
+busy-waits, and the CLI makes no BLAS call.  A run imports only its op's
+modules: `cluster`, `dynamics` and `expsum` load in the handlers that use
+them, so `sums` never compiles or runs them.
 
 Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 (and 1 when `verify` finds a failing check).
@@ -13,26 +17,61 @@ Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import os
 import sys
 import time
 
-import numpy as np
+# Before the first numpy import (see above), and overriding any exported
+# value, which would bring the busy-waiting worker back.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 from .admissible import (DEFAULT_SEED, AdmissibleTuple, ParameterError,
                          choose_b, compute_W, dense_tuple, make_sieve_params,
                          standard_tuple)
-from .cluster import consecutive_filter, detector_sum, scan_clusters
-from .dynamics import (BoxSet, Cube, KroneckerSystem, khintchine_set,
-                       shifted_prime_recurrence_set, weighted_correlation_sum)
-from .expsum import (RationalPoint, classify_arc, expsum_discrepancy,
-                     expsum_main_term, minor_arc_scan, prime_expsum,
-                     weighted_expsum)
 from .primes import TableRangeError, build_prime_table
 from .serialize import config_hash, dumps
 from .sieve import SumReport, omega_sum, weighted_prime_sum
 from .testfn import default_test_function, piecewise_test_function
+
+# Names from the modules that only some ops use, each with its module.  A
+# handler binds its op's names into this module's globals with _load before
+# it runs, so a run imports only those modules; reading a name as an
+# attribute of recurgaps.cli binds it too (PEP 562 __getattr__).  _load never
+# rebinds a bound name, and the handlers look each name up when they call
+# it, so a name patched on this module is the one that runs.
+_LAZY = {
+    "consecutive_filter": "cluster", "detector_sum": "cluster",
+    "scan_clusters": "cluster",
+    "BoxSet": "dynamics", "Cube": "dynamics", "KroneckerSystem": "dynamics",
+    "khintchine_set": "dynamics",
+    "shifted_prime_recurrence_set": "dynamics",
+    "weighted_correlation_sum": "dynamics",
+    "RationalPoint": "expsum", "classify_arc": "expsum",
+    "expsum_discrepancy": "expsum", "expsum_main_term": "expsum",
+    "minor_arc_scan": "expsum", "prime_expsum": "expsum",
+    "weighted_expsum": "expsum",
+}
+
+
+def _load(module: str) -> None:
+    """Import recurgaps.<module> and bind its names of _LAZY not yet bound."""
+    mod = importlib.import_module(f".{module}", __package__)
+    for name, home in _LAZY.items():
+        if home == module:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAZY[name])
+    return globals()[name]
+
 
 DEFAULTS = {
     "n": 10 ** 6, "theta": 0.1, "k": 2, "w": 5, "w0": 1, "b": None,
@@ -123,6 +162,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def parse_system(spec: str) -> KroneckerSystem:
+    _load("dynamics")
     fields = {}
     for part in spec.split(","):
         if not part:
@@ -145,6 +185,7 @@ def parse_system(spec: str) -> KroneckerSystem:
 
 
 def parse_set(spec: str, sys_: KroneckerSystem) -> BoxSet:
+    _load("dynamics")
     if spec == "all":
         return BoxSet.whole_space(sys_)
     if spec in ("empty", "none"):
@@ -242,6 +283,7 @@ def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
 
 
 def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
+    _load("expsum")
     op = args.op
     if op == "classify":
         label = classify_arc(args.alpha, cfg["n"])
@@ -290,6 +332,7 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
 
 
 def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
+    _load("dynamics")
     for flag in ("pmax", "nmax"):
         bound = getattr(args, flag)
         if bound is not None and bound < 1:
@@ -321,6 +364,7 @@ def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
 
 
 def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
+    _load("cluster")
     sys_ = parse_system(cfg["system"])
     A = parse_set(cfg["set"], sys_)
     p = _build_params(cfg)

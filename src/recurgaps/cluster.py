@@ -56,8 +56,13 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
 
     Positive total => some window in range carries m+1 recurrent primes.
     predicted echoes the standard lower-bound shape
-        k (eps/2) J_0 - m log(3N) (2 J_*/log R), times the main scale,
-    which needs a large J_0/J_* ratio to go positive.
+        k (eps/2) J_0 - m log(3N) (2 J_*/log R), times the main scale.
+    It is never positive.  It would need
+        k J_0/J_* > 4 m log(3N) / (eps log R),
+    whose right side exceeds 4, as eps < mu(A)^2 <= 1 and log R < log 3N;
+    yet every tensor-product F accepted here has (k+1) J_0/J_* <= 1
+    (Cauchy-Schwarz, as f(1/(k+1)) = 0), with equality for the default
+    linear f.
     """
     if p.W0 % sys.g != 0:
         raise ParameterError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -34,6 +35,12 @@ Q_EXP = 1.0 - 1.0 / 49.0
 
 _SPLIT_BITS = 28
 _SPLIT = float(1 << _SPLIT_BITS) + 1.0  # Veltkamp split point: n * theta_hi exact for n < 2^28
+
+# expsum_discrepancy holds the rational phases (16 B per prime) of at most
+# this many bytes' worth of a at once, read at call time.  Two phases of the
+# largest window the budget admits, [2^26, 2^27] with 3,645,744 primes, fit,
+# so a q with phi(q) <= 2 is always scanned in one block.
+PHASE_BLOCK_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -202,9 +209,13 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     theta_grid points is scanned and the value reported as a lower bound.
 
     Each grid value is prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
-    bit for bit: the primes, their logs and the rational phases are built
-    once, e(p theta) and the centring sum once per theta, and every term is
-    the same log * (rational * theta) product that _phase forms.
+    bit for bit: the primes and their logs are built once, the rational
+    phases once per block of a, e(p theta) and the centring sum once per
+    theta and block, and every term is the same log * (rational * theta)
+    product that _phase forms.  A block holds as many a as fit in
+    PHASE_BLOCK_BYTES (at least one), so memory stays bounded however large
+    phi(q) is; the max does not depend on the order, so neither does the
+    value.
     """
     if q < 1:
         raise ParameterError(f"need q >= 1, got q={q}")
@@ -214,16 +225,19 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
         raise ParameterError(f"delta must be finite and non-negative, got {delta}")
     ps = primes_in(range(x, 2 * x + 1), t)
     logs = np.log(ps.astype(np.float64))
-    rational = [_rational_phase(ps, a, q)
-                for a in range(1, q + 1) if math.gcd(a, q) == 1]
     mu_over_phi = mobius(q, t) / phi_int(q)
+    per_block = max(1, PHASE_BLOCK_BYTES // (16 * max(1, len(ps))))
+    coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
     best = 0.0
-    for theta in _theta_grid(delta, theta_grid) if delta > 0 else [0.0]:
-        center = mu_over_phi * geometric_phase_sum(x, theta)
-        e = _theta_phase(ps, theta) if theta != 0.0 else None
-        for r in rational:
-            phase = r if e is None else r * e
-            best = max(best, abs(complex(np.sum(logs * phase)) - center))
+    while block := list(islice(coprime, per_block)):
+        rational = [_rational_phase(ps, a, q) for a in block]
+        for theta in _theta_grid(delta, theta_grid) if delta > 0 else [0.0]:
+            center = mu_over_phi * geometric_phase_sum(x, theta)
+            e = _theta_phase(ps, theta) if theta != 0.0 else None
+            for r in rational:
+                phase = r if e is None else r * e
+                best = max(best, abs(complex(np.sum(logs * phase)) - center))
+        del rational  # free this block before the next one is built
     return best
 
 

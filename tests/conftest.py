@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from recurgaps import build_prime_table
 from recurgaps.acceptance import shared_table
+from recurgaps.primes import build_prime_table
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, so
 # a property failure there reproduces locally with the same flag

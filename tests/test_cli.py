@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -527,17 +528,59 @@ def test_every_stdout_line_is_json(args, capsys):
         json.loads(line, parse_constant=_reject_constant)
 
 
+_LEAN_PROBE = """
+import contextlib, io, json, os, sys
+import recurgaps.cli as cli
+
+def report(stage):
+    print(json.dumps({"stage": stage,
+                      "threads": len(os.listdir("/proc/self/task")),
+                      "loaded": sorted(m for m in sys.modules
+                                       if m.startswith("recurgaps.")
+                                       or m == "concurrent.futures")}))
+
+report("import")
+for args in (["sums", "--n", "20000", "--k", "1", "--h", "0,2", "--w", "2",
+              "--theta", "0.24"],
+             ["expsum", "--op", "discrepancy", "--q", "4", "--delta", "1e-6",
+              "--grid", "5", "--n", "10000"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0
+    report(args[0])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc to count the process's threads")
 def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
+    # a fresh process, as a CLI run is; OPENBLAS_NUM_THREADS is dropped
+    # from its environment, since importing cli here set it for this process
     src = str(Path(recurgaps.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    probe = ("import sys, recurgaps.cli; print(sorted(m for m in "
-             "('recurgaps.acceptance', 'concurrent.futures') "
-             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", _LEAN_PROBE], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    stages = {r["stage"]: r for r in map(json.loads, done.stdout.splitlines())}
+    assert stages["import"]["threads"] == 1  # no BLAS worker thread
+    assert stages["import"]["loaded"] == [
+        "recurgaps.accumulate", "recurgaps.admissible", "recurgaps.cli",
+        "recurgaps.primes", "recurgaps.serialize", "recurgaps.sieve",
+        "recurgaps.testfn"]
+    assert stages["sums"]["loaded"] == stages["import"]["loaded"]
+    assert "recurgaps.expsum" in stages["expsum"]["loaded"]
+    for absent in ("recurgaps.acceptance", "recurgaps.cluster",
+                   "concurrent.futures"):
+        assert absent not in stages["expsum"]["loaded"]
+
+
+def test_deferred_names_are_their_modules_own():
+    for name, module in cli._LAZY.items():
+        home = importlib.import_module(f"recurgaps.{module}")
+        assert getattr(cli, name) is getattr(home, name)
+    with pytest.raises(AttributeError, match="no_such_op"):
+        cli.no_such_op
 
 
 def test_no_module_imports_a_private_name_from_another():

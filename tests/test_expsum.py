@@ -218,6 +218,46 @@ def test_discrepancy_equals_per_point_loop(q, delta, x, wide_table):
     assert got == _discrepancy_loop(q, delta, x, 5, wide_table)
 
 
+@pytest.mark.parametrize("per_block", [1, 2, 7])
+@pytest.mark.parametrize("delta", [0.0, 1e-6])
+def test_blocked_discrepancy_equals_one_block(per_block, delta, table,
+                                              monkeypatch):
+    # phi(210) = 48 values of a, in blocks of 1, 2 and 7 (the last one
+    # short), against one block that holds all of them
+    q, x, grid = 210, 1000, 5
+    held = 16 * len(primes_between(x, 2 * x, table))  # bytes per a
+    assert expsum.PHASE_BLOCK_BYTES >= 48 * held
+    want = expsum_discrepancy(q, delta, x, grid, table)
+    calls = []
+    phase_sum = expsum.geometric_phase_sum
+    monkeypatch.setattr(expsum, "geometric_phase_sum",
+                        lambda x, theta: calls.append(theta) or phase_sum(x, theta))
+    monkeypatch.setattr(expsum, "PHASE_BLOCK_BYTES", per_block * held)
+    assert expsum_discrepancy(q, delta, x, grid, table) == want
+    # the centring sum is taken once per grid point and block
+    assert len(calls) == -(-48 // per_block) * (grid if delta > 0 else 1)
+
+
+def test_phase_block_holds_two_phases_of_the_largest_window():
+    # pi(2^27) - pi(2^26) = 7,603,553 - 3,957,809 primes in [2^26, 2^27]
+    assert expsum.PHASE_BLOCK_BYTES >= 2 * 16 * (7_603_553 - 3_957_809)
+
+
+def test_discrepancy_memory_is_bounded_by_the_block_budget(table, monkeypatch):
+    # phi(2310) = 480 values of a hold about 1 MiB of phases at x = 1000;
+    # with a 64 KiB budget the scan's peak stays near the budget
+    monkeypatch.setattr(expsum, "PHASE_BLOCK_BYTES", 1 << 16)
+    want = _discrepancy_loop(2310, 1e-6, 1000, 3, table)
+    tracemalloc.start()
+    try:
+        got = expsum_discrepancy(2310, 1e-6, 1000, 3, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 18
+
+
 @pytest.mark.parametrize("x", [1000, 250_000])
 def test_phase_is_rational_times_theta(x, wide_table):
     ps = primes_between(x, 2 * x, wide_table)
