@@ -6,9 +6,16 @@ humans get progress and the verify table on stderr.  Identical configs
 attached under --timing because it would break that.  Every run is
 single-threaded: this module sets OPENBLAS_NUM_THREADS=1 before numpy
 loads, as numpy's OpenBLAS otherwise starts a worker thread that
-busy-waits, and the CLI makes no BLAS call.  A run imports only its op's
-modules: `cluster`, `dynamics` and `expsum` load in the handlers that use
-them, so `sums` never compiles or runs them.
+busy-waits, and the CLI makes no BLAS call.  Once its own imports are
+done, this module calls gc.freeze(): the objects those imports made
+(numpy's among them) move to the permanent generation, so no later
+collection walks them, not even the one at interpreter exit, which took
+about 25 ms of a short run.  It does so at import, not in main(), since
+main() may run many times in one process (the tests call it hundreds of
+times) and freezing there would pin each run's cyclic garbage.  A run
+imports only its op's modules: `cluster`, `dynamics` and `expsum` load in
+the handlers that use them, so `sums` never compiles or runs them, and
+`expsum` does not load `dynamics`.
 
 Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 (and 1 when `verify` finds a failing check).
@@ -17,6 +24,7 @@ Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -37,6 +45,8 @@ from .primes import TableRangeError, build_prime_table
 from .serialize import config_hash, dumps
 from .sieve import SumReport, omega_sum, weighted_prime_sum
 from .testfn import default_test_function, piecewise_test_function
+
+gc.freeze()  # after the eager imports (see above)
 
 # Names from the modules that only some ops use, each with its module.  A
 # handler binds its op's names into this module's globals with _load before
@@ -290,6 +300,9 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
         em.emit({"op": "classify_arc", "alpha": args.alpha, "kind": label.kind,
                  "a": label.a, "q": label.q, "P": label.P, "Q": label.Q})
         return 0
+    if op in ("discrepancy", "prime", "main-term") and cfg["n"] < 1:
+        # the sums refuse x < 1 too, but the table below is built first
+        raise ParameterError(f"--n must be >= 1, got {cfg['n']}")
     if op == "discrepancy":
         # the window's base primes, and mobius(q)
         t = table(max(math.isqrt(2 * cfg["n"]), args.q) + 1)

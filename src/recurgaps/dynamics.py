@@ -29,11 +29,6 @@ from .testfn import TestFunction, J_i
 NMAX_BOUND = 1 << 22
 
 
-def torus_norm(x: float) -> float:
-    """Distance to the nearest integer, in [0, 1/2]."""
-    return abs(x - round(x))
-
-
 def _sqrt_prime_kappas(d: int) -> tuple[float, ...]:
     """Fractional parts of sqrt(2), sqrt(3), sqrt(5), ...: the canonical
     rationally independent rotation coordinates."""

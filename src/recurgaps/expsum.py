@@ -23,8 +23,7 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .dynamics import torus_norm
-from .primes import PrimeTable, mobius, phi_int, primes_in
+from .primes import PrimeTable, mobius, phi_int, primes_in, torus_norm
 from .sieve import SumReport, main_scale, points, prime_kernel
 from .testfn import TestFunction, J_i
 
@@ -86,17 +85,36 @@ def _theta_frac(ns: np.ndarray, theta: float) -> np.ndarray:
     c = theta * _SPLIT
     hi = c - (c - theta)   # leading ~25 bits of theta
     lo = theta - hi
-    return np.mod(ns * hi, 1.0) + ns * lo
+    nh = ns * hi
+    # nh - floor(nh) rounds the same real as np.mod(nh, 1.0), which is fmod
+    # (exact) plus 1 when nh < 0, and it is the cheaper of the two
+    return nh - np.floor(nh) + ns * lo
+
+
+def _e(f: np.ndarray) -> np.ndarray:
+    """e(f) = exp(2 pi i f) of a float64 array: np.exp(2j * np.pi * f), bit
+    for bit.
+
+    exp is taken of 0 + 2 pi f i, built in place.  The complex product
+    2j * pi * f has imaginary part fl(2 pi f) and real part +-0, and
+    exp(+-0) = 1, so this gives its bits without its complex multiply.
+    Adding 0.0 turns an imaginary part of -0.0 (at f = -0.0) into the
+    product's +0.0.
+    """
+    z = np.empty(len(f), dtype=np.complex128)
+    z.real = 0.0
+    z.imag = f * (2.0 * np.pi) + 0.0
+    return np.exp(z)
 
 
 def _rational_phase(ns: np.ndarray, a: int, q: int) -> np.ndarray:
     """e(n a/q), with n a reduced mod q exactly in integer arithmetic."""
-    return np.exp(2j * np.pi * (((ns % q) * a % q) / q))
+    return _e(((ns % q) * a % q) / q)
 
 
 def _theta_phase(ns: np.ndarray, theta: float) -> np.ndarray:
     """e(n theta), with frac(n theta) taken by _theta_frac."""
-    return np.exp(2j * np.pi * _theta_frac(ns, theta))
+    return _e(_theta_frac(ns, theta))
 
 
 def _phase(ns: np.ndarray, pt: RationalPoint) -> np.ndarray:
@@ -151,8 +169,15 @@ def geometric_phase_sum(x: int, theta: float) -> complex:
     return complex(c * r, s * r)
 
 
+def _require_start(x: int) -> None:
+    """Refuse a window [x, 2x] that starts below 1."""
+    if x < 1:
+        raise ParameterError(f"window [x, 2x] needs x >= 1, got x={x}")
+
+
 def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
     """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
+    _require_start(x)
     if D < 1:
         raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
@@ -181,6 +206,7 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -
     zero unless gcd(D, q) and q/(D, q) are coprime, with vbar the inverse of
     q/(D,q) mod (D,q).
     """
+    _require_start(x)
     if D < 1:
         raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
@@ -223,8 +249,13 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
         raise ParameterError(f"theta grid needs at least 3 points, got {theta_grid}")
     if not 0.0 <= delta < math.inf:
         raise ParameterError(f"delta must be finite and non-negative, got {delta}")
+    if delta - -delta == math.inf:
+        raise ParameterError(
+            f"delta={delta} is too large: the grid's span 2 delta overflows")
+    _require_start(x)
     ps = primes_in(range(x, 2 * x + 1), t)
-    logs = np.log(ps.astype(np.float64))
+    fps = ps.astype(np.float64)  # exact: every p < 2^53
+    logs = np.log(fps)
     mu_over_phi = mobius(q, t) / phi_int(q)
     per_block = max(1, PHASE_BLOCK_BYTES // (16 * max(1, len(ps))))
     coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
@@ -233,7 +264,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
         rational = [_rational_phase(ps, a, q) for a in block]
         for theta in _theta_grid(delta, theta_grid) if delta > 0 else [0.0]:
             center = mu_over_phi * geometric_phase_sum(x, theta)
-            e = _theta_phase(ps, theta) if theta != 0.0 else None
+            e = _theta_phase(fps, theta) if theta != 0.0 else None
             for r in rational:
                 phase = r if e is None else r * e
                 best = max(best, abs(complex(np.sum(logs * phase)) - center))

@@ -249,3 +249,8 @@ def phi_int(m: int) -> int:
     if rest > 1:
         out -= out // rest
     return out
+
+
+def torus_norm(x: float) -> float:
+    """Distance to the nearest integer, in [0, 1/2]."""
+    return abs(x - round(x))

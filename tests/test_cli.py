@@ -212,6 +212,12 @@ def test_config_booleans_accept_both_spellings(tmp_path, capsys):
     (["expsum", "--op", "main-term", "--d-mod", "0", "--b-res", "1",
       "--q", "4"], "modulus D must be positive, got 0"),
     (["recur", "--nmax", "4194305"], "--nmax 4194305 exceeds the bound 2^22"),
+    (["expsum", "--op", "discrepancy", "--n", "-5"], "--n must be >= 1, got -5"),
+    (["expsum", "--op", "prime", "--n", "-5"], "--n must be >= 1, got -5"),
+    (["expsum", "--op", "prime", "--n", "0"], "--n must be >= 1, got 0"),
+    (["expsum", "--op", "main-term", "--n", "-3"], "--n must be >= 1, got -3"),
+    (["expsum", "--op", "discrepancy", "--n", "100", "--delta", "1e308"],
+     "delta=1e+308 is too large: the grid's span 2 delta overflows"),
 ])
 def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     code, out, err = run_cli(args, capsys)
@@ -529,12 +535,13 @@ def test_every_stdout_line_is_json(args, capsys):
 
 
 _LEAN_PROBE = """
-import contextlib, io, json, os, sys
+import contextlib, gc, io, json, os, sys
 import recurgaps.cli as cli
 
 def report(stage):
     print(json.dumps({"stage": stage,
                       "threads": len(os.listdir("/proc/self/task")),
+                      "frozen": gc.get_freeze_count(),
                       "loaded": sorted(m for m in sys.modules
                                        if m.startswith("recurgaps.")
                                        or m == "concurrent.futures")}))
@@ -564,6 +571,7 @@ def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
                           capture_output=True, text=True, check=True)
     stages = {r["stage"]: r for r in map(json.loads, done.stdout.splitlines())}
     assert stages["import"]["threads"] == 1  # no BLAS worker thread
+    assert stages["import"]["frozen"] > 0  # the imports' objects are frozen
     assert stages["import"]["loaded"] == [
         "recurgaps.accumulate", "recurgaps.admissible", "recurgaps.cli",
         "recurgaps.primes", "recurgaps.serialize", "recurgaps.sieve",
@@ -571,7 +579,7 @@ def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
     assert stages["sums"]["loaded"] == stages["import"]["loaded"]
     assert "recurgaps.expsum" in stages["expsum"]["loaded"]
     for absent in ("recurgaps.acceptance", "recurgaps.cluster",
-                   "concurrent.futures"):
+                   "recurgaps.dynamics", "concurrent.futures"):
         assert absent not in stages["expsum"]["loaded"]
 
 

@@ -10,8 +10,9 @@ from recurgaps.dynamics import (BoxSet, BumpPsi, Cube, KroneckerSystem,
                                 arc_overlap, build_bump, correlation,
                                 correlation_kernel, khintchine_set, measure,
                                 monte_carlo_correlation,
-                                shifted_prime_recurrence_set, torus_norm,
+                                shifted_prime_recurrence_set,
                                 weighted_correlation_sum)
+from recurgaps.primes import torus_norm
 from recurgaps.sieve import omega_kernel, progression, weighted_prime_sum
 from recurgaps.testfn import default_test_function
 

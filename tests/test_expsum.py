@@ -16,12 +16,12 @@ from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               dirichlet_approx, expsum_discrepancy,
                               expsum_main_term, geometric_phase_sum,
-                              minor_arc_scan, prime_expsum, torus_norm,
+                              minor_arc_scan, prime_expsum,
                               weighted_expsum, zq_inverse, _phase,
                               _rational_phase, _theta_frac, _theta_grid,
                               _theta_phase)
 from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
-                              primes_between)
+                              primes_between, torus_norm)
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
@@ -151,6 +151,25 @@ def test_discrepancy_validation(table):
     # the window [x, 2x] is sieved with the primes up to isqrt(2x) = 44
     with pytest.raises(ParameterError, match=r"isqrt\(2000\) = 44"):
         expsum_discrepancy(4, 0.0, 10 ** 3, 3, build_prime_table(43))
+
+
+@pytest.mark.parametrize("x", [0, -3])
+def test_prime_sums_refuse_a_window_below_one(x, table):
+    pt = RationalPoint(1, 3, 1e-6)
+    for call in (lambda: prime_expsum(x, 1, 1, pt, table),
+                 lambda: expsum_main_term(x, 1, 1, pt, table),
+                 lambda: expsum_discrepancy(3, 1e-6, x, 3, table)):
+        with pytest.raises(ParameterError, match=rf"x >= 1, got x={x}"):
+            call()
+
+
+def test_discrepancy_refuses_a_grid_span_that_overflows(table):
+    # the span 2 delta of the largest delta accepted is the largest double
+    top = sys.float_info.max / 2
+    for delta in (1e308, math.nextafter(top, math.inf)):
+        with pytest.raises(ParameterError, match="delta=.* is too large"):
+            expsum_discrepancy(4, delta, 10 ** 3, 3, table)
+    assert math.isfinite(top - -top)
 
 
 @pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])
@@ -314,16 +333,70 @@ def _simd_masks() -> list[str]:
     return [" ".join(found[i:]) for i in range(len(found), -1, -1)]
 
 
-@pytest.mark.parametrize("mask", _simd_masks())
-def test_phase_is_chunk_invariant_at_every_simd_level(mask):
+def _run_probe(probe: str, mask: str) -> None:
+    """Run probe in a fresh interpreter with the SIMD levels of mask off."""
     src = str(Path(recurgaps.__file__).resolve().parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=mask)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _CHUNK_PROBE], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("mask", _simd_masks())
+def test_phase_is_chunk_invariant_at_every_simd_level(mask):
+    _run_probe(_CHUNK_PROBE, mask)
+
+
+# The phase kernel against the formulas it replaced, which stay here as the
+# oracle: frac(n theta) by np.mod, and e(f) by the complex product
+# np.exp(2j * np.pi * f).  Primes from random windows below 2^28, as int64
+# and as float64 (the discrepancy scan passes them as floats), theta of both
+# signs, and f = -0.0, where the product's imaginary part is +0.0.
+_KERNEL_PROBE = """
+import numpy as np
+from recurgaps.expsum import (_SPLIT, _e, _rational_phase, _theta_frac,
+                              _theta_phase)
+from recurgaps.primes import ap_primality, build_prime_table
+
+def old_frac(ns, theta):
+    c = theta * _SPLIT
+    hi = c - (c - theta)
+    lo = theta - hi
+    return np.mod(ns * hi, 1.0) + ns * lo
+
+def old_e(f):
+    return np.exp(2j * np.pi * f)
+
+base = build_prime_table(1 << 14).primes  # up to isqrt(2^28)
+rng = np.random.default_rng(2015)
+width = 1 << 15
+starts = [2] + rng.integers(2, (1 << 28) - width, 40).tolist()
+ps = np.concatenate([np.flatnonzero(ap_primality(lo, 1, width, base)) + lo
+                     for lo in starts])
+fps = ps.astype(np.float64)
+thetas = [1e-6, -1e-6, -0.37, 2.5e-3, -2.5e-3, 0.5, -3.7, 1e-12]
+thetas += rng.uniform(-0.5, 0.5, 8).tolist()
+for theta in thetas:
+    want = old_frac(ps, theta)
+    assert _theta_frac(ps, theta).tobytes() == want.tobytes(), theta
+    assert _theta_frac(fps, theta).tobytes() == want.tobytes(), theta
+    assert _theta_phase(fps, theta).tobytes() == old_e(want).tobytes(), theta
+for a, q in ((1, 1), (2, 3), (3, 4), (7, 30)):
+    want = old_e(((ps % q) * a % q) / q)
+    assert _rational_phase(ps, a, q).tobytes() == want.tobytes(), (a, q)
+f = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0 - 2.0 ** -53],
+                    rng.uniform(-1.0, 1.0, 4096)])
+assert _e(f).tobytes() == old_e(f).tobytes()
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("mask", _simd_masks())
+def test_phase_kernel_matches_the_old_formulas_at_every_simd_level(mask):
+    _run_probe(_KERNEL_PROBE, mask)
 
 
 def test_geometric_phase_sum_theta_zero():
