@@ -14,8 +14,11 @@ about 25 ms of a short run.  It does so at import, not in main(), since
 main() may run many times in one process (the tests call it hundreds of
 times) and freezing there would pin each run's cyclic garbage.  A run
 imports only its op's modules: `cluster`, `dynamics` and `expsum` load in
-the handlers that use them, so `sums` never compiles or runs them, and
-`expsum` does not load `dynamics`.
+the handlers that use them, and the progression-sum pipeline (`sieve`,
+`testfn`) only in the ops that sum over a progression (`sums`, `expsum
+--op weighted|minor-scan`, `recur --weighted`, `cluster`).  So `sums`
+never compiles or runs `cluster`, `dynamics` or `expsum`, and `expsum
+--op discrepancy` runs none of `dynamics`, `sieve` or `testfn`.
 
 Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 (and 1 when `verify` finds a failing check).
@@ -31,6 +34,7 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 # Before the first numpy import (see above), and overriding any exported
 # value, which would bring the busy-waiting worker back.
@@ -43,8 +47,9 @@ from .admissible import (DEFAULT_SEED, AdmissibleTuple, ParameterError,
                          standard_tuple)
 from .primes import TableRangeError, build_prime_table
 from .serialize import config_hash, dumps
-from .sieve import SumReport, omega_sum, weighted_prime_sum
-from .testfn import default_test_function, piecewise_test_function
+
+if TYPE_CHECKING:
+    from .sieve import SumReport
 
 gc.freeze()  # after the eager imports (see above)
 
@@ -65,6 +70,8 @@ _LAZY = {
     "expsum_discrepancy": "expsum", "expsum_main_term": "expsum",
     "minor_arc_scan": "expsum", "prime_expsum": "expsum",
     "weighted_expsum": "expsum",
+    "omega_sum": "sieve", "weighted_prime_sum": "sieve",
+    "default_test_function": "testfn", "piecewise_test_function": "testfn",
 }
 
 
@@ -239,6 +246,7 @@ def _build_params(cfg: dict):
 
 
 def _build_F(cfg: dict, k: int):
+    _load("testfn")
     if cfg["f_spec"] == "default":
         return default_test_function(k)
     return piecewise_test_function(k, json.loads(cfg["f_spec"]))
@@ -283,6 +291,7 @@ def _cmd_tuple(cfg: dict, em: _Emitter, table) -> int:
 
 
 def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
+    _load("sieve")
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.base_table_limit())

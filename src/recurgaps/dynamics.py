@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, primes_in
-from .sieve import SumReport, main_scale, points, prime_kernel
-from .testfn import TestFunction, J_i
+
+if TYPE_CHECKING:
+    from .sieve import SumReport
+    from .testfn import TestFunction
 
 # Largest n_max of khintchine_set, which holds every n up to it: `recur
 # --nmax` peaks at 589 MiB there, about what `recur --pmax` takes at 2^27.
@@ -312,6 +315,9 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     Requires W0 divisible by the group order so that n + h_i - 1 walks the
     group trivially on the progression.
     """
+    # the progression-sum pipeline loads only for the ops that use it
+    from .sieve import SumReport, main_scale, points, prime_kernel
+    from .testfn import J_i
     if p.W0 % sys.g != 0:
         raise ParameterError(
             f"W0={p.W0} must be divisible by the group order g={sys.g}")

@@ -17,15 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, mobius, phi_int, primes_in, torus_norm
-from .sieve import SumReport, main_scale, points, prime_kernel
-from .testfn import TestFunction, J_i
+
+if TYPE_CHECKING:
+    from .sieve import SumReport
+    from .testfn import TestFunction
 
 # Default arc-cut exponents: P = N^P_EXP marks major denominators,
 # Q = N^Q_EXP the dissection height.
@@ -73,6 +75,15 @@ class ArcLabel:
     q: int
     P: float
     Q: float
+
+
+def _require_split(theta: float, what: str) -> None:
+    """Refuse a theta that _theta_frac cannot split: theta * _SPLIT must be
+    finite, or the split gives NaN phases (|theta| above about 6.7e299)."""
+    if not math.isfinite(theta * _SPLIT):
+        raise ParameterError(
+            f"{what}={theta} is too large: the phase split needs "
+            f"{what} * (2^{_SPLIT_BITS} + 1) to be finite")
 
 
 def _theta_frac(ns: np.ndarray, theta: float) -> np.ndarray:
@@ -178,6 +189,7 @@ def _require_start(x: int) -> None:
 def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
     """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
     _require_start(x)
+    _require_split(pt.theta, "theta offset")
     if D < 1:
         raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
@@ -252,10 +264,12 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     if delta - -delta == math.inf:
         raise ParameterError(
             f"delta={delta} is too large: the grid's span 2 delta overflows")
+    _require_split(delta, "delta")  # every grid theta has |theta| <= delta
     _require_start(x)
     ps = primes_in(range(x, 2 * x + 1), t)
     fps = ps.astype(np.float64)  # exact: every p < 2^53
-    logs = np.log(fps)
+    # cast once, not once per product: logs * phase casts the same way
+    logs = np.log(fps).astype(np.complex128)
     mu_over_phi = mobius(q, t) / phi_int(q)
     per_block = max(1, PHASE_BLOCK_BYTES // (16 * max(1, len(ps))))
     coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
@@ -290,6 +304,10 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
     otherwise predicted is 0 and the suppression envelope
     N W^k / (w (log R)^k phi(W)^(k+1)) is attached as `bound`.
     """
+    # the progression-sum pipeline loads only for the ops that use it
+    from .sieve import SumReport, main_scale, points, prime_kernel
+    from .testfn import J_i
+    _require_split(pt.theta, "theta offset")
     hi = p.h[i]
     pts = points(p)
     top = pts[-1] + hi  # the largest n + h_i the scan would phase
@@ -392,6 +410,8 @@ def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,
                    alphas: list[float], t: PrimeTable) -> list[dict]:
     """|weighted sum| at minor frequencies, against the theta=0 major
     main-term magnitude for contrast."""
+    from .sieve import main_scale
+    from .testfn import J_i
     records = []
     main_mag = abs(J_i(F, i) * main_scale(p, p.k) / p.N
                    * geometric_phase_sum(p.N, 0.0))

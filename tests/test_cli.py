@@ -218,6 +218,10 @@ def test_config_booleans_accept_both_spellings(tmp_path, capsys):
     (["expsum", "--op", "main-term", "--n", "-3"], "--n must be >= 1, got -3"),
     (["expsum", "--op", "discrepancy", "--n", "100", "--delta", "1e308"],
      "delta=1e+308 is too large: the grid's span 2 delta overflows"),
+    (["expsum", "--op", "prime", "--n", "100", "--theta-offset", "1e300"],
+     "theta offset=1e+300 is too large: the phase split needs"),
+    (["expsum", "--op", "discrepancy", "--n", "100", "--delta", "1e300"],
+     "delta=1e+300 is too large: the phase split needs"),
 ])
 def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     code, out, err = run_cli(args, capsys)
@@ -547,40 +551,68 @@ def report(stage):
                                        or m == "concurrent.futures")}))
 
 report("import")
-for args in (["sums", "--n", "20000", "--k", "1", "--h", "0,2", "--w", "2",
-              "--theta", "0.24"],
-             ["expsum", "--op", "discrepancy", "--q", "4", "--delta", "1e-6",
-              "--grid", "5", "--n", "10000"]):
+for args in map(json.loads, sys.argv[1:]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(args) == 0
     report(args[0])
 """
 
+_needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(),
+    reason="needs /proc to count the process's threads")
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
-                    reason="needs /proc to count the process's threads")
-def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
-    # a fresh process, as a CLI run is; OPENBLAS_NUM_THREADS is dropped
-    # from its environment, since importing cli here set it for this process
+
+def _lean_probe(*runs):
+    """The probe's report after the import and after each CLI run, all in
+    one fresh process, as a CLI run is; OPENBLAS_NUM_THREADS is dropped from
+    its environment, since importing cli here set it for this process."""
     src = str(Path(recurgaps.__file__).resolve().parents[1])
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _LEAN_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    stages = {r["stage"]: r for r in map(json.loads, done.stdout.splitlines())}
+    done = subprocess.run(
+        [sys.executable, "-c", _LEAN_PROBE, *map(json.dumps, runs)], env=env,
+        capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+@_needs_proc
+def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
+    stages = {r["stage"]: r for r in _lean_probe(
+        ["sums", "--n", "20000", "--k", "1", "--h", "0,2", "--w", "2",
+         "--theta", "0.24"],
+        ["expsum", "--op", "discrepancy", "--q", "4", "--delta", "1e-6",
+         "--grid", "5", "--n", "10000"])}
     assert stages["import"]["threads"] == 1  # no BLAS worker thread
     assert stages["import"]["frozen"] > 0  # the imports' objects are frozen
     assert stages["import"]["loaded"] == [
-        "recurgaps.accumulate", "recurgaps.admissible", "recurgaps.cli",
-        "recurgaps.primes", "recurgaps.serialize", "recurgaps.sieve",
-        "recurgaps.testfn"]
-    assert stages["sums"]["loaded"] == stages["import"]["loaded"]
+        "recurgaps.admissible", "recurgaps.cli", "recurgaps.primes",
+        "recurgaps.serialize"]
+    assert stages["sums"]["loaded"] == sorted(
+        stages["import"]["loaded"]
+        + ["recurgaps.accumulate", "recurgaps.sieve", "recurgaps.testfn"])
     assert "recurgaps.expsum" in stages["expsum"]["loaded"]
     for absent in ("recurgaps.acceptance", "recurgaps.cluster",
                    "recurgaps.dynamics", "concurrent.futures"):
         assert absent not in stages["expsum"]["loaded"]
+
+
+# The runs that sum over no progression: every op but sums, expsum
+# --op weighted|minor-scan, recur --weighted and cluster.
+LEAN_RUNS = [a for a in STRICT_JSON_RUNS
+             if not {"sums", "weighted", "minor-scan", "--weighted",
+                     "cluster"} & set(a)]
+
+
+@_needs_proc
+@pytest.mark.parametrize("args", LEAN_RUNS,
+                         ids=["-".join(a[:3]) for a in LEAN_RUNS])
+def test_op_without_a_progression_sum_leaves_sieve_and_testfn_unloaded(args):
+    after = _lean_probe(args)[-1]
+    assert after["stage"] == args[0]
+    for absent in ("recurgaps.sieve", "recurgaps.testfn"):
+        assert absent not in after["loaded"]
 
 
 def test_deferred_names_are_their_modules_own():

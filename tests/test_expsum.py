@@ -18,8 +18,8 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               expsum_main_term, geometric_phase_sum,
                               minor_arc_scan, prime_expsum,
                               weighted_expsum, zq_inverse, _phase,
-                              _rational_phase, _theta_frac, _theta_grid,
-                              _theta_phase)
+                              _rational_phase, _SPLIT, _theta_frac,
+                              _theta_grid, _theta_phase)
 from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
                               primes_between, torus_norm)
 from recurgaps.sieve import weighted_prime_sum
@@ -170,6 +170,30 @@ def test_discrepancy_refuses_a_grid_span_that_overflows(table):
         with pytest.raises(ParameterError, match="delta=.* is too large"):
             expsum_discrepancy(4, delta, 10 ** 3, 3, table)
     assert math.isfinite(top - -top)
+
+
+def test_phase_sums_refuse_a_theta_the_split_cannot_hold(table):
+    # the largest theta whose split theta * _SPLIT is finite, and the next
+    top = sys.float_info.max / _SPLIT
+    big = math.nextafter(top, math.inf)
+    assert math.isfinite(top * _SPLIT) and not math.isfinite(big * _SPLIT)
+    p = make_sieve_params(N=20_000, h=(0, 2), theta=0.1, w=2, W0=1)
+    F = default_test_function(1)
+    for theta in (top, -top):
+        pt = RationalPoint(1, 3, theta)
+        assert cmath.isfinite(prime_expsum(10 ** 3, 1, 1, pt, table))
+        assert cmath.isfinite(weighted_expsum(p, F, 1, pt, table).measured)
+    assert math.isfinite(expsum_discrepancy(3, top, 10 ** 3, 3, table))
+    for theta in (big, -big, 1e300):
+        pt = RationalPoint(1, 3, theta)
+        with pytest.raises(ParameterError, match="theta offset=.* is too large"):
+            prime_expsum(10 ** 3, 1, 1, pt, table)
+        with pytest.raises(ParameterError, match="theta offset=.* is too large"):
+            weighted_expsum(p, F, 1, pt, table)
+    with pytest.raises(ParameterError, match="delta=.* is too large: the phase"):
+        expsum_discrepancy(3, big, 10 ** 3, 3, table)
+    # the closed-form main term splits no theta
+    assert expsum_main_term(100, 1, 1, RationalPoint(1, 1, 1e300), table) == 101
 
 
 @pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])
