@@ -54,11 +54,22 @@ def periodic_sum(vals: np.ndarray, length: int) -> float:
     total is summed as vals * 2^b for each set bit b of length // per, plus
     vals[:length % per]: every such term is exact, so one fsum over them
     gives the correctly rounded exact total, the same double as the fsum
-    of all length terms, in O(per * log length) work.
+    of all length terms, in O(per * log length) work.  The terms reach
+    fsum one CHUNK slice of vals at a time, so besides vals the memory is
+    O(CHUNK).
     """
     if not length:
         return 0.0
-    q, rem = divmod(length, len(vals))
-    parts = [np.ldexp(vals, b) for b in range(q.bit_length()) if q >> b & 1]
-    parts.append(vals[:rem])
-    return math.fsum(chain.from_iterable(a.tolist() for a in parts))
+    per = len(vals)
+    q, rem = divmod(length, per)
+    bits = [b for b in range(q.bit_length()) if q >> b & 1]
+
+    def parts():
+        for i in range(0, per, CHUNK):
+            part = vals[i:i + CHUNK]
+            for b in bits:
+                yield np.ldexp(part, b).tolist()
+            if i < rem:
+                yield part[:rem - i].tolist()
+
+    return math.fsum(chain.from_iterable(parts()))

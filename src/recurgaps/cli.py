@@ -6,19 +6,26 @@ humans get progress and the verify table on stderr.  Identical configs
 attached under --timing because it would break that.  Every run is
 single-threaded: this module sets OPENBLAS_NUM_THREADS=1 before numpy
 loads, as numpy's OpenBLAS otherwise starts a worker thread that
-busy-waits, and the CLI makes no BLAS call.  Once its own imports are
-done, this module calls gc.freeze(): the objects those imports made
-(numpy's among them) move to the permanent generation, so no later
-collection walks them, not even the one at interpreter exit, which took
-about 25 ms of a short run.  It does so at import, not in main(), since
-main() may run many times in one process (the tests call it hundreds of
-times) and freezing there would pin each run's cyclic garbage.  A run
-imports only its op's modules: `cluster`, `dynamics` and `expsum` load in
-the handlers that use them, and the progression-sum pipeline (`sieve`,
-`testfn`) only in the ops that sum over a progression (`sums`, `expsum
---op weighted|minor-scan`, `recur --weighted`, `cluster`).  So `sums`
-never compiles or runs `cluster`, `dynamics` or `expsum`, and `expsum
---op discrepancy` runs none of `dynamics`, `sieve` or `testfn`.
+busy-waits, and the CLI makes no BLAS call.  Its own imports run with
+the collector off, the pattern the gc.freeze documentation gives: this
+module calls gc.disable() first, and once those imports are done,
+gc.freeze() and then gc.enable(), so the collector is left as it was
+found, even when an import raises.  No collection walks the objects the
+imports make (numpy's among them) while they are made: a short run ran
+34-35 collections, 4-5 ms, while it imported with the collector on.
+The freeze moves those objects to the permanent generation, so no later
+collection walks them either, not even the one at interpreter exit, which
+took about 25 ms of a short run.  It happens at import, not in main(),
+since main() may run many times in one process (the tests call it
+hundreds of times) and freezing there would pin each run's cyclic
+garbage.  The parser gives only the invoked subcommand its arguments
+(build_parser).  A run imports only its op's modules: `cluster`,
+`dynamics` and `expsum` load in the handlers that use them, and the
+progression-sum pipeline (`sieve`, `testfn`) only in the ops that sum over
+a progression (`sums`, `expsum --op weighted|minor-scan`, `recur
+--weighted`, `cluster`).  So `sums` never compiles or runs `cluster`,
+`dynamics` or `expsum`, and `expsum --op discrepancy` runs none of
+`dynamics`, `sieve` or `testfn`.
 
 Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 (and 1 when `verify` finds a failing check).
@@ -26,32 +33,40 @@ Exit codes: 0 success, 2 parameter/validation error, 1 internal error
 
 from __future__ import annotations
 
-import argparse
 import gc
-import importlib
-import json
-import math
-import os
-import sys
-import time
-from typing import TYPE_CHECKING
 
-# Before the first numpy import (see above), and overriding any exported
-# value, which would bring the busy-waiting worker back.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# The collector is off during the eager imports (see above).
+_GC_WAS_ENABLED = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import importlib
+    import json
+    import math
+    import os
+    import sys
+    import time
+    from typing import TYPE_CHECKING
 
-import numpy as np  # noqa: E402
+    # Before the first numpy import (see above), and overriding any
+    # exported value, which would bring the busy-waiting worker back.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .admissible import (DEFAULT_SEED, AdmissibleTuple, ParameterError,
-                         choose_b, compute_W, dense_tuple, make_sieve_params,
-                         standard_tuple)
-from .primes import TableRangeError, build_prime_table
-from .serialize import config_hash, dumps
+    import numpy as np
 
-if TYPE_CHECKING:
-    from .sieve import SumReport
+    from .admissible import (DEFAULT_SEED, AdmissibleTuple, ParameterError,
+                             choose_b, compute_W, dense_tuple,
+                             make_sieve_params, standard_tuple)
+    from .primes import TableRangeError, build_prime_table
+    from .serialize import config_hash, dumps
 
-gc.freeze()  # after the eager imports (see above)
+    if TYPE_CHECKING:
+        from .sieve import SumReport
+
+    gc.freeze()  # after the eager imports (see above)
+finally:
+    if _GC_WAS_ENABLED:
+        gc.enable()
 
 # Names from the modules that only some ops use, each with its module.  A
 # handler binds its op's names into this module's globals with _load before
@@ -320,7 +335,9 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
                  "x": cfg["n"], "grid": args.grid, "value": val,
                  "semantics": "grid lower bound"})
         return 0
-    pt = RationalPoint(args.a, args.q, args.theta_offset)
+    # minor-scan reads none of --a, --q and --theta-offset
+    pt = (RationalPoint(args.a, args.q, args.theta_offset)
+          if op in ("prime", "main-term", "weighted") else None)
     if op == "prime":
         t = table(math.isqrt(2 * cfg["n"]) + 1)
         val = prime_expsum(cfg["n"], args.d_mod, args.b_res, pt, t)
@@ -426,7 +443,16 @@ def _cmd_verify(cfg: dict, em: _Emitter, table) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser, for the command line argv.
+
+    Every subcommand is registered with its name and help, but only those
+    that argv names get their arguments, or all of them when it names none
+    (or is None): adding all six subcommands' arguments took several ms of
+    a short run.  The subcommand a command line runs is one of its tokens,
+    and the others are never parsed, so the parser reads argv as the full
+    one does, help and error messages included.
+    """
     ap = argparse.ArgumentParser(
         prog="recurgaps",
         description="Prime clusters with recurrent shifts on explicit "
@@ -434,6 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "correlations, and cluster scans.")
     ap.add_argument("--config", help="key = value file; flags override it")
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in (
+        ("tuple", "admissible tuple, W, and residue b"),
+        ("sums", "progression sums vs main terms"),
+        ("expsum", "exponential sums and arcs"),
+        ("recur", "return sets: integers or shifted primes"),
+        ("cluster", "detector sum and direct cluster scan"),
+        ("verify", "run the built-in verification suite"))}
+    wanted = [name for name in parsers if name in (argv or ())] or parsers
 
     def common(sp, keys):
         if "n" in keys:
@@ -471,50 +505,57 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int)
         sp.add_argument("--timing", action="store_const", const=True)
 
-    sp = sub.add_parser("tuple", help="admissible tuple, W, and residue b")
-    common(sp, {"k", "w", "w0", "h", "consecutive"})
+    if "tuple" in wanted:
+        common(parsers["tuple"], {"k", "w", "w0", "h", "consecutive"})
 
-    sp = sub.add_parser("sums", help="progression sums vs main terms")
-    common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "f_spec"})
+    if "sums" in wanted:
+        common(parsers["sums"], {"n", "theta", "k", "w", "w0", "b", "h",
+                                 "f_spec"})
 
-    sp = sub.add_parser("expsum", help="exponential sums and arcs")
-    common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "f_spec"})
-    sp.add_argument("--op", required=True,
-                    choices=("prime", "main-term", "weighted", "discrepancy",
-                             "classify", "minor-scan"))
-    sp.add_argument("--a", type=int, default=1)
-    sp.add_argument("--q", type=int, default=1)
-    sp.add_argument("--theta-offset", dest="theta_offset", type=float, default=0.0)
-    sp.add_argument("--d-mod", dest="d_mod", type=int, default=1)
-    sp.add_argument("--b-res", dest="b_res", type=int, default=1)
-    sp.add_argument("--i", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=0.0)
-    sp.add_argument("--grid", type=int, default=41)
-    sp.add_argument("--alpha", type=_finite_float, default=0.0)
-    sp.add_argument("--alphas", default="0.6180339887498949")
+    if "expsum" in wanted:
+        sp = parsers["expsum"]
+        common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "f_spec"})
+        sp.add_argument("--op", required=True,
+                        choices=("prime", "main-term", "weighted",
+                                 "discrepancy", "classify", "minor-scan"))
+        sp.add_argument("--a", type=int, default=1)
+        sp.add_argument("--q", type=int, default=1)
+        sp.add_argument("--theta-offset", dest="theta_offset", type=float,
+                        default=0.0)
+        sp.add_argument("--d-mod", dest="d_mod", type=int, default=1)
+        sp.add_argument("--b-res", dest="b_res", type=int, default=1)
+        sp.add_argument("--i", type=int, default=0)
+        sp.add_argument("--delta", type=float, default=0.0)
+        sp.add_argument("--grid", type=int, default=41)
+        sp.add_argument("--alpha", type=_finite_float, default=0.0)
+        sp.add_argument("--alphas", default="0.6180339887498949")
 
-    sp = sub.add_parser("recur", help="return sets: integers or shifted primes")
-    common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "eps", "system", "set",
-                "f_spec"})
-    sp.add_argument("--pmax", type=int)
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--weighted", action="store_true",
-                    help="emit the weighted correlation sums instead of sets")
+    if "recur" in wanted:
+        sp = parsers["recur"]
+        common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "eps", "system",
+                    "set", "f_spec"})
+        sp.add_argument("--pmax", type=int)
+        sp.add_argument("--nmax", type=int)
+        sp.add_argument("--weighted", action="store_true",
+                        help="emit the weighted correlation sums instead of "
+                             "sets")
 
-    sp = sub.add_parser("cluster", help="detector sum and direct cluster scan")
-    common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "eps", "m",
-                "consecutive", "system", "set", "f_spec"})
-    sp.add_argument("--csv", help="also write an n,primes,width summary")
+    if "cluster" in wanted:
+        sp = parsers["cluster"]
+        common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "eps", "m",
+                    "consecutive", "system", "set", "f_spec"})
+        sp.add_argument("--csv", help="also write an n,primes,width summary")
 
-    sp = sub.add_parser("verify", help="run the built-in verification suite")
-    common(sp, set())
+    if "verify" in wanted:
+        common(parsers["verify"], set())
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = _resolve(args)
         out = open(cfg["out"], "w") if cfg.get("out") else sys.stdout

@@ -9,10 +9,19 @@ naming the field it sits in.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
+
+# The interpreter's own SHA-256 (_sha2 from Python 3.12, _sha256 before):
+# hashlib would load OpenSSL for this one digest, several ms of each run.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class NonFiniteError(ArithmeticError):
@@ -60,4 +69,4 @@ def dumps(record: dict, sort_keys: bool = False) -> str:
 
 def config_hash(config: dict) -> str:
     """Short stable digest of a config mapping (sorted-key canonical form)."""
-    return hashlib.sha256(dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    return _sha256(dumps(config, sort_keys=True).encode()).hexdigest()[:16]

@@ -91,6 +91,22 @@ def test_periodic_sum_matches_fsum_of_the_repeated_terms(period, length):
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(scaled, min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=3000))
+def test_periodic_sum_is_the_same_in_any_chunk_slices(chunk, period, length):
+    # the period's slices reach fsum one CHUNK at a time; the value is the
+    # exact total's rounding, so the slicing cannot show in it
+    vals = np.array(period, dtype=np.float64)
+    want = periodic_sum(vals, length)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accumulate, "CHUNK", chunk)
+        got = periodic_sum(vals, length)
+    assert got == math.fsum(np.resize(vals, length).tolist())
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 3 * 10 ** 9 + 1, 3 * 10 ** 9 + 2,
                                     2 ** 40 + 5])
 def test_periodic_sum_ill_conditioned_counts(length):

@@ -127,6 +127,22 @@ def test_expsum_prime_and_main_term(capsys):
     assert rec["op"] == "expsum_main_term"
 
 
+def test_minor_scan_ignores_the_rational_point_flags(capsys):
+    # minor-scan reads none of --a, --q and --theta-offset, so --q 0 is
+    # ignored there; prime reads --q and still refuses it
+    args = ["expsum", "--op", "minor-scan", "--n", "50000", "--k", "1",
+            "--h", "0,2", "--w", "2", "--theta", "0.24"]
+    _, plain, _ = run_cli(args, capsys)
+    code, out, _ = run_cli(args + ["--q", "0"], capsys)
+    assert code == 0
+    assert out == plain
+    code, out, err = run_cli(["expsum", "--op", "prime", "--n", "100",
+                              "--q", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "need 1 <= a <= q, got a=1, q=0" in err
+
+
 def test_exit_code_validation_error(capsys):
     code, _, err = run_cli(["sums", "--n", "100"], capsys)
     assert code == 2
@@ -336,6 +352,59 @@ def test_stdout_without_timing_unchanged(args, digest, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # config_hash is hashlib's SHA-256 of the canonical config, whichever
+    # implementation computes it
+    for rec in lines_of(out):
+        canon = dumps(rec["config"], sort_keys=True).encode()
+        assert (rec["config_hash"] == config_hash(rec["config"])
+                == hashlib.sha256(canon).hexdigest()[:16])
+
+
+# sha256 of each --help text at 80 columns, recorded with Python 3.11 while
+# the parser still gave every subcommand its arguments whichever one ran
+GOLDEN_HELP = {
+    "": "0f02edd68ae921bfe43185808b6f675a52584ff7354ad07a66abfaa0499582a1",
+    "tuple": "d69d695d8e258ebec0f0271dc884e78ee3e824cf601529be66544e5674cbd324",
+    "sums": "d8d2edb02685c542549b03d55f464e1e0d5e102b597132e750f12fcf1a2fcc29",
+    "expsum": "f9c66c98c3858fc5fbe314567d1830e089df1f34a7fd89814068df274ffb822c",
+    "recur": "840ee050fc1952d517355f8896be6bd747c42267e7d9b5b46b9e0ff7daf49b17",
+    "cluster": "1040d45eabc627844f3da94f4ac9639a354a8559dfd13d174101a1ac2b58e4b0",
+    "verify": "7f60bd6be97cc9bd5754a7fee66e198377471423252c21f09d55fa04b01c1e36",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in each "
+                           "Python version; the digests are 3.11's")
+@pytest.mark.parametrize("subcommand,digest", GOLDEN_HELP.items(),
+                         ids=[k or "top" for k in GOLDEN_HELP])
+def test_help_text_unchanged(subcommand, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"] if subcommand else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--bogus", "sums"], ["sums", "--bogus"],
+    ["sums", "--op", "prime"], ["sums", "--th", "0.2"], ["sums", "--n", "x"],
+    ["sums", "--threads", "2"], ["expsum"], ["expsum", "--op", "nope"],
+    ["tuple", "--n", "5"], ["recur", "--csv", "x"], ["verify", "--n", "3"],
+    ["tuple", "sums"], ["sums", "tuple"], ["--config", "sums", "tuple", "--m"],
+    ["--", "cluster", "--pmax", "3"],
+] + [[op, "--help"] for op in GOLDEN_HELP if op])
+def test_parser_for_argv_reads_it_as_the_full_parser(argv, monkeypatch,
+                                                     capsys):
+    # the parser built for argv adds only the subcommands argv names
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for parser in (cli.build_parser(), cli.build_parser(argv)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        seen.append((exc.value.code, capsys.readouterr()))
+    assert seen[0][0] == (0 if "--help" in argv else 2)
+    assert seen[0] == seen[1]
 
 
 def test_timing_excludes_table_build(monkeypatch, capsys):
@@ -540,15 +609,25 @@ def test_every_stdout_line_is_json(args, capsys):
 
 _LEAN_PROBE = """
 import contextlib, gc, io, json, os, sys
+
+# start from an empty youngest generation, so that no collection the
+# probe's own imports made due is charged to the import of cli
+gc.collect()
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start"
+                    and collections.append(info["generation"]))
 import recurgaps.cli as cli
 
 def report(stage):
     print(json.dumps({"stage": stage,
                       "threads": len(os.listdir("/proc/self/task")),
                       "frozen": gc.get_freeze_count(),
+                      "gc_enabled": gc.isenabled(),
+                      "collections": len(collections),
                       "loaded": sorted(m for m in sys.modules
                                        if m.startswith("recurgaps.")
-                                       or m == "concurrent.futures")}))
+                                       or m in ("concurrent.futures",
+                                                "_hashlib"))}))
 
 report("import")
 for args in map(json.loads, sys.argv[1:]):
@@ -562,15 +641,20 @@ _needs_proc = pytest.mark.skipif(
     reason="needs /proc to count the process's threads")
 
 
-def _lean_probe(*runs):
+def _lean_probe(*runs, pycache=None):
     """The probe's report after the import and after each CLI run, all in
     one fresh process, as a CLI run is; OPENBLAS_NUM_THREADS is dropped from
-    its environment, since importing cli here set it for this process."""
+    its environment, since importing cli here set it for this process.
+    With pycache, the package's bytecode is read from and written to that
+    directory."""
     src = str(Path(recurgaps.__file__).resolve().parents[1])
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if pycache is not None:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = str(pycache)
     done = subprocess.run(
         [sys.executable, "-c", _LEAN_PROBE, *map(json.dumps, runs)], env=env,
         capture_output=True, text=True, check=True)
@@ -596,6 +680,53 @@ def test_cli_import_leaves_verify_suite_and_thread_pool_unloaded():
     for absent in ("recurgaps.acceptance", "recurgaps.cluster",
                    "recurgaps.dynamics", "concurrent.futures"):
         assert absent not in stages["expsum"]["loaded"]
+    for stage in ("sums", "expsum"):  # config_hash loads no OpenSSL
+        assert "_hashlib" not in stages[stage]["loaded"]
+
+
+@_needs_proc
+def test_cli_import_runs_no_collection_and_leaves_the_collector_on(tmp_path):
+    # Compiling cli.py from source can start a collection before cli's
+    # first statement runs, so the probe runs twice on one bytecode cache
+    # and the second run, which reads cli's bytecode as an installed
+    # package does, is the one checked.
+    _lean_probe(pycache=tmp_path)
+    after = _lean_probe(pycache=tmp_path)[0]
+    assert after["stage"] == "import"
+    assert after["collections"] == 0
+    assert after["gc_enabled"] is True
+    assert after["frozen"] > 0
+
+
+_GC_STATE_PROBE = """
+import gc, json, sys
+seen = []
+for enabled in (True, False):
+    for fail in (False, True):
+        (gc.enable if enabled else gc.disable)()
+        sys.modules.pop("recurgaps.cli", None)
+        if fail:  # the eager import of serialize raises ImportError
+            sys.modules["recurgaps.serialize"] = None
+        try:
+            import recurgaps.cli
+            raised = False
+        except ImportError:
+            raised = True
+        sys.modules.pop("recurgaps.serialize", None)
+        seen.append([enabled, raised, gc.isenabled()])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_the_collector_as_it_found_it():
+    # also when one of cli's eager imports raises
+    src = str(Path(recurgaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _GC_STATE_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[True, False, True], [True, True, True],
+                                       [False, False, False],
+                                       [False, True, False]]
 
 
 # The runs that sum over no progression: every op but sums, expsum

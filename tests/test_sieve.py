@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from recurgaps import accumulate, primes
+from recurgaps.acceptance import bilinear_divisor_sum
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table, is_prime
-from recurgaps.sieve import (ProgressionError, bilinear_divisor_sum,
-                             omega_kernel, omega_n, omega_period, omega_sum,
-                             progression, shift_primes, weighted_prime_sum,
-                             _plan_primes)
+from recurgaps.sieve import (ProgressionError, omega_kernel, omega_n,
+                             omega_period, omega_sum, progression,
+                             shift_primes, weighted_prime_sum, _plan_primes)
 from recurgaps.testfn import default_test_function
 
 
