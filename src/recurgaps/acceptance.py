@@ -33,7 +33,7 @@ from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
 from .primes import (PrimeTable, build_prime_table, is_prime, phi_int,
                      primes_between)
-from .sieve import (SumReport, omega_n, omega_sum, progression,
+from .sieve import (SumReport, omega_n, omega_period, omega_sum, progression,
                     weighted_prime_sum)
 from .testfn import TestFunction, default_test_function
 
@@ -240,8 +240,9 @@ def _tuple_recursion(k: int, pairs: list[tuple[int, float]]) -> tuple[float, int
 # -- 1 -----------------------------------------------------------------------
 
 def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Separable weight evaluation equals brute-force tuple enumeration,
-    bitwise, on 200 random progression points, k in {1, 2}."""
+    """The period table the ops read (``omega_period``) equals brute-force
+    tuple enumeration, bitwise, on 200 random progression points, k in
+    {1, 2}."""
     def run():
         rng = np.random.default_rng(seed)
         all_equal = True
@@ -249,14 +250,10 @@ def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
         for k, h in ((1, (0, 2)), (2, (0, 6, 12))):
             p = make_sieve_params(N=10 ** 5, h=h, theta=0.1, w=5, W0=1)
             F = default_test_function(k)
-            ns = progression(p)
-            pick = rng.choice(ns, size=200, replace=True)
-            for n in pick.tolist():
-                fast = omega_n(n, p, F, t)
-                brute = omega_n(n, p, F, t, brute_force=True)
-                checked += 1
-                if fast != brute:
-                    all_equal = False
+            pick = rng.choice(progression(p), size=200, replace=True)
+            brute = [omega_n(n, p, F, t) for n in pick.tolist()]
+            all_equal &= omega_period(p, F, t).at(pick).tolist() == brute
+            checked += len(brute)
         return all_equal, {"checked": checked, "bitwise_equal": all_equal}
     return _timed(1, "separable weight = brute-force tuple oracle (bitwise)",
                   30.0, run)
@@ -576,9 +573,8 @@ def criterion_10(t: PrimeTable) -> CriterionResult:
     return _timed(10, "bump Fourier envelope and truncation bound", 60.0, run)
 
 
-def run_all(seed: int = DEFAULT_SEED,
-            table: PrimeTable | None = None) -> list[CriterionResult]:
-    t = table if table is not None else shared_table()
+def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    t = shared_table()
     return [
         criterion_1(t, seed=seed),
         criterion_2(t),

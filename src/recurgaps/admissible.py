@@ -98,7 +98,7 @@ def standard_tuple(k: int, W0: int) -> AdmissibleTuple:
         raise ParameterError(f"k must be at least 1, got {k}")
     if W0 < 1:
         raise ParameterError(f"W0 must be at least 1, got {W0}")
-    step = W0 * primorial(k + 1) if k + 1 >= 2 else W0
+    step = W0 * primorial(k + 1)
     return AdmissibleTuple(tuple(j * step for j in range(k + 1)))
 
 
@@ -109,8 +109,8 @@ def dense_tuple(k: int, W0: int) -> AdmissibleTuple:
     chosen: list[int] = []
     j = 0
     while len(chosen) < k + 1:
-        cand = chosen + [j * W0]
-        if len(set(cand)) == len(cand) and is_admissible(cand):
+        cand = chosen + [j * W0]  # j * W0 is a new multiple of W0
+        if is_admissible(cand):
             chosen = cand
         j += 1
         if j > 10000 * (k + 1):

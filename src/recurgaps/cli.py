@@ -40,6 +40,7 @@ _GC_WAS_ENABLED = gc.isenabled()
 gc.disable()
 try:
     import argparse
+    import contextlib
     import importlib
     import json
     import math
@@ -162,9 +163,18 @@ def _config_value(key: str, val: str):
     return val
 
 
+def _open(path: str, flag: str, mode: str = "r"):
+    """open(path, mode), or a ParameterError naming the flag that gave path."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ParameterError(
+            f"{flag} {path!r}: {exc.strerror or exc}") from None
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path) as fh:
+    with _open(path, "--config") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -200,7 +210,11 @@ def parse_system(spec: str) -> KroneckerSystem:
         if not part:
             continue
         key, _, val = part.partition("=")
-        fields[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in ("g", "d", "gamma0", "kappa"):
+            raise ParameterError(
+                f"unknown --system key {key!r}; use g, d, gamma0 or kappa")
+        fields[key] = val.strip()
     g = _int_field(fields.get("g", "1"), "--system g")
     if g < 1:
         raise ParameterError(f"group order must be >= 1, got g={g}")
@@ -264,7 +278,11 @@ def _build_F(cfg: dict, k: int):
     _load("testfn")
     if cfg["f_spec"] == "default":
         return default_test_function(k)
-    return piecewise_test_function(k, json.loads(cfg["f_spec"]))
+    try:
+        spec = json.loads(cfg["f_spec"])
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"--f-spec must be JSON: {exc}") from None
+    return piecewise_test_function(k, spec)
 
 
 class _Emitter:
@@ -409,18 +427,20 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.base_table_limit())
-    em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"], t))
-    reports = scan_clusters(p, sys_, A, cfg["eps"], cfg["m"], t)
-    reports = consecutive_filter(reports, p, t)
-    for rep in reports:
-        em.emit({"op": "cluster", **rep.as_dict()})
-    em.emit({"op": "cluster_summary", "clusters": len(reports),
-             "max_width": max((r.width for r in reports), default=0)})
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("n,primes,width,consecutive\n")
+    # opened first, so that a bad path is refused before any record
+    with (_open(args.csv, "--csv", "w") if args.csv
+          else contextlib.nullcontext()) as csv:
+        em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"], t))
+        reports = scan_clusters(p, sys_, A, cfg["eps"], cfg["m"], t)
+        reports = consecutive_filter(reports, p, t)
+        for rep in reports:
+            em.emit({"op": "cluster", **rep.as_dict()})
+        em.emit({"op": "cluster_summary", "clusters": len(reports),
+                 "max_width": max((r.width for r in reports), default=0)})
+        if csv:
+            csv.write("n,primes,width,consecutive\n")
             for rep in reports:
-                fh.write("%d,%s,%d,%s\n" % (
+                csv.write("%d,%s,%d,%s\n" % (
                     rep.n, ";".join(str(q) for q in rep.primes), rep.width,
                     rep.consecutive))
     return 0
@@ -558,7 +578,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         cfg = _resolve(args)
-        out = open(cfg["out"], "w") if cfg.get("out") else sys.stdout
+        out = _open(cfg["out"], "--out", "w") if cfg.get("out") else sys.stdout
         try:
             em = _Emitter(cfg, out)
 

@@ -4,7 +4,9 @@ Two layers, deliberately separated: the weighted detector sum whose
 positivity certifies existence of a window with m+1 recurrent primes, and
 a direct unweighted scan that lists every such window outright.  The scan
 is the ground truth (it never reads the sieve weights); the detector is
-reported alongside because its sign is the existence argument.
+reported alongside because its sign is the existence argument.  The
+detector reads Omega_n from the period table (``sieve.omega_period``), as
+every weighted progression sum does.
 
 The detector and the scan sieve each shifted progression n + h_i
 (``sieve.shift_primes``) and the consecutive filter sieves [N + min h,
@@ -22,9 +24,9 @@ import numpy as np
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import (BoxSet, KroneckerSystem, correlation_kernel, measure,
-                       system_echo)
+                       recurrence_threshold, system_echo)
 from .primes import PrimeTable, primes_in, require_window
-from .sieve import (SumReport, main_scale, omega_kernel, points, progression,
+from .sieve import (SumReport, main_scale, omega_period, points, progression,
                     shift_primes)
 from .testfn import TestFunction, J_i, J_star
 
@@ -69,12 +71,12 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
+    thresh = recurrence_threshold(A, eps)
     require_window(2 * p.N + max(p.h))
     pts = points(p)
-    omega = omega_kernel(p, F, t)
+    om = omega_period(p, F, t)
     shifts = [(hi, shift_primes(p, hi, t)) for hi in p.h]
     corr = correlation_kernel(sys, A)
-    thresh = measure(A) ** 2 - eps
     cap = m * math.log(3 * p.N)
 
     def kern(chunk: np.ndarray) -> np.ndarray:
@@ -83,7 +85,7 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
             mvals = chunk + hi
             wp = np.where(prime.at(chunk), np.log(mvals.astype(np.float64)), 0.0)
             inner = inner + wp * (corr(mvals - 1) - thresh)
-        return omega(chunk) * (inner - cap)
+        return om.at(chunk) * (inner - cap)
 
     measured = chunked_sum(pts, kern)
     scale = main_scale(p, p.k)
@@ -108,10 +110,10 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
+    thresh = recurrence_threshold(A, eps)
     require_window(2 * p.N + max(p.h))
     ns = progression(p)
     corr = correlation_kernel(sys, A)
-    thresh = measure(A) ** 2 - eps
     cap = m * math.log(3 * p.N)
 
     hits = []

@@ -205,25 +205,30 @@ def monte_carlo_correlation(sys: KroneckerSystem, A: BoxSet, n: int,
     return float(np.mean(hit))
 
 
+def recurrence_threshold(A: BoxSet, eps: float) -> float:
+    """measure(A)^2 - eps, the correlation a recurrent shift must reach."""
+    if eps <= 0:
+        raise ParameterError(f"eps must be positive, got {eps}")
+    return measure(A) ** 2 - eps
+
+
 def khintchine_set(sys: KroneckerSystem, A: BoxSet, eps: float,
                    n_max: int) -> np.ndarray:
     """All n in [0, n_max] with correlation(n) >= measure(A)^2 - eps."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    thresh = recurrence_threshold(A, eps)
     if n_max > NMAX_BOUND:
         raise ParameterError(
             f"--nmax {n_max} exceeds the bound 2^22 = {NMAX_BOUND}")
     ns = np.arange(0, n_max + 1, dtype=np.int64)
-    return ns[correlation_kernel(sys, A)(ns) >= measure(A) ** 2 - eps]
+    return ns[correlation_kernel(sys, A)(ns) >= thresh]
 
 
 def shifted_prime_recurrence_set(sys: KroneckerSystem, A: BoxSet, eps: float,
                                  p_max: int, t: PrimeTable) -> np.ndarray:
     """Primes p <= p_max with correlation(p - 1) >= measure(A)^2 - eps."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    thresh = recurrence_threshold(A, eps)
     ps = primes_in(range(2, p_max + 1), t)
-    return ps[correlation_kernel(sys, A)(ps - 1) >= measure(A) ** 2 - eps]
+    return ps[correlation_kernel(sys, A)(ps - 1) >= thresh]
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +326,12 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     if p.W0 % sys.g != 0:
         raise ParameterError(
             f"W0={p.W0} must be divisible by the group order g={sys.g}")
+    thresh = recurrence_threshold(A, eps)
     corr = correlation_kernel(sys, A)
     kern = prime_kernel(p, F, i, t, lambda m: corr(m - 1))
     pts = points(p)
     measured = chunked_sum(pts, kern)
-    predicted = (measure(A) ** 2 - eps) * J_i(F, i) * main_scale(p, p.k)
+    predicted = thresh * J_i(F, i) * main_scale(p, p.k)
     params = p.echo()
     params.update({"i": i, "eps": eps, "system": system_echo(sys),
                    "set_measure": measure(A)})

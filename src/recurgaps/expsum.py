@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from .sieve import SumReport
     from .testfn import TestFunction
 
-# Default arc-cut exponents: P = N^P_EXP marks major denominators,
+# Arc-cut exponents: P = N^P_EXP marks major denominators,
 # Q = N^Q_EXP the dissection height.
 P_EXP = 1.0 / 3.0 - 1.0 / 99.0
 Q_EXP = 1.0 - 1.0 / 49.0
@@ -384,18 +384,17 @@ def dirichlet_approx(alpha: float, x: float) -> tuple[int, int]:
     raise AssertionError(f"no convergent approximation found for alpha={alpha}, x={x}")
 
 
-def classify_arc(alpha: float, N: int,
-                 p_exp: float = P_EXP, q_exp: float = Q_EXP) -> ArcLabel:
-    """Major if some q <= P = N^p_exp has |alpha - a/q| (mod 1) <= 1/(q Q)
-    with Q = N^q_exp; otherwise minor, labeled by its Dirichlet fraction.
+def classify_arc(alpha: float, N: int) -> ArcLabel:
+    """Major if some q <= P = N^P_EXP has |alpha - a/q| (mod 1) <= 1/(q Q)
+    with Q = N^Q_EXP; otherwise minor, labeled by its Dirichlet fraction.
 
     Q >> 2P makes every major witness a convergent (a best approximation),
     so scanning convergents is exhaustive.
     """
     if N < 100:
         raise ParameterError(f"need N >= 100, got {N}")
-    P = float(N) ** p_exp
-    Q = float(N) ** q_exp
+    P = float(N) ** P_EXP
+    Q = float(N) ** Q_EXP
     for pnum, q in convergents(alpha, P):
         if q > P:
             break

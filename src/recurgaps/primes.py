@@ -63,18 +63,17 @@ class PrimeTable:
         self.primes.flags.writeable = False
 
 
-def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     """Sieve least prime factors for 2..limit.
 
-    Memory is proportional to ``limit``; anything above ``budget`` entries is
-    rejected so a typo cannot swallow the machine.
+    Memory is proportional to ``limit``; a limit above DEFAULT_LIMIT_BUDGET
+    is refused before any allocation, so a typo cannot swallow the machine.
     """
     if limit < 2:
         raise TableRangeError(f"table limit must be at least 2, got {limit}")
-    if limit > budget:
+    if limit > DEFAULT_LIMIT_BUDGET:
         raise TableRangeError(
-            f"table limit {limit} exceeds the entry budget {budget}; "
-            f"pass budget= explicitly if this is intended")
+            f"table limit {limit} exceeds the entry budget {DEFAULT_LIMIT_BUDGET}")
     spf = np.zeros(limit + 1, dtype=np.uint32)
     root = math.isqrt(limit)
     small = np.ones(root + 1, dtype=bool)

@@ -12,7 +12,9 @@ the ratio is the whole point of the experiment.
 Omega_n depends on n only through the plan primes dividing n + h_j, so
 along the progression it is periodic with period dividing their product
 P; it is evaluated once on min(P, L) points (``omega_period``) and the
-sums here and in expsum and dynamics read it from that table.
+sums here and in expsum, dynamics and cluster read it from that table.
+``omega_n`` evaluates it at one n by full divisor-tuple enumeration, the
+oracle the table is checked against.
 
 Every sum of varpi(n+h_i) Omega_n times a factor of n+h_i builds its
 terms through one pipeline, ``prime_kernel``: ``shift_primes`` sieves the
@@ -141,7 +143,7 @@ def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
 
 
 def _divisor_plan(F: TestFunction, R: int,
-                  primes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
+                  primes: Sequence[int]) -> list[tuple[int, float]]:
     """Fixed-order (product, signed f-value) pairs for squarefree products of
     the given primes below the support cutoff R**(1/(k+1)).
 
@@ -163,53 +165,31 @@ def _divisor_plan(F: TestFunction, R: int,
             walk(idx + 1, nxt, depth + 1)
 
     walk(0, 1, 0)
-    return F.f0, plan
+    return plan
 
 
-def _plan_primes(p: SieveParams, F: TestFunction, t: PrimeTable,
-                 coprime_W: bool) -> list[int]:
+def _plan_primes(p: SieveParams, F: TestFunction, t: PrimeTable) -> list[int]:
+    """The primes below the support cutoff that do not divide W."""
     cutoff = float(p.R) ** F.upper
     hi = min(t.limit, int(cutoff) + 1)
-    ps = [int(q) for q in t.primes[t.primes <= hi] if q < cutoff]
-    if coprime_W:
-        ps = [q for q in ps if p.W % q != 0]
-    return ps
+    return [int(q) for q in t.primes[t.primes <= hi]
+            if q < cutoff and p.W % q != 0]
 
 
-def omega_n(n: int, p: SieveParams, F: TestFunction, t: PrimeTable,
-            brute_force: bool = False) -> float:
-    """The squared divisor-sum weight at one n.
-
-    The fast path multiplies per-coordinate subset sums; brute_force
-    enumerates full divisor tuples through lambda_weight instead and is the
-    reference the fast path is checked against.
+def omega_n(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> float:
+    """The squared divisor-sum weight at one n, by enumerating every divisor
+    tuple through lambda_weight: the oracle the period table
+    (``omega_period``) is checked against.
     """
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
     if n + max(p.h) > t.limit:
         raise ParameterError(
             f"table limit {t.limit} too small for n + max(h) = {n + max(p.h)}")
-    if brute_force:
-        return _omega_brute(n, p, F, t)
-    f0, plan = _divisor_plan(F, p.R, _plan_primes(p, F, t, coprime_W=False))
-    val = 1.0
-    for hj in p.h:
-        m = n + hj
-        s = f0
-        for prod, c in plan:
-            if m % prod == 0:
-                s += c
-        val *= s
-    return val * val
-
-
-def _omega_brute(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> float:
     cutoff = float(p.R) ** F.upper
     bound = max(1, int(cutoff) + 1)
-    lists = []
-    for hj in p.h:
-        ds = [d for d in squarefree_divisors(n + hj, bound, t) if d < cutoff]
-        lists.append(ds)
+    lists = [[d for d in squarefree_divisors(n + hj, bound, t) if d < cutoff]
+             for hj in p.h]
     s = 0.0
     for tup in iter_product(*lists):
         s += lambda_weight(F, tup, p.R, t)
@@ -220,10 +200,11 @@ def omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
     """Chunk kernel: Omega values for an array of progression points.
 
     On the progression every divisor of n + h_j is coprime to W, so the plan
-    may drop primes dividing W; the dropped terms would contribute exact
+    drops the primes dividing W; the dropped terms would contribute exact
     zeros and the per-element float result is unchanged bit for bit.
     """
-    f0, plan = _divisor_plan(F, p.R, _plan_primes(p, F, t, coprime_W=True))
+    f0 = F.f0
+    plan = _divisor_plan(F, p.R, _plan_primes(p, F, t))
     hs = p.h
 
     def kernel(ns: np.ndarray) -> np.ndarray:
@@ -276,7 +257,7 @@ def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
     primes.base_primes(t, 2 * p.N + max(p.h))
     pts = points(p)
     start, count = pts.start, len(pts)
-    per = min(math.prod(_plan_primes(p, F, t, coprime_W=True)), count)
+    per = min(math.prod(_plan_primes(p, F, t)), count)
     kern = omega_kernel(p, F, t)
     vals = np.empty(per)
     for i in range(0, per, CHUNK):

@@ -75,13 +75,11 @@ class TestFunction:
         if abs(edges[-1] - T) > _EDGE_TOL:
             raise ParameterError(
                 f"factor support must end at 1/(k+1) = {T}, got {edges[-1]}")
-        prev = 0.0
         for (edge, coeffs), nxt in zip(self.pieces, self.pieces[1:]):
             left = _poly_eval(coeffs, edge)
             right = _poly_eval(nxt[1], edge)
             if abs(left - right) > _EDGE_TOL:
                 raise ParameterError(f"factor discontinuous at {edge}")
-            prev = edge
         if abs(_poly_eval(self.pieces[-1][1], edges[-1])) > _EDGE_TOL:
             raise ParameterError("factor must vanish at the right support edge")
 
@@ -194,8 +192,3 @@ def J_i(F: TestFunction, i: int) -> float:
 def J_star(F: TestFunction) -> float:
     """(int f'^2)^(k+1) -- the all-coordinates functional."""
     return F.deriv_l2() ** (F.k + 1)
-
-
-def J_cross(F1: TestFunction, F2: TestFunction) -> float:
-    """(int f1' f2')^(k+1), the bilinear analogue of J_*."""
-    return F1.deriv_cross(F2) ** (F1.k + 1)

@@ -246,6 +246,33 @@ def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     assert message in err
 
 
+_CLUSTER = ["cluster", "--n", "100000", "--system", "g=4", "--set", "0",
+            "--w0", "4", "--tuple-style", "dense", "--k", "1"]
+
+
+@pytest.mark.parametrize("args,named", [
+    (["tuple", "--out", "{missing}/x.jsonl"], "--out"),
+    (["--config", "{missing}.cfg", "tuple"], "--config"),
+    (_CLUSTER + ["--csv", "{missing}/x.csv"], "--csv"),
+    (["sums", "--n", "100000", "--f-spec", "notjson"], "--f-spec"),
+    (["recur", "--system", "g=4,gama0=2", "--nmax", "10"],
+     "unknown --system key 'gama0'"),
+    (_CLUSTER + ["--eps", "-1"], "eps must be positive, got -1.0"),
+    (["recur", "--weighted", "--n", "50000", "--k", "1", "--w0", "4",
+      "--system", "g=4", "--set", "0", "--eps", "0"],
+     "eps must be positive, got 0.0"),
+])
+def test_bad_file_flag_spec_or_eps_exits_2_naming_it(args, named, tmp_path,
+                                                     capsys):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli([a.replace("{missing}", missing) for a in args],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "internal error" not in err
+
+
 def test_exit_code_group_divisibility(capsys):
     code, _, err = run_cli(["cluster", "--n", "100000", "--k", "2", "--w", "5",
                             "--w0", "1", "--system", "g=4", "--set", "0"],

@@ -7,9 +7,10 @@ import pytest
 from recurgaps.admissible import ParameterError, dense_tuple, make_sieve_params
 from recurgaps.cluster import (ClusterReport, consecutive_filter, detector_sum,
                                scan_clusters)
-from recurgaps.dynamics import BoxSet, Cube, KroneckerSystem, correlation, measure
+from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem, correlation,
+                                correlation_kernel, measure)
 from recurgaps.primes import is_prime, primes_between
-from recurgaps.sieve import omega_n, progression
+from recurgaps.sieve import _plan_primes, omega_kernel, omega_n, progression
 from recurgaps.testfn import default_test_function
 
 
@@ -86,6 +87,31 @@ def test_detector_whole_space_reduces_to_classical(small_table):
                      if is_prime(int(n) + h, small_table)) - cap)
         for n in progression(p))
     assert rep.measured == pytest.approx(manual, rel=1e-12)
+
+
+def test_detector_reads_omega_bit_for_bit_as_the_kernel(small_table,
+                                                        mid_table):
+    # plan primes [3] (2 divides W = 8): Omega takes more than one value,
+    # and the detector's exactly rounded sum equals a dense fsum of terms
+    # built on omega_kernel, bit for bit
+    sys_, A = z4_setup()
+    p = make_sieve_params(N=2 * 10 ** 5, h=(0, 4), theta=0.24, w=2, W0=4)
+    F = default_test_function(1)
+    assert _plan_primes(p, F, small_table) == [3]
+    rep = detector_sum(p, F, sys_, A, 0.01, 1, small_table)
+    ns = progression(p)
+    corr = correlation_kernel(sys_, A)
+    thresh = measure(A) ** 2 - 0.01
+    inner = np.zeros(len(ns))
+    for h in p.h:
+        m = ns + h
+        varpi = np.where(mid_table.spf[m] == m,
+                         np.log(m.astype(np.float64)), 0.0)
+        inner = inner + varpi * (corr(m - 1) - thresh)
+    omega = omega_kernel(p, F, small_table)(ns)
+    assert len(set(omega.tolist())) > 1
+    dense = omega * (inner - math.log(3 * p.N))
+    assert rep.measured == math.fsum(dense.tolist())
 
 
 def test_detector_positive_implies_scan_nonempty(small_table):

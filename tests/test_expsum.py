@@ -520,13 +520,6 @@ def test_classify_arc_examples():
     lab = classify_arc(0.5, 10 ** 6)
     assert (lab.kind, lab.q) == ("major", 2)
     assert classify_arc(GOLD, 10 ** 6).kind == "minor"
-
-
-def test_classify_arc_configurable_exponents():
-    # widening the major cut flips the golden ratio to major at tiny N:
-    # with Q below P some convergent denominator q satisfies q >= Q/sqrt(5)
-    wide = classify_arc(GOLD, 10 ** 4, p_exp=0.9, q_exp=0.8)
-    assert wide.kind == "major"
     assert classify_arc(GOLD, 10 ** 4).kind == "minor"
 
 

@@ -142,7 +142,7 @@ def test_limit_validation():
     with pytest.raises(TableRangeError):
         build_prime_table(1)
     with pytest.raises(TableRangeError, match="budget"):
-        build_prime_table(10 ** 6, budget=10 ** 5)
+        build_prime_table(DEFAULT_LIMIT_BUDGET + 1)
 
 
 def test_spf_invariants(table):

@@ -65,22 +65,20 @@ def test_omega_single_coordinate_prime(params_k0, small_table):
 def test_omega_oracle_agreement_nondegenerate(params_k0, small_table):
     F = default_test_function(0)
     ns = progression(params_k0)[:1500]
-    distinct = set()
-    for n in ns.tolist():
-        fast = omega_n(n, params_k0, F, small_table)
-        brute = omega_n(n, params_k0, F, small_table, brute_force=True)
-        assert fast == pytest.approx(brute, rel=1e-12)
-        distinct.add(fast)
-    assert len(distinct) > 3  # genuinely non-degenerate weights
+    table = omega_period(params_k0, F, small_table).at(ns)
+    for n, fast in zip(ns.tolist(), table.tolist()):
+        assert fast == pytest.approx(omega_n(n, params_k0, F, small_table),
+                                     rel=1e-12)
+    assert len(set(table.tolist())) > 3  # genuinely non-degenerate weights
 
 
 def test_omega_oracle_agreement_k1(small_table):
     p = make_sieve_params(N=10 ** 5, h=(0, 2), theta=0.2349, w=2, W0=1)
     F = default_test_function(1)
-    for n in progression(p)[:300].tolist():
-        fast = omega_n(n, p, F, small_table)
-        brute = omega_n(n, p, F, small_table, brute_force=True)
-        assert fast == pytest.approx(brute, rel=1e-12)
+    ns = progression(p)[:300]
+    table = omega_period(p, F, small_table).at(ns)
+    for n, fast in zip(ns.tolist(), table.tolist()):
+        assert fast == pytest.approx(omega_n(n, p, F, small_table), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -229,7 +227,7 @@ def test_sums_equal_dense_fsum_when_the_period_exceeds_the_run(chunk):
     p = make_sieve_params(N=100_000, h=(0,), theta=0.24999, w=2, W0=64)
     F = default_test_function(0)
     om = omega_period(p, F, _HYP_TABLE)
-    P = math.prod(_plan_primes(p, F, _HYP_TABLE, coprime_W=True))
+    P = math.prod(_plan_primes(p, F, _HYP_TABLE))
     assert P == 15015 > om.count == len(om.vals)
     _assert_sums_equal_dense_fsum(p, 0, RationalPoint(1, 3, 0.01), chunk)
 

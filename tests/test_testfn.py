@@ -8,7 +8,7 @@ from scipy.integrate import dblquad, quad
 
 from recurgaps.admissible import ParameterError
 from recurgaps.primes import build_prime_table
-from recurgaps.testfn import (J_cross, J_i, J_star, TestFunction,
+from recurgaps.testfn import (J_i, J_star, TestFunction,
                               default_test_function, eval_F, lambda_weight,
                               piecewise_test_function)
 
