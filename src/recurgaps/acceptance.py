@@ -31,7 +31,7 @@ from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
                        shifted_prime_recurrence_set)
 from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
-from .primes import (PrimeTable, build_prime_table, is_prime, phi_int,
+from .primes import (PrimeTable, build_prime_table, is_prime, mobius, phi_int,
                      primes_between)
 from .sieve import (SumReport, omega_n, omega_period, omega_sum, progression,
                     weighted_prime_sum)
@@ -80,21 +80,9 @@ def _timed(num, name, budget_s, fn) -> CriterionResult:
 def _squarefree_support(R: int, upper: float, W: int, t: PrimeTable) -> np.ndarray:
     """Squarefree d coprime to W with d below the per-coordinate cutoff R**upper."""
     cutoff = float(R) ** upper
-    hi = min(t.limit, int(cutoff) + 1)
-    ds = []
-    for d in range(1, hi + 1):
-        if d >= cutoff or math.gcd(d, W) != 1:
-            continue
-        m, sf = d, True
-        while m > 1:
-            q = int(t.spf[m])
-            m //= q
-            if m % q == 0:
-                sf = False
-                break
-        if sf:
-            ds.append(d)
-    return np.array(ds, dtype=np.int64)
+    return np.array([d for d in range(1, min(t.limit, int(cutoff) + 1) + 1)
+                     if d < cutoff and math.gcd(d, W) == 1
+                     and mobius(d, t) != 0], dtype=np.int64)
 
 
 def _coordinate_pairs(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
@@ -182,7 +170,7 @@ def bilinear_divisor_sum(k: int, W: int, R: int,
     logR = math.log(R)
     f1 = np.array([F1.factor(math.log(d) / logR) for d in ds])
     f2 = np.array([F2.factor(math.log(d) / logR) for d in ds])
-    mus = np.array([_mobius_sf(int(d), t) for d in ds], dtype=np.float64)
+    mus = np.array([mobius(int(d), t) for d in ds], dtype=np.float64)
     w1 = mus * f1
     w2 = mus * f2
     phi_by_value = np.zeros(int(ds[-1]) + 1, dtype=np.int64)
@@ -211,14 +199,6 @@ def _fsum_rows(ds, w1, w2, phi_by_value, kind, route) -> float:
         for lcms, vals in _coordinate_pairs(ds, w1, w2, phi_by_value, kind, route):
             yield from vals
     return math.fsum(gen())
-
-
-def _mobius_sf(d: int, t: PrimeTable) -> int:
-    m, cnt = d, 0
-    while m > 1:
-        m //= int(t.spf[m])
-        cnt += 1
-    return -1 if cnt % 2 else 1
 
 
 def _tuple_recursion(k: int, pairs: list[tuple[int, float]]) -> tuple[float, int]:
@@ -549,7 +529,7 @@ def criterion_10(t: PrimeTable) -> CriterionResult:
         ok = True
         details = {"C0": psi.C0}
 
-        worst_fit = max(abs(psi.fourier[j]) / psi.envelope(j)
+        worst_fit = max(abs(psi.coeff(j)) / psi.envelope(j)
                         for j in range(1, 10_001))
         details["fit_range_worst"] = worst_fit
         ok &= worst_fit <= 1.0 + 1e-12

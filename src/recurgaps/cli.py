@@ -106,6 +106,7 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+# Built-in settings, in the order the config echo lists them.
 DEFAULTS = {
     "n": 10 ** 6, "theta": 0.1, "k": 2, "w": 5, "w0": 1, "b": None,
     "eps": 0.01, "m": 1, "consecutive": False, "system": "g=4",
@@ -114,9 +115,6 @@ DEFAULTS = {
     "timing": False,
 }
 
-_INT_KEYS = {"n", "k", "w", "w0", "b", "m", "seed"}
-_FLOAT_KEYS = {"theta", "eps"}
-_BOOL_KEYS = {"consecutive", "timing"}
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -149,18 +147,35 @@ def _float_field(text: str, what: str) -> float:
         raise ParameterError(f"{what} {exc}") from None
 
 
+# Each setting's flag --<key> (underscores as dashes), in --help order, with
+# its argparse options.  A config value is read by the same entry, so a file
+# sets only what the flag accepts.  --threads has no config key.
+_SWITCH = {"action": "store_const", "const": True}
+_FLAGS = {
+    "n": {"type": int}, "theta": {"type": _finite_float}, "k": {"type": int},
+    "w": {"type": int}, "w0": {"type": int}, "b": {"type": int},
+    "h": {"help": "explicit shifts, comma separated"},
+    "tuple_style": {"choices": ("standard", "dense")},
+    "eps": {"type": _finite_float}, "m": {"type": int},
+    "consecutive": _SWITCH, "system": {}, "set": {}, "f_spec": {}, "out": {},
+    # accepted for compatibility with scripts that pass --threads 1
+    "threads": {"type": int, "choices": (1,),
+                "help": "runs are single-threaded; only 1 is accepted"},
+    "seed": {"type": int}, "timing": _SWITCH,
+}
+
+
 def _config_value(key: str, val: str):
-    if key in _INT_KEYS:
-        return _int_field(val, f"config key {key!r}")
-    if key in _FLOAT_KEYS:
-        return _float_field(val, f"config key {key!r}")
-    if key in _BOOL_KEYS:
-        if val.lower() not in _TRUE + _FALSE:
-            raise ParameterError(
-                f"config key {key!r} must be one of {'/'.join(_TRUE + _FALSE)}, "
-                f"got {val!r}")
-        return val.lower() in _TRUE
-    return val
+    """The config value val of key, read as the flag --<key> reads it."""
+    opts, what = _FLAGS[key], f"config key {key!r}"
+    switch = opts is _SWITCH
+    read = {int: _int_field, _finite_float: _float_field}.get(opts.get("type"))
+    value = read(val, what) if read else val.lower() if switch else val
+    choices = _TRUE + _FALSE if switch else opts.get("choices", ())
+    if choices and value not in choices:
+        raise ParameterError(f"{what} must be one of "
+                             f"{'/'.join(map(str, choices))}, got {val!r}")
+    return value in _TRUE if switch else value
 
 
 def _open(path: str, flag: str, mode: str = "r"):
@@ -314,7 +329,7 @@ class _Emitter:
                    "wall_ms": wall, "params": rep.params})
 
 
-def _cmd_tuple(cfg: dict, em: _Emitter, table) -> int:
+def _cmd_tuple(cfg: dict, em: _Emitter, table, args) -> int:
     tup = _build_tuple(cfg)
     W = compute_W(cfg["w"], cfg["w0"])
     b, forced = choose_b(tup, cfg["w"], cfg["w0"], consecutive=cfg["consecutive"])
@@ -323,7 +338,7 @@ def _cmd_tuple(cfg: dict, em: _Emitter, table) -> int:
     return 0
 
 
-def _cmd_sums(cfg: dict, em: _Emitter, table) -> int:
+def _cmd_sums(cfg: dict, em: _Emitter, table, args) -> int:
     _load("sieve")
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
@@ -370,22 +385,18 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
                  "b": args.b_res, "a": pt.a, "q": pt.q,
                  "theta_offset": pt.theta, "value": val})
         return 0
-    if op in ("weighted", "minor-scan"):
-        p = _build_params(cfg)
-        if not 0 <= args.i <= p.k:
-            raise ParameterError(f"--i must be in 0..{p.k}, got {args.i}")
-        F = _build_F(cfg, p.k)
-        if op == "weighted":
-            em.emit_report(weighted_expsum(p, F, args.i, pt,
-                                           table(p.base_table_limit())))
-            return 0
-        alphas = [_float_field(x, "--alphas entry")
-                  for x in args.alphas.split(",")]
-        for rec in minor_arc_scan(p, F, args.i, alphas,
-                                  table(p.base_table_limit())):
-            em.emit({"op": "minor_arc_scan", **rec})
+    p = _build_params(cfg)  # weighted or minor-scan
+    if not 0 <= args.i <= p.k:
+        raise ParameterError(f"--i must be in 0..{p.k}, got {args.i}")
+    F = _build_F(cfg, p.k)
+    if op == "weighted":
+        em.emit_report(weighted_expsum(p, F, args.i, pt,
+                                       table(p.base_table_limit())))
         return 0
-    raise ParameterError(f"unknown expsum op {op!r}")
+    alphas = [_float_field(x, "--alphas entry") for x in args.alphas.split(",")]
+    for rec in minor_arc_scan(p, F, args.i, alphas, table(p.base_table_limit())):
+        em.emit({"op": "minor_arc_scan", **rec})
+    return 0
 
 
 def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
@@ -446,7 +457,7 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg: dict, em: _Emitter, table) -> int:
+def _cmd_verify(cfg: dict, em: _Emitter, table, args) -> int:
     from . import acceptance  # the suite's import cost is paid by verify only
     results = acceptance.run_all(seed=cfg["seed"])
     width = max(len(r.name) for r in results)
@@ -461,6 +472,22 @@ def _cmd_verify(cfg: dict, em: _Emitter, table) -> int:
     print(f"{len(results) - failed}/{len(results)} checks passed",
           file=sys.stderr)
     return 1 if failed else 0
+
+
+# Each subcommand's handler, help and settings (keys of _FLAGS), in --help
+# order; every subcommand also takes --out, --threads, --seed and --timing.
+_PIPELINE = {"n", "theta", "k", "w", "w0", "b", "h", "tuple_style", "f_spec"}
+_COMMANDS = {
+    "tuple": (_cmd_tuple, "admissible tuple, W, and residue b",
+              {"k", "w", "w0", "h", "tuple_style", "consecutive"}),
+    "sums": (_cmd_sums, "progression sums vs main terms", _PIPELINE),
+    "expsum": (_cmd_expsum, "exponential sums and arcs", _PIPELINE),
+    "recur": (_cmd_recur, "return sets: integers or shifted primes",
+              _PIPELINE | {"eps", "system", "set"}),
+    "cluster": (_cmd_cluster, "detector sum and direct cluster scan",
+                _PIPELINE | {"eps", "m", "consecutive", "system", "set"}),
+    "verify": (_cmd_verify, "run the built-in verification suite", set()),
+}
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -480,61 +507,17 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                     "correlations, and cluster scans.")
     ap.add_argument("--config", help="key = value file; flags override it")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, text in (
-        ("tuple", "admissible tuple, W, and residue b"),
-        ("sums", "progression sums vs main terms"),
-        ("expsum", "exponential sums and arcs"),
-        ("recur", "return sets: integers or shifted primes"),
-        ("cluster", "detector sum and direct cluster scan"),
-        ("verify", "run the built-in verification suite"))}
+    parsers = {name: sub.add_parser(name, help=text)
+               for name, (_, text, _) in _COMMANDS.items()}
     wanted = [name for name in parsers if name in (argv or ())] or parsers
-
-    def common(sp, keys):
-        if "n" in keys:
-            sp.add_argument("--n", type=int)
-        if "theta" in keys:
-            sp.add_argument("--theta", type=_finite_float)
-        if "k" in keys:
-            sp.add_argument("--k", type=int)
-        if "w" in keys:
-            sp.add_argument("--w", type=int)
-        if "w0" in keys:
-            sp.add_argument("--w0", type=int)
-        if "b" in keys:
-            sp.add_argument("--b", type=int)
-        if "h" in keys:
-            sp.add_argument("--h", help="explicit shifts, comma separated")
-            sp.add_argument("--tuple-style", dest="tuple_style",
-                            choices=("standard", "dense"))
-        if "eps" in keys:
-            sp.add_argument("--eps", type=_finite_float)
-        if "m" in keys:
-            sp.add_argument("--m", type=int)
-        if "consecutive" in keys:
-            sp.add_argument("--consecutive", action="store_const", const=True)
-        if "system" in keys:
-            sp.add_argument("--system")
-        if "set" in keys:
-            sp.add_argument("--set")
-        if "f_spec" in keys:
-            sp.add_argument("--f-spec", dest="f_spec")
-        sp.add_argument("--out")
-        # accepted for compatibility with scripts that pass --threads 1
-        sp.add_argument("--threads", type=int, choices=(1,),
-                        help="runs are single-threaded; only 1 is accepted")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--timing", action="store_const", const=True)
-
-    if "tuple" in wanted:
-        common(parsers["tuple"], {"k", "w", "w0", "h", "consecutive"})
-
-    if "sums" in wanted:
-        common(parsers["sums"], {"n", "theta", "k", "w", "w0", "b", "h",
-                                 "f_spec"})
+    for name in wanted:
+        keys = _COMMANDS[name][2] | {"out", "threads", "seed", "timing"}
+        for key, opts in _FLAGS.items():
+            if key in keys:
+                parsers[name].add_argument("--" + key.replace("_", "-"), **opts)
 
     if "expsum" in wanted:
         sp = parsers["expsum"]
-        common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "f_spec"})
         sp.add_argument("--op", required=True,
                         choices=("prime", "main-term", "weighted",
                                  "discrepancy", "classify", "minor-scan"))
@@ -552,8 +535,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if "recur" in wanted:
         sp = parsers["recur"]
-        common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "eps", "system",
-                    "set", "f_spec"})
         sp.add_argument("--pmax", type=int)
         sp.add_argument("--nmax", type=int)
         sp.add_argument("--weighted", action="store_true",
@@ -561,13 +542,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                              "sets")
 
     if "cluster" in wanted:
-        sp = parsers["cluster"]
-        common(sp, {"n", "theta", "k", "w", "w0", "b", "h", "eps", "m",
-                    "consecutive", "system", "set", "f_spec"})
-        sp.add_argument("--csv", help="also write an n,primes,width summary")
-
-    if "verify" in wanted:
-        common(parsers["verify"], set())
+        parsers["cluster"].add_argument(
+            "--csv", help="also write an n,primes,width summary")
 
     return ap
 
@@ -587,19 +563,7 @@ def main(argv=None) -> int:
                 em.restart_clock()  # wall_ms never counts the table build
                 return t
 
-            if args.subcommand == "tuple":
-                return _cmd_tuple(cfg, em, table)
-            if args.subcommand == "sums":
-                return _cmd_sums(cfg, em, table)
-            if args.subcommand == "expsum":
-                return _cmd_expsum(cfg, em, table, args)
-            if args.subcommand == "recur":
-                return _cmd_recur(cfg, em, table, args)
-            if args.subcommand == "cluster":
-                return _cmd_cluster(cfg, em, table, args)
-            if args.subcommand == "verify":
-                return _cmd_verify(cfg, em, table)
-            raise ParameterError(f"unknown subcommand {args.subcommand!r}")
+            return _COMMANDS[args.subcommand][0](cfg, em, table, args)
         finally:
             if cfg.get("out"):
                 out.close()

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
 from .dynamics import (BoxSet, KroneckerSystem, correlation_kernel, measure,
-                       recurrence_threshold, system_echo)
+                       recurrence_threshold, require_group_step, system_echo)
 from .primes import PrimeTable, primes_in, require_window
 from .sieve import (SumReport, main_scale, omega_period, points, progression,
                     shift_primes)
@@ -49,6 +50,18 @@ class ClusterReport:
                 "consecutive": self.consecutive}
 
 
+def _setup(p: SieveParams, sys: KroneckerSystem, A: BoxSet, eps: float,
+           m: int) -> tuple[float, Callable, float]:
+    """The rules the detector and the scan share, and what they read: the
+    recurrence threshold, the correlation kernel and the cap m log(3N)."""
+    require_group_step(p, sys)
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
+    thresh = recurrence_threshold(A, eps)
+    require_window(2 * p.N + max(p.h))
+    return thresh, correlation_kernel(sys, A), m * math.log(3 * p.N)
+
+
 def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
                  A: BoxSet, eps: float, m: int, t: PrimeTable) -> SumReport:
     """Weighted detector over the progression:
@@ -66,18 +79,10 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     (Cauchy-Schwarz, as f(1/(k+1)) = 0), with equality for the default
     linear f.
     """
-    if p.W0 % sys.g != 0:
-        raise ParameterError(
-            f"W0={p.W0} must be divisible by the group order g={sys.g}")
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    thresh = recurrence_threshold(A, eps)
-    require_window(2 * p.N + max(p.h))
+    thresh, corr, cap = _setup(p, sys, A, eps, m)
     pts = points(p)
     om = omega_period(p, F, t)
     shifts = [(hi, shift_primes(p, hi, t)) for hi in p.h]
-    corr = correlation_kernel(sys, A)
-    cap = m * math.log(3 * p.N)
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         inner = np.zeros(len(chunk))
@@ -105,16 +110,8 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
     Independent of the sieve weights by design; this is the certificate,
     the detector is the motivation.
     """
-    if p.W0 % sys.g != 0:
-        raise ParameterError(
-            f"W0={p.W0} must be divisible by the group order g={sys.g}")
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    thresh = recurrence_threshold(A, eps)
-    require_window(2 * p.N + max(p.h))
+    thresh, corr, cap = _setup(p, sys, A, eps, m)
     ns = progression(p)
-    corr = correlation_kernel(sys, A)
-    cap = m * math.log(3 * p.N)
 
     hits = []
     recur_ok = []

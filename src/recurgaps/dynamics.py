@@ -212,6 +212,14 @@ def recurrence_threshold(A: BoxSet, eps: float) -> float:
     return measure(A) ** 2 - eps
 
 
+def require_group_step(p: SieveParams, sys: KroneckerSystem) -> None:
+    """Refuse a W0 the group order g does not divide: then n + h_i - 1
+    would not walk the group trivially along the progression."""
+    if p.W0 % sys.g != 0:
+        raise ParameterError(
+            f"W0={p.W0} must be divisible by the group order g={sys.g}")
+
+
 def khintchine_set(sys: KroneckerSystem, A: BoxSet, eps: float,
                    n_max: int) -> np.ndarray:
     """All n in [0, n_max] with correlation(n) >= measure(A)^2 - eps."""
@@ -249,8 +257,6 @@ class BumpPsi:
     delta0: float
     delta1: float
     C0: float
-    K: int
-    fourier: dict
 
     def value(self, x: float) -> float:
         x = x % 1.0
@@ -293,7 +299,7 @@ def bump_coeff(delta0: float, delta1: float, j: int) -> complex:
 
 
 def build_bump(delta0: float, delta1: float, K: int = 10_000) -> BumpPsi:
-    """Trapezoid bump with coefficients for |j| <= K and the fitted C0."""
+    """Trapezoid bump with C0 fitted over 1 <= j <= K."""
     if not 0.0 < delta1 < delta0 / 2.0 or delta0 / 2.0 >= 0.5:
         raise ParameterError(
             f"need 0 < delta1 < delta0/2 < 1/2, got delta0={delta0}, delta1={delta1}")
@@ -303,12 +309,7 @@ def build_bump(delta0: float, delta1: float, K: int = 10_000) -> BumpPsi:
     env = np.minimum(1.0 / js,
                      np.minimum(delta0 - delta1, 1.0 / (delta1 * js ** 2)))
     C0 = float(np.max(mags / env))
-    fourier = {0: complex(delta0 - delta1, 0.0)}
-    for j in range(1, K + 1):
-        cj = bump_coeff(delta0, delta1, j)
-        fourier[j] = cj
-        fourier[-j] = complex(cj.real, -cj.imag)
-    return BumpPsi(delta0=delta0, delta1=delta1, C0=C0, K=K, fourier=fourier)
+    return BumpPsi(delta0=delta0, delta1=delta1, C0=C0)
 
 
 def weighted_correlation_sum(p: SieveParams, F: TestFunction,
@@ -317,15 +318,12 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     """Progression sum of varpi(n+h_i) Omega_n * correlation(n+h_i-1)
     against (measure(A)^2 - eps) times the prime-sum main term.
 
-    Requires W0 divisible by the group order so that n + h_i - 1 walks the
-    group trivially on the progression.
+    Requires W0 divisible by the group order (``require_group_step``).
     """
     # the progression-sum pipeline loads only for the ops that use it
     from .sieve import SumReport, main_scale, points, prime_kernel
     from .testfn import J_i
-    if p.W0 % sys.g != 0:
-        raise ParameterError(
-            f"W0={p.W0} must be divisible by the group order g={sys.g}")
+    require_group_step(p, sys)
     thresh = recurrence_threshold(A, eps)
     corr = correlation_kernel(sys, A)
     kern = prime_kernel(p, F, i, t, lambda m: corr(m - 1))

@@ -186,14 +186,20 @@ def _require_start(x: int) -> None:
         raise ParameterError(f"window [x, 2x] needs x >= 1, got x={x}")
 
 
-def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
-    """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
+def _require_class(x: int, D: int, b: int) -> None:
+    """Refuse a window [x, 2x] that starts below 1, or a class b (mod D)
+    that is not a reduced residue class."""
     _require_start(x)
-    _require_split(pt.theta, "theta offset")
     if D < 1:
         raise ParameterError(f"modulus D must be positive, got {D}")
     if math.gcd(b, D) != 1:
         raise ParameterError(f"gcd(b, D) must be 1, got b={b}, D={D}")
+
+
+def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
+    """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
+    _require_class(x, D, b)
+    _require_split(pt.theta, "theta offset")
     ps = primes_in(range(x + (b - x) % D, 2 * x + 1, D), t)
     if not len(ps):
         return 0j
@@ -218,11 +224,7 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -
     zero unless gcd(D, q) and q/(D, q) are coprime, with vbar the inverse of
     q/(D,q) mod (D,q).
     """
-    _require_start(x)
-    if D < 1:
-        raise ParameterError(f"modulus D must be positive, got {D}")
-    if math.gcd(b, D) != 1:
-        raise ParameterError(f"gcd(b, D) must be 1, got b={b}, D={D}")
+    _require_class(x, D, b)
     in_class, vbar = zq_inverse(D, pt.q)
     if not in_class:
         return 0j
@@ -329,27 +331,19 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
                            bound=bound)
 
 
-def convergents(alpha: float, q_cap: float, max_terms: int = 64):
-    """Continued-fraction convergents (p, q) of alpha with q <= q_cap."""
+def convergents(alpha: float, q_cap: float) -> list[tuple[int, int]]:
+    """Continued-fraction convergents (p, q) of alpha with q <= q_cap, in
+    increasing q: exact, by Euclid's algorithm on the ratio of integers
+    alpha is."""
+    num, den = alpha.as_integer_ratio()
+    (p0, q0), (p1, q1) = (0, 1), (1, 0)
     out = []
-    a0 = math.floor(alpha)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = a0, 1
-    out.append((p_cur, q_cur))
-    x = alpha - a0
-    for _ in range(max_terms):
-        if x <= 1e-18 or q_cur > q_cap:
-            break  # remainder at double-precision floor: the expansion is exact
-        x = 1.0 / x
-        a = math.floor(x)
-        if a <= 0:
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        if q1 > q_cap:
             break
-        x -= a
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > q_cap:
-            break
-        out.append((p_cur, q_cur))
+        out.append((p1, q1))
     return out
 
 
@@ -366,43 +360,37 @@ def _canonical_aq(pnum: int, q: int) -> tuple[int, int]:
 def dirichlet_approx(alpha: float, x: float) -> tuple[int, int]:
     """Reduced (a, q) with q <= x and |alpha - a/q| (mod 1) <= 1/(qx).
 
-    Scans continued-fraction convergents in increasing q and returns the
-    first that satisfies the inequality; one always exists by the standard
-    pigeonhole argument.  The defining inequality is re-checked before
-    returning.
+    Scans the convergents p/q of alpha in increasing q and returns the
+    first that satisfies the inequality, tested exactly: with alpha = n/d
+    and x = xn/xd the ratios of integers they are, and m = |n q - p d| mod
+    q d, it reads min(m, q d - m) xn <= d xd.  One always does: the last
+    convergent with q <= x is alpha itself or lies within 1/(q q') < 1/(q x)
+    of it, q' > x being the next denominator.
     """
     if x < 1:
         raise ParameterError(f"need x >= 1, got {x}")
-    for pnum, q in convergents(alpha, x):
-        if q > x:
-            break
-        if torus_norm(alpha - pnum / q) <= 1.0 / (q * x):
-            a, qq = _canonical_aq(pnum, q)
-            if torus_norm(alpha - a / qq) > 1.0 / (qq * x) + 1e-15:
-                raise AssertionError("canonicalization broke the approximation")
-            return a, qq
-    raise AssertionError(f"no convergent approximation found for alpha={alpha}, x={x}")
+    n, d = alpha.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    return next(_canonical_aq(pnum, q) for pnum, q in convergents(alpha, x)
+                if min(m := abs(n * q - pnum * d) % (q * d), q * d - m) * xn
+                <= d * xd)
 
 
 def classify_arc(alpha: float, N: int) -> ArcLabel:
     """Major if some q <= P = N^P_EXP has |alpha - a/q| (mod 1) <= 1/(q Q)
-    with Q = N^Q_EXP; otherwise minor, labeled by its Dirichlet fraction.
+    with Q = N^Q_EXP; otherwise minor.  Either way labeled by the Dirichlet
+    fraction at height Q.
 
     Q >> 2P makes every major witness a convergent (a best approximation),
-    so scanning convergents is exhaustive.
+    and dirichlet_approx tests the same inequality on the convergents in
+    increasing q, so the first it accepts is the major witness if any.
     """
     if N < 100:
         raise ParameterError(f"need N >= 100, got {N}")
     P = float(N) ** P_EXP
     Q = float(N) ** Q_EXP
-    for pnum, q in convergents(alpha, P):
-        if q > P:
-            break
-        if torus_norm(alpha - pnum / q) <= 1.0 / (q * Q):
-            a, qq = _canonical_aq(pnum, q)
-            return ArcLabel(kind="major", a=a, q=qq, P=P, Q=Q)
     a, q = dirichlet_approx(alpha, Q)
-    return ArcLabel(kind="minor", a=a, q=q, P=P, Q=Q)
+    return ArcLabel(kind="major" if q <= P else "minor", a=a, q=q, P=P, Q=Q)
 
 
 def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,

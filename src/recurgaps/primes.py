@@ -3,8 +3,8 @@
 Every op learns primality one way: ``ap_primality`` sieves the values of
 an arithmetic progression with the base primes up to the square root of
 its last value (``base_primes``), SEGMENT values at a time in its callers
-(``primes_in``, ``sieve.ShiftPrimes``), in O(SEGMENT + sqrt(x)) memory
-wherever the window lies.  An op that holds its whole window refuses one
+(``primes_in``; ``sieve.ShiftPrimes`` takes a longer chunk in one span),
+in O(SEGMENT + sqrt(x)) memory wherever the window lies.  An op that holds its whole window refuses one
 above DEFAULT_LIMIT_BUDGET before any sieving (``require_window``).
 
 ``spf[n]`` holds the least prime dividing n, so factoring n <= limit is a

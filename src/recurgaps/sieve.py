@@ -96,14 +96,13 @@ def progression(p: SieveParams) -> np.ndarray:
 
 class ShiftPrimes:
     """Whether n + h is prime, for the points n of one progression, sieved
-    SEGMENT points at a time (``primes.ap_primality``) as a chunk scan
-    advances.
+    one span at a time (``primes.ap_primality``) as a chunk scan advances.
 
     ``at`` is read like ``OmegaPeriod.at``, one chunk of consecutive
-    progression points at a time.  Chunks need not line up with segments:
-    the mask held runs from the latest chunk's first point to the end of
-    the last segment sieved, so a forward scan sieves each point once and
-    holds at most a chunk and a segment.
+    progression points at a time.  A chunk the span held does not cover
+    starts a new span: max(SEGMENT, len(chunk)) points from the chunk's
+    first one.  As CHUNK divides SEGMENT and every scan starts at point 0,
+    a forward scan sieves each point once and holds one segment.
     """
 
     def __init__(self, points: range, h: int, base: np.ndarray):
@@ -121,18 +120,10 @@ class ShiftPrimes:
         hi = lo + len(ns)
         if int(ns[-1]) != self.points[hi - 1]:
             raise ValueError("points must be consecutive progression points")
-        end = self._lo + len(self._mask)
-        if not self._lo <= lo < hi <= end:
-            if self._lo <= lo < end:
-                parts, j = [self._mask[lo - self._lo:]], end
-            else:
-                parts, j = [], lo
-            while j < hi:
-                n = min(primes.SEGMENT, len(self.points) - j)
-                parts.append(primes.ap_primality(
-                    self.points[j] + self.h, self.points.step, n, self.base))
-                j += n
-            self._lo, self._mask = lo, np.concatenate(parts)
+        if not self._lo <= lo < hi <= self._lo + len(self._mask):
+            n = min(max(primes.SEGMENT, len(ns)), len(self.points) - lo)
+            self._lo, self._mask = lo, primes.ap_primality(
+                self.points[lo] + self.h, self.points.step, n, self.base)
         return self._mask[lo - self._lo:hi - self._lo]
 
 

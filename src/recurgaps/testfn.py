@@ -103,12 +103,7 @@ class TestFunction:
 
     def deriv_l2(self) -> float:
         """int_0^upper f'(t)^2 dt, exactly from the coefficients."""
-        out, lo = 0.0, 0.0
-        for edge, coeffs in self.pieces:
-            d = _poly_derivative(coeffs)
-            out += _poly_integral(_poly_multiply(d, d), lo, edge)
-            lo = edge
-        return out
+        return self.deriv_cross(self)
 
     def deriv_cross(self, other: "TestFunction") -> float:
         """int f'(t) g'(t) dt over the common refinement of the pieces."""

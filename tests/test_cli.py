@@ -113,6 +113,15 @@ def test_expsum_classify(capsys):
     assert rec["kind"] == "major" and rec["q"] == 2
 
 
+def test_expsum_classify_at_large_n(capsys):
+    # a float convergent scan found no fraction for this alpha at N = 1e9
+    code, out, _ = run_cli(["expsum", "--op", "classify", "--alpha",
+                            "0.9486494471372439", "--n", "1000000000"], capsys)
+    assert code == 0
+    rec = lines_of(out)[0]
+    assert (rec["kind"], rec["a"], rec["q"]) == ("minor", 106806266, 112587707)
+
+
 def test_expsum_prime_and_main_term(capsys):
     code, out, _ = run_cli(["expsum", "--op", "prime", "--n", "10000",
                             "--d-mod", "3", "--b-res", "1", "--a", "1",
@@ -179,6 +188,8 @@ def test_exit_code_non_finite_flag(args, flag, capsys):
     ("n = abc", "config key 'n' must be an integer, got 'abc'"),
     ("consecutive = maybe", "config key 'consecutive' must be one of"),
     ("timing = 2", "config key 'timing' must be one of"),
+    ("tuple_style = bogus",
+     "config key 'tuple_style' must be one of standard/dense, got 'bogus'"),
 ])
 def test_exit_code_bad_config_value(tmp_path, line, message, capsys):
     cfg = tmp_path / "run.cfg"
@@ -187,6 +198,23 @@ def test_exit_code_bad_config_value(tmp_path, line, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("key", [key for key, opts in cli._FLAGS.items()
+                                 if key in cli.DEFAULTS
+                                 and ("type" in opts or "choices" in opts)])
+def test_config_refuses_what_its_flag_refuses(key, tmp_path, capsys):
+    # a config value is read by the flag's own entry of _FLAGS
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--" + key.replace("_", "-"), "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = bogus\n")
+    code, out, err = run_cli(["--config", str(cfg), "cluster"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: config key {key!r} must be" in err
 
 
 def test_config_booleans_accept_both_spellings(tmp_path, capsys):

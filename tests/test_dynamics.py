@@ -174,7 +174,7 @@ def test_shifted_prime_set_huge_eps_keeps_all(small_table):
 
 def test_bump_constant_term_exact():
     psi = build_bump(0.1, 0.01, K=100)
-    assert psi.fourier[0] == complex(0.1 - 0.01, 0.0)
+    assert psi.coeff(0) == complex(0.1 - 0.01, 0.0)
 
 
 def test_bump_plateau_and_support():
@@ -196,13 +196,13 @@ def test_bump_parameter_validation():
 def test_bump_coefficients_conjugate_symmetric():
     psi = build_bump(0.1, 0.01, K=50)
     for j in (1, 7, 50):
-        assert psi.fourier[-j] == psi.fourier[j].conjugate()
+        assert psi.coeff(-j) == psi.coeff(j).conjugate()
 
 
 def test_bump_envelope_holds():
     psi = build_bump(0.1, 0.01, K=2000)
     for j in range(1, 2001):
-        assert abs(psi.fourier[j]) <= psi.envelope(j) * (1 + 1e-12)
+        assert abs(psi.coeff(j)) <= psi.envelope(j) * (1 + 1e-12)
 
 
 def test_bump_reconstruction_bound():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +522,19 @@ def test_classify_arc_examples():
     assert (lab.kind, lab.q) == ("major", 2)
     assert classify_arc(GOLD, 10 ** 6).kind == "minor"
     assert classify_arc(GOLD, 10 ** 4).kind == "minor"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-2.0, max_value=2.0,
+                 allow_nan=False, allow_infinity=False),
+       st.integers(min_value=100, max_value=10 ** 18))
+def test_classify_arc_inequality_holds_exactly(alpha, N):
+    lab = classify_arc(alpha, N)
+    assert 1 <= lab.a <= lab.q <= lab.Q
+    assert math.gcd(lab.a, lab.q) == 1
+    dist = (Fraction(alpha) - Fraction(lab.a, lab.q)) % 1
+    assert min(dist, 1 - dist) * lab.q * Fraction(lab.Q) <= 1
+    assert (lab.kind == "major") == (lab.q <= lab.P)
 
 
 def test_convergents_of_rational_terminate():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from recurgaps import accumulate, primes
+from recurgaps import accumulate, primes, sieve
 from recurgaps.acceptance import bilinear_divisor_sum
 from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
@@ -271,6 +271,37 @@ def test_shift_primes_takes_consecutive_points_only(small_table):
     assert look.at(np.zeros(0, dtype=np.int64)).tolist() == []
     with pytest.raises(ValueError, match="consecutive"):
         look.at(progression(p)[::2][:3])
+
+
+def test_segment_is_a_multiple_of_chunk():
+    assert primes.SEGMENT % accumulate.CHUNK == 0
+
+
+@pytest.mark.parametrize("chunk,segment", [(1, 1), (1, 7), (3, 12), (5, 5)])
+@pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
+def test_forward_scan_sieves_each_point_once(p, chunk, segment, small_table,
+                                             monkeypatch):
+    # with CHUNK | SEGMENT a forward chunked_sum asks ap_primality for
+    # ceil(L / SEGMENT) spans per shift, so no point is sieved twice
+    calls = []
+
+    def counted(first, step, count, base):
+        calls.append(count)
+        return primality(first, step, count, base)
+
+    primality = primes.ap_primality
+    monkeypatch.setattr(primes, "ap_primality", counted)
+    monkeypatch.setattr(primes, "SEGMENT", segment)
+    monkeypatch.setattr(accumulate, "CHUNK", chunk)
+    pts, base = sieve.points(p), _base_table(p)
+    for h in p.h:
+        calls.clear()
+        look = shift_primes(p, h, base)
+        count = accumulate.chunked_sum(pts, lambda ns: look.at(ns) * 1.0)
+        assert len(calls) == -(-len(pts) // segment)
+        assert sum(calls) == len(pts)
+        m = progression(p) + h
+        assert count == np.count_nonzero(small_table.spf[m] == m)
 
 
 def _weighted_sums(p, t):
