@@ -27,8 +27,8 @@ from .admissible import (DEFAULT_SEED, ParameterError, choose_b, dense_tuple,
                          make_sieve_params)
 from .cluster import consecutive_filter, scan_clusters
 from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
-                       khintchine_set, measure, monte_carlo_correlation,
-                       shifted_prime_recurrence_set)
+                       khintchine_set, monte_carlo_correlation,
+                       recurrence_threshold, shifted_prime_recurrence_set)
 from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
 from .primes import (PrimeTable, build_prime_table, is_prime, mobius, phi_int,
@@ -37,7 +37,9 @@ from .sieve import (SumReport, omega_n, omega_period, omega_sum, progression,
                     weighted_prime_sum)
 from .testfn import TestFunction, default_test_function
 
-TABLE_LIMIT = 8_000_700  # covers every check below (2N + max shift at N = 4e6)
+# the oracles' reach, 2N + max h at N = 1e6 (checks 1 and 9); the N = 4e6
+# sums of check 3 read only the base primes of their window
+TABLE_LIMIT = 2_000_036
 
 
 @dataclass
@@ -77,12 +79,10 @@ def _timed(num, name, budget_s, fn) -> CriterionResult:
 # Finite bilinear oracle for the sieve identity
 # ---------------------------------------------------------------------------
 
-def _squarefree_support(R: int, upper: float, W: int, t: PrimeTable) -> np.ndarray:
+def _squarefree_support(R: int, upper: float, W: int) -> np.ndarray:
     """Squarefree d coprime to W with d below the per-coordinate cutoff R**upper."""
-    cutoff = float(R) ** upper
-    return np.array([d for d in range(1, min(t.limit, int(cutoff) + 1) + 1)
-                     if d < cutoff and math.gcd(d, W) == 1
-                     and mobius(d, t) != 0], dtype=np.int64)
+    return np.array([d for d in range(1, math.ceil(float(R) ** upper))
+                     if math.gcd(d, W) == 1 and mobius(d) != 0], dtype=np.int64)
 
 
 def _coordinate_pairs(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
@@ -139,8 +139,7 @@ def _coordinate_pairs(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
 
 def bilinear_divisor_sum(k: int, W: int, R: int,
                          F1: TestFunction, F2: TestFunction,
-                         kind: str, t: PrimeTable,
-                         route: str = "pairs",
+                         kind: str, route: str = "pairs",
                          pair_budget: int = 40_000_000) -> SumReport:
     """The finite two-sided divisor sum behind the sieve identity.
 
@@ -159,7 +158,7 @@ def bilinear_divisor_sum(k: int, W: int, R: int,
         raise ParameterError(f"denominator kind must be 'lcm' or 'totient', got {kind!r}")
     if F1.k != k or F2.k != k:
         raise ParameterError("test function arity must match k")
-    ds = _squarefree_support(R, F1.upper, W, t)
+    ds = _squarefree_support(R, F1.upper, W)
     if not len(ds):
         raise ParameterError("empty divisor support; raise R")
     npairs = len(ds) ** 2
@@ -170,7 +169,7 @@ def bilinear_divisor_sum(k: int, W: int, R: int,
     logR = math.log(R)
     f1 = np.array([F1.factor(math.log(d) / logR) for d in ds])
     f2 = np.array([F2.factor(math.log(d) / logR) for d in ds])
-    mus = np.array([mobius(int(d), t) for d in ds], dtype=np.float64)
+    mus = np.array([mobius(int(d)) for d in ds], dtype=np.float64)
     w1 = mus * f1
     w2 = mus * f2
     phi_by_value = np.zeros(int(ds[-1]) + 1, dtype=np.int64)
@@ -222,14 +221,19 @@ def _tuple_recursion(k: int, pairs: list[tuple[int, float]]) -> tuple[float, int
 def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
     """The period table the ops read (``omega_period``) equals brute-force
     tuple enumeration, bitwise, on 200 random progression points, k in
-    {1, 2}."""
+    {0, 1}, each with a non-empty divisor plan (3..13 and [3, 5]).
+
+    k = 2 has none inside the table: at w = 2 every shift difference is a
+    power of 2, and three such shifts cover every class mod 3, so w >= 3,
+    3 | W and the plan's least prime is 5; R^(1/3) > 5 needs N > 125^4
+    (about 2.4e8) at theta < 1/4, and the oracle reads spf up to 2N + max h."""
     def run():
         rng = np.random.default_rng(seed)
         all_equal = True
         checked = 0
-        for k, h in ((1, (0, 2)), (2, (0, 6, 12))):
-            p = make_sieve_params(N=10 ** 5, h=h, theta=0.1, w=5, W0=1)
-            F = default_test_function(k)
+        for N, h in ((10 ** 5, (0,)), (10 ** 6, (0, 2))):
+            p = make_sieve_params(N=N, h=h, theta=0.24, w=2, W0=1)
+            F = default_test_function(len(h) - 1)
             pick = rng.choice(progression(p), size=200, replace=True)
             brute = [omega_n(n, p, F, t) for n in pick.tolist()]
             all_equal &= omega_period(p, F, t).at(pick).tolist() == brute
@@ -253,8 +257,8 @@ def criterion_2(t: PrimeTable) -> CriterionResult:
             ratios = []
             exact = True
             for R in (100, 1000, 10_000):
-                a = bilinear_divisor_sum(0, W, R, F, F, kind, t, route="pairs")
-                b = bilinear_divisor_sum(0, W, R, F, F, kind, t, route="gcd")
+                a = bilinear_divisor_sum(0, W, R, F, F, kind, route="pairs")
+                b = bilinear_divisor_sum(0, W, R, F, F, kind, route="gcd")
                 exact &= (a.measured == b.measured)
                 ratios.append(a.ratio)
             gaps = [abs(r - 1.0) for r in ratios]
@@ -320,8 +324,7 @@ def criterion_4(t: PrimeTable) -> CriterionResult:
         details["q2_imag_ratio"] = abs(half.measured.imag) / abs(half.measured.real)
         ok &= sign_match and imag_small
 
-        main_mag = abs(weighted_expsum(
-            p, F, 0, RationalPoint(1, 2, 0.0), t).predicted)
+        main_mag = abs(half.predicted)
         worst = 0.0
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             rep = weighted_expsum(p, F, 0, RationalPoint(1, q, 0.0), t)
@@ -351,14 +354,14 @@ def criterion_5(t: PrimeTable) -> CriterionResult:
                         continue
                     pt = RationalPoint(a, q, 0.0)
                     s = prime_expsum(x, D, 1, pt, t)
-                    m = expsum_main_term(x, D, 1, pt, t)
+                    m = expsum_main_term(x, D, 1, pt)
                     if m == 0:
                         zero_worst = max(zero_worst, abs(s))
                     else:
                         worst = max(worst, abs(s - m))
         for a in (1, 3):  # gcd(D,q)=2 with q/(D,q)=2: main term exactly zero
             pt = RationalPoint(a, 4, 0.0)
-            m = expsum_main_term(x, 2, 1, pt, t)
+            m = expsum_main_term(x, 2, 1, pt)
             s = prime_expsum(x, 2, 1, pt, t)
             assert m == 0
             zero_worst = max(zero_worst, abs(s))
@@ -484,7 +487,7 @@ def criterion_9(t: PrimeTable) -> CriterionResult:
         h6 = dense_tuple(5, 4)
         p = make_sieve_params(N=10 ** 6, h=h6, theta=0.1, w=5, W0=4)
         reports = scan_clusters(p, z4, A, eps, 1, t)
-        thresh = measure(A) ** 2 - eps
+        thresh = recurrence_threshold(A, eps)
         verified = all(
             all(is_prime(q, t) for q in rep.primes)
             and all(correlation(z4, A, q - 1) >= thresh for q in rep.primes)

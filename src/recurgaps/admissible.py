@@ -131,6 +131,15 @@ def _difference_prime_check(h: tuple[int, ...], w: int) -> None:
                     f"(remaining factor {d}); raise w")
 
 
+def _require_W0_divides(tup: AdmissibleTuple, W0: int) -> None:
+    """Assumption (II): W0 >= 1 divides every shift."""
+    if W0 < 1:
+        raise ParameterError(f"W0 must be at least 1, got {W0}")
+    bad = [hj for hj in tup.h if hj % W0 != 0]
+    if bad:
+        raise ParameterError(f"assumption (II) violated: W0={W0} does not divide h in {bad}")
+
+
 def _crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine pairwise-coprime congruences x = a (mod m) -> (residue, modulus)."""
     r, M = 0, 1
@@ -148,22 +157,22 @@ def choose_b(h: AdmissibleTuple | tuple[int, ...] | list[int],
     """Smallest b in [1, W] compatible with the residue requirements.
 
     Returns (b, forced) where forced lists the (gap value a_j, prime rho_j)
-    congruences used in consecutive mode (empty otherwise).  b satisfies
-    b = 1 (mod W0) and b != -h_j (mod p) for every prime p <= w and every j;
-    in consecutive mode additionally b = -a_j (mod rho_j) for every integer
-    a_j in [h_0, h_k] missing from the tuple, with distinct primes
-    rho_j in (h_k, w] not dividing W0.
+    congruences used in consecutive mode (empty otherwise).  W0 must divide
+    every h_j (II); b satisfies gcd(b + h_j, W) = 1 for every j (III) and
+    b = 1 (mod W0) (IV); in consecutive mode also b = -a_j (mod rho_j) for
+    every integer a_j in [h_0, h_k] missing from the tuple, with distinct
+    primes rho_j in (h_k, w] not dividing W0.
     """
     tup = h if isinstance(h, AdmissibleTuple) else AdmissibleTuple(tuple(sorted(h)))
     hs = tup.h
+    _require_W0_divides(tup, W0)
     _difference_prime_check(hs, w)
     W = compute_W(w, W0)
-    small = _small_primes(w)
 
     forced: list[tuple[int, int]] = []
     if consecutive:
         gaps = [a for a in range(hs[0], hs[-1] + 1) if a not in set(hs)]
-        rhos = [p for p in small if p > hs[-1] and W0 % p != 0]
+        rhos = [p for p in _small_primes(w) if p > hs[-1] and W0 % p != 0]
         if len(rhos) < len(gaps):
             raise ParameterError(
                 f"consecutive mode needs {len(gaps)} distinct primes in "
@@ -171,32 +180,13 @@ def choose_b(h: AdmissibleTuple | tuple[int, ...] | list[int],
         forced = list(zip(gaps, rhos[:len(gaps)]))
 
     congruences = [(1 % W0, W0)] if W0 > 1 else []
-    congruences += [((-a) % rho, rho) for a, rho in forced]
-    if congruences:
-        r0, M0 = _crt(congruences)
-    else:
-        r0, M0 = 0, 1
-    if r0 == 0:
-        r0 = M0
-
-    b = r0
-    steps = 0
-    while b <= W:
-        if all((b + hj) % p != 0 for p in small for hj in hs):
-            bad = [hj for hj in hs if math.gcd(b + hj, W) != 1]
-            if bad:
-                raise ParameterError(
-                    f"assumption (III) violated for b={b}: gcd(b+h, W) > 1 at h in {bad}")
+    r0, M0 = _crt(congruences + [((-a) % rho, rho) for a, rho in forced])
+    first = r0 or M0  # the least b >= 1 in the class r0 (mod M0)
+    for b in range(first, min(W, first + 10_000_000 * M0) + 1, M0):
+        if all(math.gcd(b + hj, W) == 1 for hj in hs):
             return b, tuple(forced)
-        b += M0
-        steps += 1
-        if steps > 10_000_000:
-            break
-    offending = next((p for p in small
-                      if len({(-hj) % p for hj in hs}) == p), None)
     raise ParameterError(
-        f"no residue b in [1, {W}] avoids -h_j mod every prime <= {w}"
-        + (f"; prime {offending} is fully covered" if offending else ""))
+        f"no residue b in [1, {W}] avoids -h_j mod every prime <= {w}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +217,10 @@ class SieveParams:
     def h(self) -> tuple[int, ...]:
         return self.tuple.h
 
-    def base_table_limit(self) -> int:
-        """Table limit for the ops that sieve their window [N, 2N + max h]:
-        the base primes up to isqrt(2N + max h)."""
-        return math.isqrt(2 * self.N + max(self.h)) + 1
+    @property
+    def top(self) -> int:
+        """The last value 2N + max h of the window the shifts reach."""
+        return 2 * self.N + max(self.h)
 
     def echo(self) -> dict:
         return {"N": self.N, "theta": self.theta, "R": self.R, "w": self.w,
@@ -257,9 +247,7 @@ def make_sieve_params(N: int,
             f"R = floor(N^theta) = {R} degenerates every weight; "
             f"raise theta or N (N={N}, theta={theta})")
     tup = h if isinstance(h, AdmissibleTuple) else AdmissibleTuple(tuple(sorted(h)))
-    bad = [hj for hj in tup.h if hj % W0 != 0]
-    if bad:
-        raise ParameterError(f"assumption (II) violated: W0={W0} does not divide h in {bad}")
+    _require_W0_divides(tup, W0)
     W = compute_W(w, W0)
     if b is None:
         b, forced = choose_b(tup, w, W0, consecutive=consecutive)

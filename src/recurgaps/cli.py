@@ -147,9 +147,10 @@ def _float_field(text: str, what: str) -> float:
         raise ParameterError(f"{what} {exc}") from None
 
 
-# Each setting's flag --<key> (underscores as dashes), in --help order, with
-# its argparse options.  A config value is read by the same entry, so a file
-# sets only what the flag accepts.  --threads has no config key.
+# Each flag --<key> (underscores as dashes), in --help order, with its
+# argparse options.  A config value is read by the same entry, so a file
+# sets only what the flag accepts; only the keys of DEFAULTS have one, so
+# --threads and the op flags after it are flags only.
 _SWITCH = {"action": "store_const", "const": True}
 _FLAGS = {
     "n": {"type": int}, "theta": {"type": _finite_float}, "k": {"type": int},
@@ -162,6 +163,19 @@ _FLAGS = {
     "threads": {"type": int, "choices": (1,),
                 "help": "runs are single-threaded; only 1 is accepted"},
     "seed": {"type": int}, "timing": _SWITCH,
+    "op": {"required": True, "choices": ("prime", "main-term", "weighted",
+                                         "discrepancy", "classify", "minor-scan")},
+    "a": {"type": int, "default": 1}, "q": {"type": int, "default": 1},
+    "theta_offset": {"type": float, "default": 0.0},
+    "d_mod": {"type": int, "default": 1}, "b_res": {"type": int, "default": 1},
+    "i": {"type": int, "default": 0}, "delta": {"type": float, "default": 0.0},
+    "grid": {"type": int, "default": 41},
+    "alpha": {"type": _finite_float, "default": 0.0},
+    "alphas": {"default": "0.6180339887498949"},
+    "pmax": {"type": int}, "nmax": {"type": int},
+    "weighted": {"action": "store_true",
+                 "help": "emit the weighted correlation sums instead of sets"},
+    "csv": {"help": "also write an n,primes,width summary"},
 }
 
 
@@ -342,7 +356,7 @@ def _cmd_sums(cfg: dict, em: _Emitter, table, args) -> int:
     _load("sieve")
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
-    t = table(p.base_table_limit())
+    t = table(p.top)
     em.emit_report(omega_sum(p, F, t))
     for i in range(p.k + 1):
         em.emit_report(weighted_prime_sum(p, F, i, t))
@@ -358,12 +372,11 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
                  "a": label.a, "q": label.q, "P": label.P, "Q": label.Q})
         return 0
     if op in ("discrepancy", "prime", "main-term") and cfg["n"] < 1:
-        # the sums refuse x < 1 too, but the table below is built first
+        # the sums refuse x < 1 too, but prime and discrepancy build a table first
         raise ParameterError(f"--n must be >= 1, got {cfg['n']}")
     if op == "discrepancy":
-        # the window's base primes, and mobius(q)
-        t = table(max(math.isqrt(2 * cfg["n"]), args.q) + 1)
-        val = expsum_discrepancy(args.q, args.delta, cfg["n"], args.grid, t)
+        val = expsum_discrepancy(args.q, args.delta, cfg["n"], args.grid,
+                                 table(2 * cfg["n"]))
         em.emit({"op": "expsum_discrepancy", "q": args.q, "delta": args.delta,
                  "x": cfg["n"], "grid": args.grid, "value": val,
                  "semantics": "grid lower bound"})
@@ -371,18 +384,12 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
     # minor-scan reads none of --a, --q and --theta-offset
     pt = (RationalPoint(args.a, args.q, args.theta_offset)
           if op in ("prime", "main-term", "weighted") else None)
-    if op == "prime":
-        t = table(math.isqrt(2 * cfg["n"]) + 1)
-        val = prime_expsum(cfg["n"], args.d_mod, args.b_res, pt, t)
-        em.emit({"op": "prime_expsum", "x": cfg["n"], "D": args.d_mod,
-                 "b": args.b_res, "a": pt.a, "q": pt.q,
-                 "theta_offset": pt.theta, "value": val})
-        return 0
-    if op == "main-term":
-        t = table(pt.q + 1)  # mobius(q / (D, q)); no window is read
-        val = expsum_main_term(cfg["n"], args.d_mod, args.b_res, pt, t)
-        em.emit({"op": "expsum_main_term", "x": cfg["n"], "D": args.d_mod,
-                 "b": args.b_res, "a": pt.a, "q": pt.q,
+    if op in ("prime", "main-term"):
+        x, D, b = cfg["n"], args.d_mod, args.b_res
+        val = (prime_expsum(x, D, b, pt, table(2 * x)) if op == "prime"
+               else expsum_main_term(x, D, b, pt))  # main-term reads no window
+        em.emit({"op": "prime_expsum" if op == "prime" else "expsum_main_term",
+                 "x": x, "D": D, "b": b, "a": pt.a, "q": pt.q,
                  "theta_offset": pt.theta, "value": val})
         return 0
     p = _build_params(cfg)  # weighted or minor-scan
@@ -390,11 +397,10 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
         raise ParameterError(f"--i must be in 0..{p.k}, got {args.i}")
     F = _build_F(cfg, p.k)
     if op == "weighted":
-        em.emit_report(weighted_expsum(p, F, args.i, pt,
-                                       table(p.base_table_limit())))
+        em.emit_report(weighted_expsum(p, F, args.i, pt, table(p.top)))
         return 0
     alphas = [_float_field(x, "--alphas entry") for x in args.alphas.split(",")]
-    for rec in minor_arc_scan(p, F, args.i, alphas, table(p.base_table_limit())):
+    for rec in minor_arc_scan(p, F, args.i, alphas, table(p.top)):
         em.emit({"op": "minor_arc_scan", **rec})
     return 0
 
@@ -410,14 +416,14 @@ def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
     if args.weighted:
         p = _build_params(cfg)
         F = _build_F(cfg, p.k)
-        t = table(p.base_table_limit())
+        t = table(p.top)
         for i in range(p.k + 1):
             em.emit_report(weighted_correlation_sum(
                 p, F, sys_, A, i, cfg["eps"], t))
         return 0
     if args.pmax is not None:
-        t = table(math.isqrt(args.pmax) + 1)
-        ps = shifted_prime_recurrence_set(sys_, A, cfg["eps"], args.pmax, t)
+        ps = shifted_prime_recurrence_set(sys_, A, cfg["eps"], args.pmax,
+                                          table(args.pmax))
         em.emit({"op": "shifted_prime_recurrence_set", "eps": cfg["eps"],
                  "pmax": args.pmax, "count": len(ps),
                  "primes": [int(x) for x in ps]})
@@ -437,7 +443,7 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
     A = parse_set(cfg["set"], sys_)
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
-    t = table(p.base_table_limit())
+    t = table(p.top)
     # opened first, so that a bad path is refused before any record
     with (_open(args.csv, "--csv", "w") if args.csv
           else contextlib.nullcontext()) as csv:
@@ -474,18 +480,20 @@ def _cmd_verify(cfg: dict, em: _Emitter, table, args) -> int:
     return 1 if failed else 0
 
 
-# Each subcommand's handler, help and settings (keys of _FLAGS), in --help
+# Each subcommand's handler, help and flags (keys of _FLAGS), in --help
 # order; every subcommand also takes --out, --threads, --seed and --timing.
 _PIPELINE = {"n", "theta", "k", "w", "w0", "b", "h", "tuple_style", "f_spec"}
 _COMMANDS = {
     "tuple": (_cmd_tuple, "admissible tuple, W, and residue b",
               {"k", "w", "w0", "h", "tuple_style", "consecutive"}),
     "sums": (_cmd_sums, "progression sums vs main terms", _PIPELINE),
-    "expsum": (_cmd_expsum, "exponential sums and arcs", _PIPELINE),
+    "expsum": (_cmd_expsum, "exponential sums and arcs",
+               _PIPELINE | {"op", "a", "q", "theta_offset", "d_mod", "b_res",
+                            "i", "delta", "grid", "alpha", "alphas"}),
     "recur": (_cmd_recur, "return sets: integers or shifted primes",
-              _PIPELINE | {"eps", "system", "set"}),
+              _PIPELINE | {"eps", "system", "set", "pmax", "nmax", "weighted"}),
     "cluster": (_cmd_cluster, "detector sum and direct cluster scan",
-                _PIPELINE | {"eps", "m", "consecutive", "system", "set"}),
+                _PIPELINE | {"eps", "m", "consecutive", "system", "set", "csv"}),
     "verify": (_cmd_verify, "run the built-in verification suite", set()),
 }
 
@@ -516,35 +524,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             if key in keys:
                 parsers[name].add_argument("--" + key.replace("_", "-"), **opts)
 
-    if "expsum" in wanted:
-        sp = parsers["expsum"]
-        sp.add_argument("--op", required=True,
-                        choices=("prime", "main-term", "weighted",
-                                 "discrepancy", "classify", "minor-scan"))
-        sp.add_argument("--a", type=int, default=1)
-        sp.add_argument("--q", type=int, default=1)
-        sp.add_argument("--theta-offset", dest="theta_offset", type=float,
-                        default=0.0)
-        sp.add_argument("--d-mod", dest="d_mod", type=int, default=1)
-        sp.add_argument("--b-res", dest="b_res", type=int, default=1)
-        sp.add_argument("--i", type=int, default=0)
-        sp.add_argument("--delta", type=float, default=0.0)
-        sp.add_argument("--grid", type=int, default=41)
-        sp.add_argument("--alpha", type=_finite_float, default=0.0)
-        sp.add_argument("--alphas", default="0.6180339887498949")
-
-    if "recur" in wanted:
-        sp = parsers["recur"]
-        sp.add_argument("--pmax", type=int)
-        sp.add_argument("--nmax", type=int)
-        sp.add_argument("--weighted", action="store_true",
-                        help="emit the weighted correlation sums instead of "
-                             "sets")
-
-    if "cluster" in wanted:
-        parsers["cluster"].add_argument(
-            "--csv", help="also write an n,primes,width summary")
-
     return ap
 
 
@@ -558,8 +537,9 @@ def main(argv=None) -> int:
         try:
             em = _Emitter(cfg, out)
 
-            def table(limit: int):
-                t = build_prime_table(limit)
+            def table(top: int):
+                """The base primes of a window whose last value is top."""
+                t = build_prime_table(math.isqrt(top) + 1)
                 em.restart_clock()  # wall_ms never counts the table build
                 return t
 

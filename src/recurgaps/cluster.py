@@ -58,7 +58,7 @@ def _setup(p: SieveParams, sys: KroneckerSystem, A: BoxSet, eps: float,
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     thresh = recurrence_threshold(A, eps)
-    require_window(2 * p.N + max(p.h))
+    require_window(p.top)
     return thresh, correlation_kernel(sys, A), m * math.log(3 * p.N)
 
 
@@ -147,7 +147,7 @@ def consecutive_filter(reports: list[ClusterReport], p: SieveParams,
     if not reports:
         return []
     # every report's primes lie in [N + min h, 2N + max h]: sieve it once
-    window = primes_in(range(p.N + min(p.h), 2 * p.N + max(p.h) + 1), t)
+    window = primes_in(range(p.N + min(p.h), p.top + 1), t)
     out = []
     for rep in reports:
         i, j = np.searchsorted(window, [rep.primes[0], rep.primes[-1] + 1])

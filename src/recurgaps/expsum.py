@@ -1,8 +1,8 @@
 """Exponential sums over primes, rational approximation, and arc labels.
 
 All frequencies are handled as alpha = a/q + theta with (a, q) = 1: the
-rational part of each phase n * a/q is reduced exactly in integer
-arithmetic.  The n * theta part is reduced in one of two ways:
+rational part of each phase n * a/q is reduced exactly in int64, for
+q <= MAX_Q.  The n * theta part is reduced in one of two ways:
 
 - per-term phases (prime and weighted sums) split theta in two so that
   frac(n * theta) keeps full precision for every n < 2^28; larger n are
@@ -43,6 +43,15 @@ _SPLIT = float(1 << _SPLIT_BITS) + 1.0  # Veltkamp split point: n * theta_hi exa
 # so a q with phi(q) <= 2 is always scanned in one block.
 PHASE_BLOCK_BYTES = 1 << 27
 
+# q^2 <= 2^63 - 1: every rational phase (n mod q) * a mod q is exact in int64
+MAX_Q = math.isqrt((1 << 63) - 1)
+
+
+def _require_modulus(q: int) -> None:
+    if q > MAX_Q:
+        raise ParameterError(f"q={q} exceeds isqrt(2^63 - 1) = {MAX_Q}, the "
+                             "largest q whose phases are exact in int64")
+
 
 @dataclass(frozen=True)
 class RationalPoint:
@@ -57,6 +66,7 @@ class RationalPoint:
             raise ParameterError(f"need 1 <= a <= q, got a={self.a}, q={self.q}")
         if math.gcd(self.a, self.q) != 1:
             raise ParameterError(f"a={self.a} and q={self.q} must be coprime")
+        _require_modulus(self.q)
         if not math.isfinite(self.theta):
             raise ParameterError(f"theta offset must be finite, got {self.theta}")
 
@@ -119,7 +129,7 @@ def _e(f: np.ndarray) -> np.ndarray:
 
 
 def _rational_phase(ns: np.ndarray, a: int, q: int) -> np.ndarray:
-    """e(n a/q), with n a reduced mod q exactly in integer arithmetic."""
+    """e(n a/q), with n a reduced mod q exactly in int64 (q <= MAX_Q)."""
     return _e(((ns % q) * a % q) / q)
 
 
@@ -216,7 +226,7 @@ def zq_inverse(D: int, q: int) -> tuple[bool, int]:
     return True, (pow(v, -1, u) if u > 1 else 0)
 
 
-def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
+def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint) -> complex:
     """First-order prediction for prime_expsum:
 
         mu(q/(D,q)) e(a b vbar/(D,q)) / phi([D,q]) * sum_{x<=n<=2x} e(n theta),
@@ -230,7 +240,7 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -
         return 0j
     u = math.gcd(D, pt.q)
     v = pt.q // u
-    mu_v = mobius(v, t) if v > 1 else 1
+    mu_v = mobius(v)
     if mu_v == 0:
         return 0j
     lcm = D * pt.q // u
@@ -259,6 +269,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     """
     if q < 1:
         raise ParameterError(f"need q >= 1, got q={q}")
+    _require_modulus(q)
     if theta_grid < 3:
         raise ParameterError(f"theta grid needs at least 3 points, got {theta_grid}")
     if not 0.0 <= delta < math.inf:
@@ -272,7 +283,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     fps = ps.astype(np.float64)  # exact: every p < 2^53
     # cast once, not once per product: logs * phase casts the same way
     logs = np.log(fps).astype(np.complex128)
-    mu_over_phi = mobius(q, t) / phi_int(q)
+    mu_over_phi = mobius(q) / phi_int(q)
     per_block = max(1, PHASE_BLOCK_BYTES // (16 * max(1, len(ps))))
     coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
     best = 0.0
@@ -347,16 +358,6 @@ def convergents(alpha: float, q_cap: float) -> list[tuple[int, int]]:
     return out
 
 
-def _canonical_aq(pnum: int, q: int) -> tuple[int, int]:
-    """Reduce to 1 <= a <= q with gcd(a, q) = 1, modulo 1 on the circle."""
-    g = math.gcd(abs(pnum), q) or 1
-    pnum, q = pnum // g, q // g
-    a = pnum % q
-    if a == 0:
-        a = q
-    return a, q
-
-
 def dirichlet_approx(alpha: float, x: float) -> tuple[int, int]:
     """Reduced (a, q) with q <= x and |alpha - a/q| (mod 1) <= 1/(qx).
 
@@ -371,7 +372,7 @@ def dirichlet_approx(alpha: float, x: float) -> tuple[int, int]:
         raise ParameterError(f"need x >= 1, got {x}")
     n, d = alpha.as_integer_ratio()
     xn, xd = x.as_integer_ratio()
-    return next(_canonical_aq(pnum, q) for pnum, q in convergents(alpha, x)
+    return next((pnum % q or q, q) for pnum, q in convergents(alpha, x)
                 if min(m := abs(n * q - pnum * d) % (q * d), q * d - m) * xn
                 <= d * xd)
 

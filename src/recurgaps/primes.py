@@ -7,10 +7,10 @@ its last value (``base_primes``), SEGMENT values at a time in its callers
 in O(SEGMENT + sqrt(x)) memory wherever the window lies.  An op that holds its whole window refuses one
 above DEFAULT_LIMIT_BUDGET before any sieving (``require_window``).
 
-``spf[n]`` holds the least prime dividing n, so factoring n <= limit is a
-chain of O(log n) lookups.  The ops build it only up to isqrt of their
-window, or up to q for mobius(q); ``verify`` and the tests build one over
-a whole window, as an oracle.
+A table holds the primes up to its limit and ``spf[n]``, the least prime
+dividing n.  An op builds one only up to isqrt of its window's last value
+and reads its primes alone; ``verify`` and the tests build one over a
+whole window, whose ``spf`` their oracles read.
 
 The table is filled by a cache-blocked sieve of Eratosthenes (Bays &
 Hudson, BIT 17, 1977): BLOCK entries at a time, each base prime p <=
@@ -198,18 +198,20 @@ def factorize(n: int, t: PrimeTable) -> list[tuple[int, int]]:
     return out
 
 
-def mobius(n: int, t: PrimeTable) -> int:
-    _check_range(n, t, lo=1)
-    if n == 1:
-        return 1
-    m, count = n, 0
-    while m > 1:
-        p = int(t.spf[m])
-        m //= p
-        if m % p == 0:
-            return 0
-        count += 1
-    return -1 if count % 2 else 1
+def mobius(n: int) -> int:
+    """Moebius mu(n) by trial division, as phi_int."""
+    if n < 1:
+        raise ValueError(f"mobius undefined for {n}")
+    out, rest = 1, n
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if rest > 1 else out
 
 
 def squarefree_divisors(n: int, bound: int, t: PrimeTable) -> list[int]:
@@ -234,7 +236,7 @@ def primes_between(lo: int, hi: int, t: PrimeTable) -> np.ndarray:
 
 
 def phi_int(m: int) -> int:
-    """Euler phi by trial division, for moduli that may exceed the table."""
+    """Euler phi by trial division."""
     if m < 1:
         raise ValueError(f"phi undefined for {m}")
     out, rest = m, m

@@ -130,7 +130,7 @@ class ShiftPrimes:
 def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
     """Primality of n + h along the progression, sieved with the primes of
     t up to isqrt(2N + max h)."""
-    return ShiftPrimes(points(p), h, primes.base_primes(t, 2 * p.N + max(p.h)))
+    return ShiftPrimes(points(p), h, primes.base_primes(t, p.top))
 
 
 def _divisor_plan(F: TestFunction, R: int,
@@ -183,7 +183,7 @@ def omega_n(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> float:
              for hj in p.h]
     s = 0.0
     for tup in iter_product(*lists):
-        s += lambda_weight(F, tup, p.R, t)
+        s += lambda_weight(F, tup, p.R)
     return s * s
 
 
@@ -245,7 +245,7 @@ def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
     """Omega on the first min(P, L) points of the progression of L points,
     where P is the product of the plan primes (all coprime to W)."""
     # the table must hold the window's base primes, the plan primes among them
-    primes.base_primes(t, 2 * p.N + max(p.h))
+    primes.base_primes(t, p.top)
     pts = points(p)
     start, count = pts.start, len(pts)
     per = min(math.prod(_plan_primes(p, F, t)), count)

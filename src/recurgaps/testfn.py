@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .admissible import ParameterError
-from .primes import PrimeTable, mobius
+from .primes import mobius
 
 _EDGE_TOL = 1e-12
 
@@ -157,7 +157,7 @@ def eval_F(F: TestFunction, ts: Sequence[float]) -> float:
     return out
 
 
-def lambda_weight(F: TestFunction, d: Sequence[int], R: int, t: PrimeTable) -> float:
+def lambda_weight(F: TestFunction, d: Sequence[int], R: int) -> float:
     """F(log d_0/log R, ..., log d_k/log R) * prod mu(d_j).
 
     Vanishes when any d_j is not squarefree or log d_j / log R leaves the
@@ -169,7 +169,7 @@ def lambda_weight(F: TestFunction, d: Sequence[int], R: int, t: PrimeTable) -> f
         raise ParameterError(f"expected {F.k + 1} divisors, got {len(d)}")
     mu_prod = 1
     for dj in d:
-        m = mobius(dj, t)  # range-checks dj against the table
+        m = mobius(dj)
         if m == 0:
             return 0.0
         mu_prod *= m

@@ -6,13 +6,13 @@ integer coprime to W, every weight collapses to the single trivial divisor,
 and the measured/predicted ratio is pinned near
 (log(R) phi(W) / ((k+1) W))^(k+1) -- orders of magnitude below the window
 for every admissible theta.  The computation is still run in full and the
-honest ratios asserted; see notes/decisions.md in the repository root's
-sibling notes directory for the analysis.
+honest ratios asserted; see the "Known status: check 3 reports FAIL"
+paragraph of README.md for the analysis.
 """
 
 import pytest
 
-from recurgaps import acceptance
+from recurgaps import acceptance, sieve
 
 
 def _report(res):
@@ -33,6 +33,22 @@ def test_criterion_1_omega_oracle_bitwise(big_table):
     assert res.details["checked"] == 400
     assert res.runtime_ok
     assert res.passed
+
+
+def test_criterion_1_configs_have_non_empty_plans(big_table, monkeypatch):
+    # an empty plan makes Omega the constant f(0)^(2(k+1)), so the bitwise
+    # check would compare that constant with itself
+    plans, periods = [], []
+
+    def recording_period(p, F, t):
+        plans.append(sieve._plan_primes(p, F, t))
+        periods.append(len(sieve.omega_period(p, F, t).vals))
+        return sieve.omega_period(p, F, t)
+
+    monkeypatch.setattr(acceptance, "omega_period", recording_period)
+    assert acceptance.criterion_1(big_table).passed
+    assert plans == [[3, 5, 7, 11, 13], [3, 5]]
+    assert all(per > 1 for per in periods)
 
 
 def test_criterion_2_bilinear_identity_oracle(big_table):

@@ -76,6 +76,33 @@ def test_choose_b_residues_coprime():
             assert math.gcd(b + hj, W) == 1
 
 
+@pytest.mark.parametrize("h,w,W0,consecutive", [
+    ((0, 2), 3, 1, False), ((0, 2), 3, 1, True), ((0, 6, 12), 5, 1, False),
+    ((0, 24, 48), 5, 4, False), (dense_tuple(5, 4).h, 5, 4, False),
+    ((0, 4), 11, 4, True), ((0, 2), 7, 2, False), ((0, 6), 7, 3, False),
+    ((0,), 13, 1, False),
+])
+def test_choose_b_is_the_least_b_meeting_the_rules(h, w, W0, consecutive):
+    # brute force over [1, W]: (III) gcd(b + h_j, W) = 1, (IV) b = 1 mod W0,
+    # and each forced congruence b = -a (mod rho)
+    b, forced = choose_b(h, w, W0, consecutive=consecutive)
+    assert bool(forced) == consecutive
+    W = compute_W(w, W0)
+    assert b == next(c for c in range(1, W + 1)
+                     if all(math.gcd(c + hj, W) == 1 for hj in h)
+                     and c % W0 == 1 % W0
+                     and all((c + a) % rho == 0 for a, rho in forced))
+
+
+def test_choose_b_checks_W0_divides_the_shifts():
+    # (II) is the rule broken here, as make_sieve_params reports it
+    for call in (lambda: choose_b((0, 2), 2, 3),
+                 lambda: make_sieve_params(N=10 ** 5, h=(0, 2), w=2, W0=3)):
+        with pytest.raises(ParameterError, match=r"assumption \(II\) violated: "
+                           r"W0=3 does not divide h in \[2\]"):
+            call()
+
+
 def test_choose_b_requires_small_difference_factors():
     # 14 - 0 has the prime factor 7 > w = 5
     with pytest.raises(ParameterError, match="prime factor"):
@@ -108,7 +135,7 @@ def test_choose_b_consecutive_infeasible():
 def test_make_sieve_params_validates():
     p = make_sieve_params(N=10 ** 5, h=(0, 6, 12), theta=0.1, w=5, W0=1)
     assert p.R == 3 and p.W == 30 and p.b == 1
-    assert p.base_table_limit() == math.isqrt(2 * 10 ** 5 + 12) + 1
+    assert p.top == 2 * 10 ** 5 + 12
 
     with pytest.raises(ParameterError, match="theta"):
         make_sieve_params(N=10 ** 5, h=(0, 2), theta=0.3, w=5)

@@ -10,12 +10,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import recurgaps
 from recurgaps import acceptance, cli
 from recurgaps.admissible import DEFAULT_SEED
 from recurgaps.cli import main, parse_set, parse_system
+from recurgaps.primes import PrimeTable
 from recurgaps.serialize import NonFiniteError, config_hash, dumps
 
 
@@ -266,6 +268,15 @@ def test_config_booleans_accept_both_spellings(tmp_path, capsys):
      "theta offset=1e+300 is too large: the phase split needs"),
     (["expsum", "--op", "discrepancy", "--n", "100", "--delta", "1e300"],
      "delta=1e+300 is too large: the phase split needs"),
+    (["expsum", "--op", "main-term", "--q", "3037000500"],
+     "q=3037000500 exceeds isqrt(2^63 - 1) = 3037000499"),
+    (["expsum", "--op", "discrepancy", "--n", "100", "--q", "3037000500"],
+     "q=3037000500 exceeds isqrt(2^63 - 1) = 3037000499"),
+    # its int64 phases overflowed and gave a wrong sum
+    (["expsum", "--op", "prime", "--n", "60000000", "--a", "1000000000038",
+      "--q", "1000000000039"], "q=1000000000039 exceeds isqrt(2^63 - 1)"),
+    (["tuple", "--h", "0,2", "--w", "2", "--w0", "3"],
+     "assumption (II) violated: W0=3 does not divide h in [2]"),
 ])
 def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     code, out, err = run_cli(args, capsys)
@@ -299,6 +310,20 @@ def test_bad_file_flag_spec_or_eps_exits_2_naming_it(args, named, tmp_path,
     assert out == ""
     assert named in err
     assert "internal error" not in err
+
+
+def test_q_cap_accepts_the_largest_q_with_exact_phases(capsys):
+    q = 3037000499  # isqrt(2^63 - 1)
+    values = {}
+    for a in (1, q - 1):
+        code, out, err = run_cli(["expsum", "--op", "prime", "--n", "1000",
+                                  "--a", str(a), "--q", str(q)], capsys)
+        assert code == 0, err
+        values[a] = complex(*lines_of(out)[0]["value"])
+    assert values[q - 1] == pytest.approx(values[1].conjugate(), rel=1e-9)
+    code, out, err = run_cli(["expsum", "--op", "main-term", "--n", "1000",
+                              "--q", str(q)], capsys)
+    assert code == 0, err
 
 
 def test_exit_code_group_divisibility(capsys):
@@ -479,40 +504,45 @@ def test_timing_excludes_table_build(monkeypatch, capsys):
     assert all(0.0 < w < delay_s * 1000.0 for w in walls)
 
 
-# The window each op sieves reaches `top`; it may ask for a table up to
-# isqrt(top), or up to q where it needs mobius(q).  Only verify builds a
-# table over a whole window.
-@pytest.mark.parametrize("args,top,q", [
-    (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
-      "--theta", "0.24"], 100002, 0),
-    (["expsum", "--op", "weighted", "--n", "50000", "--k", "2", "--w", "5",
-      "--q", "3", "--theta-offset", "0.001"], 100012, 0),
-    (["expsum", "--op", "minor-scan", "--n", "50000", "--k", "2", "--w", "5"],
-     100012, 0),
-    (["recur", "--weighted", "--n", "50000", "--k", "1", "--h", "0,4",
-      "--w", "2", "--w0", "4", "--theta", "0.2", "--system", "g=4"],
-     100004, 0),
-    (["expsum", "--op", "prime", "--n", "50000", "--d-mod", "3", "--a", "1",
-      "--q", "4", "--theta-offset", "0.001"], 100000, 0),
-    (["expsum", "--op", "main-term", "--n", "50000", "--a", "1", "--q", "3",
-      "--theta-offset", "1e-6"], 0, 3),
-    (["expsum", "--op", "discrepancy", "--n", "50000", "--q", "400",
-      "--grid", "3", "--delta", "1e-6"], 100000, 400),
-    (["expsum", "--op", "discrepancy", "--n", "50000", "--q", "4",
-      "--grid", "3"], 100000, 4),
-    (["expsum", "--op", "classify", "--alpha", "0.5", "--n", "50000"], 0, 0),
-    (["recur", "--pmax", "100000", "--system", "g=4,d=1",
-      "--set", "0:0.0:0.5"], 100000, 0),
-    (["recur", "--nmax", "1000", "--system", "g=4", "--set", "0"], 0, 0),
-    (["cluster", "--n", "50000", "--k", "5", "--tuple-style", "dense",
-      "--w", "5", "--w0", "4", "--system", "g=4", "--set", "0"], 100036, 0),
-    (["cluster", "--n", "50000", "--h", "0,4", "--w", "11", "--w0", "4",
-      "--consecutive", "--system", "g=4", "--set", "0"], 100004, 0),
-    (["tuple", "--k", "2"], 0, 0),
-], ids=["sums", "weighted", "minor-scan", "recur-weighted", "prime",
-        "main-term", "discrepancy-q", "discrepancy", "classify", "recur-pmax",
-        "recur-nmax", "cluster", "cluster-consecutive", "tuple"])
-def test_progression_sums_request_only_base_primes(args, top, q, monkeypatch,
+# Each op's command and the last value `top` of the window it sieves (0 for
+# the ops that sieve none); it may ask for a table up to isqrt(top) + 1.
+# Only verify builds a table over a whole window.
+_WINDOWS = {
+    "sums": (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
+              "--theta", "0.24"], 100002),
+    "weighted": (["expsum", "--op", "weighted", "--n", "50000", "--k", "2",
+                  "--w", "5", "--q", "3", "--theta-offset", "0.001"], 100012),
+    "minor-scan": (["expsum", "--op", "minor-scan", "--n", "50000", "--k", "2",
+                    "--w", "5"], 100012),
+    "recur-weighted": (["recur", "--weighted", "--n", "50000", "--k", "1",
+                        "--h", "0,4", "--w", "2", "--w0", "4", "--theta",
+                        "0.2", "--system", "g=4"], 100004),
+    "prime": (["expsum", "--op", "prime", "--n", "50000", "--d-mod", "3",
+               "--a", "1", "--q", "4", "--theta-offset", "0.001"], 100000),
+    "main-term": (["expsum", "--op", "main-term", "--n", "50000", "--a", "1",
+                   "--q", "3", "--theta-offset", "1e-6"], 0),
+    "discrepancy-q": (["expsum", "--op", "discrepancy", "--n", "50000", "--q",
+                       "400", "--grid", "3", "--delta", "1e-6"], 100000),
+    "discrepancy": (["expsum", "--op", "discrepancy", "--n", "50000", "--q",
+                     "4", "--grid", "3"], 100000),
+    "classify": (["expsum", "--op", "classify", "--alpha", "0.5", "--n",
+                  "50000"], 0),
+    "recur-pmax": (["recur", "--pmax", "100000", "--system", "g=4,d=1",
+                    "--set", "0:0.0:0.5"], 100000),
+    "recur-nmax": (["recur", "--nmax", "1000", "--system", "g=4", "--set",
+                    "0"], 0),
+    "cluster": (["cluster", "--n", "50000", "--k", "5", "--tuple-style",
+                 "dense", "--w", "5", "--w0", "4", "--system", "g=4", "--set",
+                 "0"], 100036),
+    "cluster-consecutive": (["cluster", "--n", "50000", "--h", "0,4", "--w",
+                             "11", "--w0", "4", "--consecutive", "--system",
+                             "g=4", "--set", "0"], 100004),
+    "tuple": (["tuple", "--k", "2"], 0),
+}
+
+
+@pytest.mark.parametrize("args,top", _WINDOWS.values(), ids=_WINDOWS.keys())
+def test_progression_sums_request_only_base_primes(args, top, monkeypatch,
                                                    capsys):
     limits = []
     build = cli.build_prime_table
@@ -524,7 +554,26 @@ def test_progression_sums_request_only_base_primes(args, top, q, monkeypatch,
     monkeypatch.setattr(cli, "build_prime_table", recording_build)
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and lines_of(out)
-    assert max(limits, default=0) <= max(math.isqrt(top), q) + 1
+    assert max(limits, default=0) <= math.isqrt(top) + 1
+
+
+@pytest.mark.parametrize("args", [a for a, _ in _WINDOWS.values()],
+                         ids=_WINDOWS.keys())
+def test_no_op_reads_the_least_prime_factors(args, monkeypatch, capsys):
+    # an op reads only its table's primes (main-term, which needed mobius(q)
+    # from spf, builds none), so a table without spf gives the same bytes
+    _, want, _ = run_cli(args, capsys)
+    build = cli.build_prime_table
+
+    def primes_only(limit):
+        t = build(limit)
+        return PrimeTable(limit=t.limit, spf=np.zeros(0, dtype=np.uint32),
+                          primes=t.primes)
+
+    monkeypatch.setattr(cli, "build_prime_table", primes_only)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert out == want
 
 
 @pytest.mark.parametrize("args", [

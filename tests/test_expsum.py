@@ -95,24 +95,36 @@ def test_zq_membership_examples():
     assert ok and vbar == 0
 
 
-def test_main_term_q1_reduces_to_phi_weight(table):
+def test_rational_phases_are_exact_up_to_the_q_cap(table):
+    q = expsum.MAX_Q
+    assert q * q <= 2 ** 63 - 1 < (q + 1) ** 2
+    ns = np.arange(q - 1000, q + 1000, dtype=np.int64)  # n mod q up to q - 1
+    assert np.allclose(_rational_phase(ns, q - 1, q),
+                       np.conj(_rational_phase(ns, 1, q)), rtol=0, atol=1e-12)
+    for call in (lambda: RationalPoint(1, q + 1),
+                 lambda: expsum_discrepancy(q + 1, 0.0, 10, 3, table)):
+        with pytest.raises(ParameterError, match=rf"q={q + 1} exceeds"):
+            call()
+
+
+def test_main_term_q1_reduces_to_phi_weight():
     x = 10 ** 3
     for D in (3, 4, 5):
-        got = expsum_main_term(x, D, 1, RationalPoint(1, 1, 0.0), table)
+        got = expsum_main_term(x, D, 1, RationalPoint(1, 1, 0.0))
         assert got == pytest.approx((x + 1) / phi_int(D), rel=1e-12)
 
 
-def test_main_term_D1_is_centering_term(table):
+def test_main_term_D1_is_centering_term():
     # with no progression constraint the prediction is mu(q)/phi(q) * count
     x = 10 ** 3
     for q in (1, 2, 3, 4, 5, 6, 8):
-        got = expsum_main_term(x, 1, 1, RationalPoint(1, q, 0.0), table)
+        got = expsum_main_term(x, 1, 1, RationalPoint(1, q, 0.0))
         mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 8: 0}[q]
         assert got == pytest.approx(mu / phi_int(q) * (x + 1), abs=1e-9)
 
 
-def test_main_term_zero_class(table):
-    got = expsum_main_term(10 ** 3, 2, 1, RationalPoint(1, 4, 0.0), table)
+def test_main_term_zero_class():
+    got = expsum_main_term(10 ** 3, 2, 1, RationalPoint(1, 4, 0.0))
     assert got == 0j
 
 
@@ -122,7 +134,7 @@ def test_main_term_matches_measured_at_small_scale(table):
     for D, q in ((3, 1), (3, 2), (4, 2), (5, 5)):
         pt = RationalPoint(1, q, 0.0)
         s = prime_expsum(x, D, 1, pt, table)
-        m = expsum_main_term(x, D, 1, pt, table)
+        m = expsum_main_term(x, D, 1, pt)
         assert abs(s - m) <= tol
 
 
@@ -158,7 +170,7 @@ def test_discrepancy_validation(table):
 def test_prime_sums_refuse_a_window_below_one(x, table):
     pt = RationalPoint(1, 3, 1e-6)
     for call in (lambda: prime_expsum(x, 1, 1, pt, table),
-                 lambda: expsum_main_term(x, 1, 1, pt, table),
+                 lambda: expsum_main_term(x, 1, 1, pt),
                  lambda: expsum_discrepancy(3, 1e-6, x, 3, table)):
         with pytest.raises(ParameterError, match=rf"x >= 1, got x={x}"):
             call()
@@ -194,7 +206,7 @@ def test_phase_sums_refuse_a_theta_the_split_cannot_hold(table):
     with pytest.raises(ParameterError, match="delta=.* is too large: the phase"):
         expsum_discrepancy(3, big, 10 ** 3, 3, table)
     # the closed-form main term splits no theta
-    assert expsum_main_term(100, 1, 1, RationalPoint(1, 1, 1e300), table) == 101
+    assert expsum_main_term(100, 1, 1, RationalPoint(1, 1, 1e300)) == 101
 
 
 @pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])
@@ -244,7 +256,7 @@ def wide_table():
 
 def _discrepancy_loop(q, delta, x, grid, t):
     """The scan as one prime_expsum call per (a, theta) grid point."""
-    mu_over_phi = mobius(q, t) / phi_int(q)
+    mu_over_phi = mobius(q) / phi_int(q)
     thetas = np.linspace(-delta, delta, grid) if delta > 0 else np.array([0.0])
     return max(abs(prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
                    - mu_over_phi * geometric_phase_sum(x, theta))

@@ -161,12 +161,19 @@ def test_primes_strictly_increasing_and_mutually_indivisible(table):
         assert all(q % p for q in head[i + 1:])
 
 
-def test_mobius_examples(table):
-    assert mobius(1, table) == 1
-    assert mobius(12, table) == 0
-    assert mobius(30, table) == -1
-    with pytest.raises(TableRangeError):
-        mobius(0, table)
+def test_mobius_examples():
+    assert mobius(1) == 1
+    assert mobius(12) == 0
+    assert mobius(30) == -1
+    with pytest.raises(ValueError, match="mobius undefined for 0"):
+        mobius(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 9))
+def test_mobius_matches_the_oracle(n):
+    # trial division needs no table, so n may lie far past any table's reach
+    assert mobius(n) == _oracle_mobius(n)
 
 
 def test_totient_squarefree_examples(table):
@@ -175,18 +182,18 @@ def test_totient_squarefree_examples(table):
     assert squarefree_divisors(12, 2, table) == [1, 2]
 
 
-def test_multiplicative_functions_match_trial_division(table):
+def test_multiplicative_functions_match_trial_division():
     for n in range(1, ORACLE_LIMIT + 1, 7):  # dense sample
-        assert mobius(n, table) == _oracle_mobius(n)
+        assert mobius(n) == _oracle_mobius(n)
     for n in list(range(1, 2000)) + [9973, 9974, 10000]:
-        assert mobius(n, table) == _oracle_mobius(n)
+        assert mobius(n) == _oracle_mobius(n)
     for n in list(range(1, 300)) + [1024, 9973]:
         assert phi_int(n) == _oracle_totient(n)
 
 
-def test_mobius_divisor_sum_identity(table):
+def test_mobius_divisor_sum_identity():
     for n in range(1, 2001):
-        s = sum(mobius(d, table) for d in range(1, n + 1) if n % d == 0)
+        s = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
         assert s == (1 if n == 1 else 0)
 
 

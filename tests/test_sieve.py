@@ -245,7 +245,7 @@ _SEGMENT_PARAMS = [
 
 
 def _base_table(p):
-    return build_prime_table(p.base_table_limit())
+    return build_prime_table(math.isqrt(p.top) + 1)
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -351,24 +351,24 @@ def test_weighted_sums_name_the_base_bound():
 # bilinear identity oracle
 # ---------------------------------------------------------------------------
 
-def test_bilinear_routes_agree_bitwise(small_table):
+def test_bilinear_routes_agree_bitwise():
     F = default_test_function(0)
     for kind in ("lcm", "totient"):
         for R in (100, 1000):
-            a = bilinear_divisor_sum(0, 6, R, F, F, kind, small_table, route="pairs")
-            b = bilinear_divisor_sum(0, 6, R, F, F, kind, small_table, route="gcd")
+            a = bilinear_divisor_sum(0, 6, R, F, F, kind, route="pairs")
+            b = bilinear_divisor_sum(0, 6, R, F, F, kind, route="gcd")
             assert a.measured == b.measured
             assert a.count == b.count
 
 
-def test_bilinear_diagonal_positivity(small_table):
+def test_bilinear_diagonal_positivity():
     F = default_test_function(0)
-    rep = bilinear_divisor_sum(0, 6, 1000, F, F, "lcm", small_table)
+    rep = bilinear_divisor_sum(0, 6, 1000, F, F, "lcm")
     assert rep.measured > 0.0
     assert rep.predicted > 0.0
 
 
-def test_bilinear_direct_double_loop_oracle(small_table):
+def test_bilinear_direct_double_loop_oracle():
     # fully independent evaluation of the k = 0 sum
     F = default_test_function(0)
     R, W = 100, 6
@@ -379,29 +379,29 @@ def test_bilinear_direct_double_loop_oracle(small_table):
         * (1 - math.log(d) / logR) * (1 - math.log(e) / logR)
         / (d * e // math.gcd(d, e))
         for d in ds for e in ds)
-    rep = bilinear_divisor_sum(0, W, R, F, F, "lcm", small_table)
+    rep = bilinear_divisor_sum(0, W, R, F, F, "lcm")
     assert rep.measured == pytest.approx(total, rel=1e-12)
 
 
-def test_bilinear_k1_routes_and_sign(small_table):
+def test_bilinear_k1_routes_and_sign():
     F = default_test_function(1)
-    a = bilinear_divisor_sum(1, 6, 100, F, F, "lcm", small_table, route="pairs")
-    b = bilinear_divisor_sum(1, 6, 100, F, F, "lcm", small_table, route="gcd")
+    a = bilinear_divisor_sum(1, 6, 100, F, F, "lcm", route="pairs")
+    b = bilinear_divisor_sum(1, 6, 100, F, F, "lcm", route="gcd")
     assert a.measured == b.measured
     assert a.measured > 0.0
 
 
-def test_bilinear_budget_error(small_table):
+def test_bilinear_budget_error():
     F = default_test_function(1)
     with pytest.raises(ParameterError, match="tuples"):
-        bilinear_divisor_sum(1, 6, 10 ** 4, F, F, "lcm", small_table,
+        bilinear_divisor_sum(1, 6, 10 ** 4, F, F, "lcm",
                              pair_budget=1000)
 
 
-def test_bilinear_kind_validation(small_table):
+def test_bilinear_kind_validation():
     F = default_test_function(0)
     with pytest.raises(ParameterError):
-        bilinear_divisor_sum(0, 6, 100, F, F, "euler", small_table)
+        bilinear_divisor_sum(0, 6, 100, F, F, "euler")
 
 
 def _squarefree(d):

@@ -7,15 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
 from recurgaps.admissible import ParameterError
-from recurgaps.primes import build_prime_table
 from recurgaps.testfn import (J_i, J_star, TestFunction,
                               default_test_function, eval_F, lambda_weight,
                               piecewise_test_function)
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_prime_table(10 ** 4)
 
 
 def _tent(k):
@@ -96,13 +90,13 @@ def test_J_star_against_2d_quadrature():
     assert J_star(F) == pytest.approx(val, rel=1e-4)
 
 
-def test_lambda_weight_examples(table):
+def test_lambda_weight_examples():
     F = default_test_function(2)
     R = 100
-    assert lambda_weight(F, (1, 1, 1), R, table) == eval_F(F, (0.0, 0.0, 0.0))
-    assert lambda_weight(F, (4, 1, 1), R, table) == 0.0  # mu(4) = 0
+    assert lambda_weight(F, (1, 1, 1), R) == eval_F(F, (0.0, 0.0, 0.0))
+    assert lambda_weight(F, (4, 1, 1), R) == 0.0  # mu(4) = 0
     F1 = default_test_function(1)
-    got = lambda_weight(F1, (2, 3), R, table)
+    got = lambda_weight(F1, (2, 3), R)
     with mpmath.workdps(50):
         expected = float((mpmath.mpf(1) / 2 - mpmath.log(2) / mpmath.log(R))
                          * (mpmath.mpf(1) / 2 - mpmath.log(3) / mpmath.log(R)))
@@ -110,13 +104,11 @@ def test_lambda_weight_examples(table):
     assert got > 0  # mu(2) mu(3) = +1
 
 
-def test_lambda_weight_support_cutoff(table):
+def test_lambda_weight_support_cutoff():
     F1 = default_test_function(1)
     R = 100
-    assert lambda_weight(F1, (11, 1), R, table) == 0.0  # 11 >= R^(1/2) = 10
-    assert lambda_weight(F1, (7, 1), R, table) != 0.0
-    with pytest.raises(Exception):
-        lambda_weight(F1, (10 ** 5, 1), R, table)  # beyond table range
+    assert lambda_weight(F1, (11, 1), R) == 0.0  # 11 >= R^(1/2) = 10
+    assert lambda_weight(F1, (7, 1), R) != 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,7 +117,7 @@ def test_lambda_weight_symmetric_under_permutation(d):
     # symmetric as a real number; reassociating the float product moves the
     # last bit, so compare within one part in 1e14
     F = default_test_function(2)
-    vals = [lambda_weight(F, tuple(perm), 100, _HYP_TABLE)
+    vals = [lambda_weight(F, tuple(perm), 100)
             for perm in permutations(d)]
     lo, hi = min(vals), max(vals)
     assert hi - lo <= 1e-14 * max(abs(lo), abs(hi), 1e-300)
@@ -145,6 +137,3 @@ def test_tent_function_valid():
     assert F.factor(0.0) == 0.0
     assert F.factor(F.upper / 2) == pytest.approx(1 / 3, rel=1e-12)
     assert F.factor(F.upper) == 0.0
-
-
-_HYP_TABLE = build_prime_table(10 ** 4)
