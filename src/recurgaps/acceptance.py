@@ -16,6 +16,7 @@ caller, so no other op compiles it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -85,30 +86,28 @@ def _squarefree_support(R: int, upper: float, W: int) -> np.ndarray:
                      if math.gcd(d, W) == 1 and mobius(d) != 0], dtype=np.int64)
 
 
-def _coordinate_pairs(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                      phi_by_value: np.ndarray, kind: str,
-                      route: str) -> Iterator[tuple[list[int], list[float]]]:
-    """Stream (lcm, term) rows over all coordinate pairs (d, e) from ds.
+def _pair_terms(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                phi_by_value: np.ndarray, kind: str,
+                route: str) -> Iterator[list[float]]:
+    """Stream the terms w1[d] * w2[e] / den([d, e]) over all pairs (d, e)
+    from ds, one row at a time.
 
     Both routes produce the same multiset of pairs with per-pair values
     computed by the same float expression; only the enumeration differs.
     "pairs" is a direct double loop over (d, e); "gcd" groups
     (d, e) = (g u, g v) by the common factor g with gcd(u, v) = 1.
-    Term = w1[d] * w2[e] / den([d, e]).
     """
     maxval = int(ds[-1])
     if route == "pairs":
         for i, d in enumerate(ds):
             d = int(d)
             g = np.gcd(d, ds)
-            lcm = (d * ds) // g
             if kind == "lcm":
-                den = lcm.astype(np.float64)
+                den = ((d * ds) // g).astype(np.float64)
             else:
                 den = (int(phi_by_value[d]) * phi_by_value[ds]
                        // phi_by_value[g]).astype(np.float64)
-            vals = (w1[i] * w2) / den
-            yield lcm.tolist(), vals.tolist()
+            yield ((w1[i] * w2) / den).tolist()
     elif route == "gcd":
         in_support = np.zeros(maxval + 1, dtype=bool)
         in_support[ds] = True
@@ -125,47 +124,37 @@ def _coordinate_pairs(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                     continue
                 d = g * u
                 ev = g * vs
-                lcm = (d * ev) // g
                 if kind == "lcm":
-                    den = lcm.astype(np.float64)
+                    den = ((d * ev) // g).astype(np.float64)
                 else:
                     den = (int(phi_by_value[d]) * phi_by_value[ev]
                            // int(phi_by_value[g])).astype(np.float64)
-                vals = (w1v[d] * w2v[ev]) / den
-                yield lcm.tolist(), vals.tolist()
+                yield ((w1v[d] * w2v[ev]) / den).tolist()
     else:
         raise ParameterError(f"unknown route {route!r}")
 
 
-def bilinear_divisor_sum(k: int, W: int, R: int,
-                         F1: TestFunction, F2: TestFunction,
-                         kind: str, route: str = "pairs",
-                         pair_budget: int = 40_000_000) -> SumReport:
-    """The finite two-sided divisor sum behind the sieve identity.
+def bilinear_divisor_sum(W: int, R: int, F1: TestFunction, F2: TestFunction,
+                         kind: str, route: str = "pairs") -> SumReport:
+    """The finite two-sided divisor sum behind the sieve identity, at k = 0.
 
-    measured: sum over tuples (d_0..d_k), (e_0..e_k), squarefree, coprime
-    to W, with [d_0,e_0], ..., [d_k,e_k] pairwise coprime, of
-        lambda(F1) lambda(F2) / den,   den = prod_j [d_j, e_j]       (kind "lcm")
-                                       or   prod_j phi([d_j, e_j])   (kind "totient").
-    predicted: (W/phi(W))^(k+1) (log R)^-(k+1) (int F1' F2')^(k+1).
+    measured: sum over d, e squarefree and coprime to W of
+        lambda_d(F1) lambda_e(F2) / den,   den = [d, e]       (kind "lcm")
+                                           or   phi([d, e])   (kind "totient").
+    predicted: (W/phi(W)) (log R)^-1 int F1' F2'.
 
     The support of the weights truncates the formally infinite sum at the
-    per-coordinate cutoff, so the enumeration is exact.  Totals use
-    exactly-rounded summation, hence the two enumeration routes give
-    bit-identical results on the same inputs.
+    cutoff, so the enumeration is exact.  The total is one exactly-rounded
+    summation, hence the two enumeration routes give bit-identical results
+    on the same inputs.
     """
     if kind not in ("lcm", "totient"):
         raise ParameterError(f"denominator kind must be 'lcm' or 'totient', got {kind!r}")
-    if F1.k != k or F2.k != k:
-        raise ParameterError("test function arity must match k")
+    if F1.k or F2.k:
+        raise ParameterError("test function arity must match k = 0")
     ds = _squarefree_support(R, F1.upper, W)
     if not len(ds):
         raise ParameterError("empty divisor support; raise R")
-    npairs = len(ds) ** 2
-    if float(npairs) ** (k + 1) > pair_budget:
-        raise ParameterError(
-            f"enumeration needs ~{float(npairs) ** (k + 1):.3g} tuples, over "
-            f"budget {pair_budget}; shrink R or raise pair_budget")
     logR = math.log(R)
     f1 = np.array([F1.factor(math.log(d) / logR) for d in ds])
     f2 = np.array([F2.factor(math.log(d) / logR) for d in ds])
@@ -176,44 +165,13 @@ def bilinear_divisor_sum(k: int, W: int, R: int,
     for d in ds.tolist():
         phi_by_value[d] = phi_int(d)
 
-    if k == 0:
-        total = _fsum_rows(ds, w1, w2, phi_by_value, kind, route)
-        count = npairs
-    else:
-        rows = _coordinate_pairs(ds, w1, w2, phi_by_value, kind, route)
-        pairs = [pair for lcms, vals in rows for pair in zip(lcms, vals)]
-        total, count = _tuple_recursion(k, pairs)
-
-    phiW = phi_int(W)
-    predicted = ((float(W) / phiW) ** (k + 1) / logR ** (k + 1)
-                 * F1.deriv_cross(F2) ** (k + 1))
-    params = {"k": k, "W": W, "R": R, "kind": kind, "route": route,
+    rows = _pair_terms(ds, w1, w2, phi_by_value, kind, route)
+    total = math.fsum(itertools.chain.from_iterable(rows))
+    predicted = float(W) / phi_int(W) / logR * F1.deriv_cross(F2)
+    params = {"W": W, "R": R, "kind": kind, "route": route,
               "support_size": len(ds)}
-    return SumReport.build("bilinear_divisor_sum", total, predicted, count, params)
-
-
-def _fsum_rows(ds, w1, w2, phi_by_value, kind, route) -> float:
-    """Exactly-rounded flat sum over every pair term (order-independent)."""
-    def gen():
-        for lcms, vals in _coordinate_pairs(ds, w1, w2, phi_by_value, kind, route):
-            yield from vals
-    return math.fsum(gen())
-
-
-def _tuple_recursion(k: int, pairs: list[tuple[int, float]]) -> tuple[float, int]:
-    """k >= 1: products over coordinates with pairwise-coprime lcms."""
-    terms: list[float] = []
-
-    def rec(coord: int, acc_lcm: int, acc_val: float) -> None:
-        if coord == k + 1:
-            terms.append(acc_val)
-            return
-        for lcm, val in pairs:
-            if math.gcd(lcm, acc_lcm) == 1:
-                rec(coord + 1, acc_lcm * lcm, acc_val * val)
-
-    rec(0, 1, 1.0)
-    return math.fsum(terms), len(terms)
+    return SumReport.build("bilinear_divisor_sum", total, predicted,
+                           len(ds) ** 2, params)
 
 
 # -- 1 -----------------------------------------------------------------------
@@ -257,8 +215,8 @@ def criterion_2(t: PrimeTable) -> CriterionResult:
             ratios = []
             exact = True
             for R in (100, 1000, 10_000):
-                a = bilinear_divisor_sum(0, W, R, F, F, kind, route="pairs")
-                b = bilinear_divisor_sum(0, W, R, F, F, kind, route="gcd")
+                a = bilinear_divisor_sum(W, R, F, F, kind, route="pairs")
+                b = bilinear_divisor_sum(W, R, F, F, kind, route="gcd")
                 exact &= (a.measured == b.measured)
                 ratios.append(a.ratio)
             gaps = [abs(r - 1.0) for r in ratios]

@@ -118,26 +118,28 @@ def dense_tuple(k: int, W0: int) -> AdmissibleTuple:
     return AdmissibleTuple(tuple(chosen))
 
 
-def _difference_prime_check(h: tuple[int, ...], w: int) -> None:
-    for i, hi in enumerate(h):
-        for hj in h[i + 1:]:
+def _residue_modulus(tup: AdmissibleTuple, w: int, W0: int) -> int:
+    """W = W0 * primorial(w), for a tuple and w that meet the rules of the
+    residue setup: W0 >= 1 divides every shift (II), and every prime factor
+    of a shift difference is at most w."""
+    if W0 < 1:
+        raise ParameterError(f"W0 must be at least 1, got {W0}")
+    bad = [hj for hj in tup.h if hj % W0 != 0]
+    if bad:
+        raise ParameterError(f"assumption (II) violated: W0={W0} does not divide h in {bad}")
+    W = compute_W(w, W0)
+    ps = _small_primes(w)
+    for i, hi in enumerate(tup.h):
+        for hj in tup.h[i + 1:]:
             d = hj - hi
-            for p in _small_primes(w):
+            for p in ps:
                 while d % p == 0:
                     d //= p
             if d > 1:
                 raise ParameterError(
                     f"w={w} too small: {hj}-{hi} has a prime factor > w "
                     f"(remaining factor {d}); raise w")
-
-
-def _require_W0_divides(tup: AdmissibleTuple, W0: int) -> None:
-    """Assumption (II): W0 >= 1 divides every shift."""
-    if W0 < 1:
-        raise ParameterError(f"W0 must be at least 1, got {W0}")
-    bad = [hj for hj in tup.h if hj % W0 != 0]
-    if bad:
-        raise ParameterError(f"assumption (II) violated: W0={W0} does not divide h in {bad}")
+    return W
 
 
 def _crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
@@ -165,9 +167,7 @@ def choose_b(h: AdmissibleTuple | tuple[int, ...] | list[int],
     """
     tup = h if isinstance(h, AdmissibleTuple) else AdmissibleTuple(tuple(sorted(h)))
     hs = tup.h
-    _require_W0_divides(tup, W0)
-    _difference_prime_check(hs, w)
-    W = compute_W(w, W0)
+    W = _residue_modulus(tup, w, W0)
 
     forced: list[tuple[int, int]] = []
     if consecutive:
@@ -247,8 +247,7 @@ def make_sieve_params(N: int,
             f"R = floor(N^theta) = {R} degenerates every weight; "
             f"raise theta or N (N={N}, theta={theta})")
     tup = h if isinstance(h, AdmissibleTuple) else AdmissibleTuple(tuple(sorted(h)))
-    _require_W0_divides(tup, W0)
-    W = compute_W(w, W0)
+    W = _residue_modulus(tup, w, W0)
     if b is None:
         b, forced = choose_b(tup, w, W0, consecutive=consecutive)
     else:

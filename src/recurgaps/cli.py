@@ -58,7 +58,7 @@ try:
     from .admissible import (DEFAULT_SEED, AdmissibleTuple, ParameterError,
                              choose_b, compute_W, dense_tuple,
                              make_sieve_params, standard_tuple)
-    from .primes import TableRangeError, build_prime_table
+    from .primes import build_prime_table
     from .serialize import config_hash, dumps
 
     if TYPE_CHECKING:
@@ -547,7 +547,7 @@ def main(argv=None) -> int:
         finally:
             if cfg.get("out"):
                 out.close()
-    except (ParameterError, TableRangeError, ValueError) as exc:
+    except ValueError as exc:  # ParameterError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 -- report, then fail hard

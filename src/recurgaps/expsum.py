@@ -43,14 +43,24 @@ _SPLIT = float(1 << _SPLIT_BITS) + 1.0  # Veltkamp split point: n * theta_hi exa
 # so a q with phi(q) <= 2 is always scanned in one block.
 PHASE_BLOCK_BYTES = 1 << 27
 
-# q^2 <= 2^63 - 1: every rational phase (n mod q) * a mod q is exact in int64
+# q^2 <= 2^63 - 1: every rational phase (n mod q) * a mod q is exact in int64.
+# The main term's modulus D is held to it too, so that phi_int trial-divides
+# no further than isqrt(MAX_Q) = 55,109.
 MAX_Q = math.isqrt((1 << 63) - 1)
 
+# expsum_discrepancy's work rule: phi(q) * (theta points scanned) *
+# (window primes + SCAN_PAIR_COST) at most SCAN_BUDGET.  Measured on 2 vCPUs
+# (Python 3.11, numpy 2.4): an (a, theta) pair costs about 14 us besides its
+# primes, and a prime 14-40 ns (25 ns at the 70,435 primes of x = 1e6), so a
+# pair costs as much as 560 primes and the budget is about 10 s of scanning.
+SCAN_PAIR_COST = 560
+SCAN_BUDGET = 400_000_000
 
-def _require_modulus(q: int) -> None:
-    if q > MAX_Q:
-        raise ParameterError(f"q={q} exceeds isqrt(2^63 - 1) = {MAX_Q}, the "
-                             "largest q whose phases are exact in int64")
+
+def _require_modulus(m: int, name: str = "q") -> None:
+    if m > MAX_Q:
+        raise ParameterError(f"{name}={m} exceeds isqrt(2^63 - 1) = {MAX_Q}, "
+                             "the largest modulus accepted (MAX_Q)")
 
 
 @dataclass(frozen=True)
@@ -235,6 +245,7 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint) -> complex:
     q/(D,q) mod (D,q).
     """
     _require_class(x, D, b)
+    _require_modulus(D, "D")
     in_class, vbar = zq_inverse(D, pt.q)
     if not in_class:
         return 0j
@@ -243,9 +254,9 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint) -> complex:
     mu_v = mobius(v)
     if mu_v == 0:
         return 0j
-    lcm = D * pt.q // u
+    phi_lcm = phi_int(D) * phi_int(pt.q) // phi_int(u)  # phi([D, q]) exactly
     phase = np.exp(2j * np.pi * ((pt.a * b % u) * vbar % u) / u) if u > 1 else 1.0
-    return mu_v * phase / phi_int(lcm) * geometric_phase_sum(x, pt.theta)
+    return mu_v * phase / phi_lcm * geometric_phase_sum(x, pt.theta)
 
 
 def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
@@ -256,7 +267,9 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
         | sum varpi(n) e(n(a/q + theta)) - mu(q)/phi(q) sum e(n theta) |.
 
     The true sup over theta is not computable; an evenly spaced grid of
-    theta_grid points is scanned and the value reported as a lower bound.
+    theta_grid points (one, theta = 0, when delta = 0) is scanned and the
+    value reported as a lower bound.  A scan over SCAN_BUDGET is refused
+    once the window is sieved (see SCAN_PAIR_COST).
 
     Each grid value is prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
     bit for bit: the primes and their logs are built once, the rational
@@ -280,10 +293,19 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     _require_split(delta, "delta")  # every grid theta has |theta| <= delta
     _require_start(x)
     ps = primes_in(range(x, 2 * x + 1), t)
+    phi_q = phi_int(q)
+    points = theta_grid if delta > 0 else 1
+    work = phi_q * points * (len(ps) + SCAN_PAIR_COST)
+    if work > SCAN_BUDGET:
+        raise ParameterError(
+            f"the scan of phi(q) = {phi_q} values of a at {points} theta "
+            f"points over {len(ps)} primes costs {work:.3g} > {SCAN_BUDGET:.3g}"
+            f" (primes + {SCAN_PAIR_COST} a pair); lower q (--q) or the theta"
+            f" grid (--grid)")
     fps = ps.astype(np.float64)  # exact: every p < 2^53
     # cast once, not once per product: logs * phase casts the same way
     logs = np.log(fps).astype(np.complex128)
-    mu_over_phi = mobius(q) / phi_int(q)
+    mu_over_phi = mobius(q) / phi_q
     per_block = max(1, PHASE_BLOCK_BYTES // (16 * max(1, len(ps))))
     coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
     best = 0.0

@@ -11,19 +11,10 @@ A table holds the primes up to its limit and ``spf[n]``, the least prime
 dividing n.  An op builds one only up to isqrt of its window's last value
 and reads its primes alone; ``verify`` and the tests build one over a
 whole window, whose ``spf`` their oracles read.
-
-The table is filled by a cache-blocked sieve of Eratosthenes (Bays &
-Hudson, BIT 17, 1977): BLOCK entries at a time, each base prime p <=
-sqrt(limit) writes p at its multiples, largest prime first, so the least
-prime factor is written last.  A table keeps 4 bytes per entry (uint32
-``spf``) plus 8 per prime; the build's transient peak is about 5.5 bytes
-per entry (the table, one boolean per entry to find the untouched ones,
-and the prime list): 0.68 GiB at the 2^27 budget.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -37,17 +28,9 @@ from .admissible import ParameterError
 # ~0.7 GiB; prime_expsum over [2^26, 2^27] peaks at 0.23 GiB.
 DEFAULT_LIMIT_BUDGET = 1 << 27
 
-# Entries of spf sieved at a time (256 KiB of uint32), so that every strided
-# store of one block stays in cache.
-BLOCK = 1 << 16
-
 # Progression points sieved at a time by ap_primality's callers: a mask of
-# 256 KiB, like a BLOCK of spf, so its strided stores stay in cache.
+# 256 KiB, so its strided stores stay in cache.
 SEGMENT = 1 << 18
-
-
-class TableRangeError(ValueError):
-    """An argument fell outside the sieved range, or the limit is over budget."""
 
 
 @dataclass(frozen=True)
@@ -70,9 +53,9 @@ def build_prime_table(limit: int) -> PrimeTable:
     is refused before any allocation, so a typo cannot swallow the machine.
     """
     if limit < 2:
-        raise TableRangeError(f"table limit must be at least 2, got {limit}")
+        raise ParameterError(f"table limit must be at least 2, got {limit}")
     if limit > DEFAULT_LIMIT_BUDGET:
-        raise TableRangeError(
+        raise ParameterError(
             f"table limit {limit} exceeds the entry budget {DEFAULT_LIMIT_BUDGET}")
     spf = np.zeros(limit + 1, dtype=np.uint32)
     root = math.isqrt(limit)
@@ -81,15 +64,10 @@ def build_prime_table(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(root) + 1):
         if small[p]:
             small[p * p:: p] = False
-    base = np.flatnonzero(small).tolist()  # the primes <= sqrt(limit)
-    for lo in range(0, limit + 1, BLOCK):
-        hi = min(lo + BLOCK, limit + 1)
-        seg = spf[lo:hi]
-        # the base primes with p * p < hi, largest first, so the least
-        # prime factor is the last one written
-        for p in reversed(base[:bisect.bisect_right(base, math.isqrt(hi - 1))]):
-            start = max(p * p, -(-lo // p) * p)
-            seg[start - lo:: p] = p
+    # the primes <= sqrt(limit), largest first, so the least prime factor
+    # is the last one written
+    for p in reversed(np.flatnonzero(small).tolist()):
+        spf[p * p:: p] = p
     primes = np.flatnonzero(spf[2:] == 0).astype(np.int64, copy=False)
     primes += 2
     spf[primes] = primes  # untouched entries are prime
@@ -175,7 +153,7 @@ def primes_in(r: range, t: PrimeTable) -> np.ndarray:
 
 def _check_range(n: int, t: PrimeTable, lo: int = 2) -> None:
     if not lo <= n <= t.limit:
-        raise TableRangeError(f"n={n} outside table range [{lo}, {t.limit}]")
+        raise ParameterError(f"n={n} outside table range [{lo}, {t.limit}]")
 
 
 def is_prime(n: int, t: PrimeTable) -> bool:
@@ -229,7 +207,7 @@ def squarefree_divisors(n: int, bound: int, t: PrimeTable) -> list[int]:
 def primes_between(lo: int, hi: int, t: PrimeTable) -> np.ndarray:
     """Primes p with lo <= p <= hi, as an int64 array view."""
     if hi > t.limit:
-        raise TableRangeError(f"upper bound {hi} exceeds table limit {t.limit}")
+        raise ParameterError(f"upper bound {hi} exceeds table limit {t.limit}")
     i = np.searchsorted(t.primes, lo, side="left")
     j = np.searchsorted(t.primes, hi, side="right")
     return t.primes[i:j]

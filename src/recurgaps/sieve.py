@@ -49,10 +49,6 @@ from .primes import PrimeTable, phi_int, squarefree_divisors
 from .testfn import TestFunction, J_star, J_i, lambda_weight
 
 
-class ProgressionError(ParameterError):
-    """The progression [N, 2N] & (b mod W) is unusable as parameterized."""
-
-
 @dataclass(frozen=True)
 class SumReport:
     """A measured sum, its predicted main term, and full provenance."""
@@ -78,7 +74,7 @@ class SumReport:
 def _progression_start(p: SieveParams) -> int:
     """The least n >= N with n = b (mod W)."""
     if p.W > p.N:
-        raise ProgressionError(
+        raise ParameterError(
             f"empty progression: W = {p.W} exceeds N = {p.N}")
     return p.N + ((p.b - p.N) % p.W)
 

@@ -156,6 +156,13 @@ def test_make_sieve_params_explicit_b():
         make_sieve_params(N=10 ** 5, h=(0, 24, 48), theta=0.1, w=5, W0=4, b=30 * 4)
 
 
+def test_make_sieve_params_explicit_b_keeps_the_w_rule():
+    # 14 - 0 has the prime factor 7 > w = 5, whether or not b is given
+    for b in (None, 17):
+        with pytest.raises(ParameterError, match="w=5 too small: 14-0"):
+            make_sieve_params(N=10 ** 5, h=(0, 14), theta=0.2, w=5, b=b)
+
+
 def test_admissible_tuple_validation():
     with pytest.raises(ParameterError):
         AdmissibleTuple((2, 0))

@@ -277,6 +277,18 @@ def test_config_booleans_accept_both_spellings(tmp_path, capsys):
       "--q", "1000000000039"], "q=1000000000039 exceeds isqrt(2^63 - 1)"),
     (["tuple", "--h", "0,2", "--w", "2", "--w0", "3"],
      "assumption (II) violated: W0=3 does not divide h in [2]"),
+    # an explicit b does not skip the w rule
+    (["sums", "--n", "100000", "--k", "1", "--h", "0,14", "--w", "5",
+      "--theta", "0.2", "--b", "17"],
+     "w=5 too small: 14-0 has a prime factor > w"),
+    # a D above the cap would be trial-divided for hours
+    (["expsum", "--op", "main-term", "--n", "100", "--d-mod",
+      "1000000000000000003", "--q", "1"],
+     "D=1000000000000000003 exceeds isqrt(2^63 - 1) = 3037000499"),
+    (["expsum", "--op", "main-term", "--d-mod", "3037000500"],
+     "D=3037000500 exceeds isqrt(2^63 - 1) = 3037000499"),
+    (["expsum", "--op", "discrepancy", "--n", "100", "--q", "1000003",
+      "--grid", "3"], "lower q (--q) or the theta grid (--grid)"),
 ])
 def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     code, out, err = run_cli(args, capsys)

@@ -107,6 +107,33 @@ def test_rational_phases_are_exact_up_to_the_q_cap(table):
             call()
 
 
+def test_main_term_holds_D_to_the_modulus_cap():
+    q = expsum.MAX_Q
+    assert expsum_main_term(100, q, 1, RationalPoint(1, 1)) == 1.0 / phi_int(q) * 101
+    with pytest.raises(ParameterError, match=rf"D={q + 1} exceeds"):
+        expsum_main_term(100, q + 1, 1, RationalPoint(1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+def test_totient_of_the_lcm_from_its_parts(D, q):
+    # the main term's phi([D, q]) = phi(D) phi(q) / phi((D, q))
+    u = math.gcd(D, q)
+    assert phi_int(D) * phi_int(q) // phi_int(u) == phi_int(D * q // u)
+
+
+@pytest.mark.parametrize("D,q", [(1, 1), (3, 4), (12, 18), (30, 7), (997, 1),
+                                 (6, expsum.MAX_Q)])
+def test_main_term_equals_the_totient_of_the_lcm(D, q):
+    pt = RationalPoint(1, q, 1e-6)
+    u = math.gcd(D, q)
+    in_class, vbar = zq_inverse(D, q)
+    phase = np.exp(2j * np.pi * (vbar % u) / u) if u > 1 else 1.0
+    want = (mobius(q // u) * phase / phi_int(D * q // u)
+            * geometric_phase_sum(1000, 1e-6)) if in_class else 0j
+    assert expsum_main_term(1000, D, 1, pt) == want
+
+
 def test_main_term_q1_reduces_to_phi_weight():
     x = 10 ** 3
     for D in (3, 4, 5):
@@ -216,37 +243,35 @@ def test_theta_grid_equals_linspace(delta, grid):
     assert got.tobytes() == np.linspace(-delta, delta, grid).tobytes()
 
 
-def test_discrepancy_builds_no_grid_array(table, monkeypatch):
-    # a billion-point grid: the scan starts at once and is stopped after
-    # three points, with np.linspace gone and memory far below 8 GB
-    class Stop(Exception):
-        pass
+def test_discrepancy_refuses_a_billion_point_grid(table):
+    # phi(4) * 1e9 theta points, refused before any of them is scanned
+    with pytest.raises(ParameterError, match=r"--q.*--grid"):
+        expsum_discrepancy(4, 1e-6, 10 ** 3, 10 ** 9, table)
 
-    def no_linspace(*args, **kwargs):
-        raise AssertionError("the theta grid was built as an array")
 
-    seen = []
-    phase_sum = expsum.geometric_phase_sum
+class _Admitted(Exception):
+    pass
 
-    def stop_after_three(x, theta):
-        seen.append(theta)
-        if len(seen) == 3:
-            raise Stop
-        return phase_sum(x, theta)
 
-    monkeypatch.setattr(np, "linspace", no_linspace)
-    monkeypatch.setattr(expsum, "geometric_phase_sum", stop_after_three)
-    grid, delta = 10 ** 9, 1e-6
-    tracemalloc.start()
-    try:
-        with pytest.raises(Stop):
-            expsum_discrepancy(4, delta, 10 ** 3, grid, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    step = (delta - -delta) / (grid - 1)
-    assert seen == [-delta, step - delta, 2 * step - delta]
+# the benchmark's first and last variants, README's example, CI's
+# bounded-memory case and the 2^27 window at 41 points
+@pytest.mark.parametrize("q,delta,x,grid", [
+    (4, 1e-6, 250_000, 41), (4, 1.9e-6, 252_250, 41), (4, 1e-6, 10 ** 6, 41),
+    (120_000, 0.0, 10 ** 4, 3), (4, 1e-6, 67_108_863, 41)])
+def test_discrepancy_budget_admits(q, delta, x, grid, monkeypatch):
+    def admitted(*args):
+        raise _Admitted
+    monkeypatch.setattr(expsum, "_rational_phase", admitted)
+    t = build_prime_table(math.isqrt(2 * x) + 1)
+    with pytest.raises(_Admitted):
+        expsum_discrepancy(q, delta, x, grid, t)
+
+
+def test_discrepancy_budget_refuses_a_large_phi_of_q(table):
+    # phi(1000003) = 1000002 pairs over 21 primes: 14 s of scanning on 2 vCPUs
+    with pytest.raises(ParameterError, match=r"phi\(q\) = 1000002 .*"
+                       r"lower q \(--q\) or the theta grid \(--grid\)"):
+        expsum_discrepancy(1000003, 0.0, 100, 3, table)
 
 
 @pytest.fixture(scope="module")

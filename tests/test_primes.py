@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from recurgaps import primes
 from recurgaps.admissible import ParameterError
-from recurgaps.primes import (BLOCK, DEFAULT_LIMIT_BUDGET, PrimeTable,
-                              TableRangeError, ap_primality, build_prime_table,
-                              factorize, is_prime, mobius, phi_int,
-                              primes_between, primes_in, squarefree_divisors)
+from recurgaps.primes import (DEFAULT_LIMIT_BUDGET, PrimeTable, ap_primality,
+                              build_prime_table, factorize, is_prime, mobius,
+                              phi_int, primes_between, primes_in,
+                              squarefree_divisors)
 
 ORACLE_LIMIT = 10 ** 4
 
@@ -107,20 +107,20 @@ def test_prime_count_against_two_independent_implementations():
     assert t.primes[:len(td)].tolist() == td
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 5, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   2 * BLOCK + 1])
+# around 2^16 and its multiples, where a cache-blocked build split the table
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 65535, 65536, 65537, 131073])
 def test_blocked_sieve_matches_mask_sieve(limit):
     _assert_matches_mask_sieve(limit)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=3 * BLOCK))
+@given(st.integers(min_value=2, max_value=3 * 65536))
 def test_blocked_sieve_matches_mask_sieve_property(limit):
     _assert_matches_mask_sieve(limit)
 
 
 def test_table_dtypes_and_read_only():
-    t = build_prime_table(BLOCK + 1)
+    t = build_prime_table(65537)
     assert t.spf.dtype == np.uint32 and t.primes.dtype == np.int64
     for arr in (t.spf, t.primes):
         assert not arr.flags.writeable
@@ -139,9 +139,9 @@ def test_build_peak_memory_stays_near_table_size():
 
 
 def test_limit_validation():
-    with pytest.raises(TableRangeError):
+    with pytest.raises(ParameterError):
         build_prime_table(1)
-    with pytest.raises(TableRangeError, match="budget"):
+    with pytest.raises(ParameterError, match="budget"):
         build_prime_table(DEFAULT_LIMIT_BUDGET + 1)
 
 
@@ -230,7 +230,7 @@ def test_squarefree_divisors_properties(n, bound):
 
 def test_primes_between(table):
     assert primes_between(10, 20, table).tolist() == [11, 13, 17, 19]
-    with pytest.raises(TableRangeError):
+    with pytest.raises(ParameterError):
         primes_between(2, ORACLE_LIMIT + 5, table)
 
 

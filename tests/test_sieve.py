@@ -11,9 +11,9 @@ from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table, is_prime
-from recurgaps.sieve import (ProgressionError, omega_kernel, omega_n,
-                             omega_period, omega_sum, progression,
-                             shift_primes, weighted_prime_sum, _plan_primes)
+from recurgaps.sieve import (omega_kernel, omega_n, omega_period, omega_sum,
+                             progression, shift_primes, weighted_prime_sum,
+                             _plan_primes)
 from recurgaps.testfn import default_test_function
 
 
@@ -43,7 +43,7 @@ def test_progression_bounds(params_k2):
 def test_progression_empty_error():
     p = make_sieve_params(N=10 ** 4, h=(0, 2), theta=0.2, w=13, W0=2)
     assert p.W == 60060 > p.N
-    with pytest.raises(ProgressionError, match="empty progression"):
+    with pytest.raises(ParameterError, match="empty progression"):
         progression(p)
 
 
@@ -355,15 +355,15 @@ def test_bilinear_routes_agree_bitwise():
     F = default_test_function(0)
     for kind in ("lcm", "totient"):
         for R in (100, 1000):
-            a = bilinear_divisor_sum(0, 6, R, F, F, kind, route="pairs")
-            b = bilinear_divisor_sum(0, 6, R, F, F, kind, route="gcd")
+            a = bilinear_divisor_sum(6, R, F, F, kind, route="pairs")
+            b = bilinear_divisor_sum(6, R, F, F, kind, route="gcd")
             assert a.measured == b.measured
             assert a.count == b.count
 
 
 def test_bilinear_diagonal_positivity():
     F = default_test_function(0)
-    rep = bilinear_divisor_sum(0, 6, 1000, F, F, "lcm")
+    rep = bilinear_divisor_sum(6, 1000, F, F, "lcm")
     assert rep.measured > 0.0
     assert rep.predicted > 0.0
 
@@ -379,29 +379,14 @@ def test_bilinear_direct_double_loop_oracle():
         * (1 - math.log(d) / logR) * (1 - math.log(e) / logR)
         / (d * e // math.gcd(d, e))
         for d in ds for e in ds)
-    rep = bilinear_divisor_sum(0, W, R, F, F, "lcm")
+    rep = bilinear_divisor_sum(W, R, F, F, "lcm")
     assert rep.measured == pytest.approx(total, rel=1e-12)
-
-
-def test_bilinear_k1_routes_and_sign():
-    F = default_test_function(1)
-    a = bilinear_divisor_sum(1, 6, 100, F, F, "lcm", route="pairs")
-    b = bilinear_divisor_sum(1, 6, 100, F, F, "lcm", route="gcd")
-    assert a.measured == b.measured
-    assert a.measured > 0.0
-
-
-def test_bilinear_budget_error():
-    F = default_test_function(1)
-    with pytest.raises(ParameterError, match="tuples"):
-        bilinear_divisor_sum(1, 6, 10 ** 4, F, F, "lcm",
-                             pair_budget=1000)
 
 
 def test_bilinear_kind_validation():
     F = default_test_function(0)
     with pytest.raises(ParameterError):
-        bilinear_divisor_sum(0, 6, 100, F, F, "euler")
+        bilinear_divisor_sum(6, 100, F, F, "euler")
 
 
 def _squarefree(d):
