@@ -32,15 +32,14 @@ from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
                        recurrence_threshold, shifted_prime_recurrence_set)
 from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
-from .primes import (PrimeTable, build_prime_table, is_prime, mobius, phi_int,
-                     primes_between)
+from .primes import PrimeTable, build_prime_table, is_prime, mobius, phi_int
 from .sieve import (SumReport, omega_n, omega_period, omega_sum, progression,
                     weighted_prime_sum)
 from .testfn import TestFunction, default_test_function
 
-# the oracles' reach, 2N + max h at N = 1e6 (checks 1 and 9); the N = 4e6
-# sums of check 3 read only the base primes of their window
-TABLE_LIMIT = 2_000_036
+# the base primes of the widest window, 2N + max h = 8,000,012 for check 3
+# at N = 4e6 with h = (0, 6, 12); the oracles factor by trial division
+TABLE_LIMIT = math.isqrt(8_000_012) + 1
 
 
 @dataclass
@@ -181,10 +180,12 @@ def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
     tuple enumeration, bitwise, on 200 random progression points, k in
     {0, 1}, each with a non-empty divisor plan (3..13 and [3, 5]).
 
-    k = 2 has none inside the table: at w = 2 every shift difference is a
+    k = 2 has none at this scale: at w = 2 every shift difference is a
     power of 2, and three such shifts cover every class mod 3, so w >= 3,
     3 | W and the plan's least prime is 5; R^(1/3) > 5 needs N > 125^4
-    (about 2.4e8) at theta < 1/4, and the oracle reads spf up to 2N + max h."""
+    (about 2.4e8) at theta < 1/4, 240 times the N of the k = 1 config.
+    The oracle factors each n + h_j by trial division, so it reads no
+    table."""
     def run():
         rng = np.random.default_rng(seed)
         all_equal = True
@@ -193,7 +194,7 @@ def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
             p = make_sieve_params(N=N, h=h, theta=0.24, w=2, W0=1)
             F = default_test_function(len(h) - 1)
             pick = rng.choice(progression(p), size=200, replace=True)
-            brute = [omega_n(n, p, F, t) for n in pick.tolist()]
+            brute = [omega_n(n, p, F) for n in pick.tolist()]
             all_equal &= omega_period(p, F, t).at(pick).tolist() == brute
             checked += len(brute)
         return all_equal, {"checked": checked, "bitwise_equal": all_equal}
@@ -203,7 +204,7 @@ def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
 
 # -- 2 -----------------------------------------------------------------------
 
-def criterion_2(t: PrimeTable) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Finite bilinear divisor sums: two enumerations agree bitwise; the
     measured/predicted ratio walks monotonically toward 1 with final value
     in [0.7, 1.3]; both denominator kinds."""
@@ -332,7 +333,7 @@ def criterion_5(t: PrimeTable) -> CriterionResult:
 
 # -- 6 -----------------------------------------------------------------------
 
-def criterion_6(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Exact correlations: circle closed form to 1e-12, cyclic pattern exact,
     Monte Carlo within 4 sigma on random boxed systems."""
     def run():
@@ -399,7 +400,7 @@ def criterion_6(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
 
 # -- 7 -----------------------------------------------------------------------
 
-def criterion_7(t: PrimeTable) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Return-set gap bound stabilizes: max gap over n <= 1e5 equals the
     max gap over n <= 2e5 for the circle rotation by sqrt(2)-1."""
     def run():
@@ -423,7 +424,8 @@ def criterion_8(t: PrimeTable) -> CriterionResult:
         z4 = KroneckerSystem.cyclic(4)
         A = BoxSet(g=4, d=0, pieces=((0, Cube((), 1.0)),))
         got = shifted_prime_recurrence_set(z4, A, 0.01, 10 ** 4, t)
-        expected = [int(p) for p in primes_between(2, 10 ** 4, t) if p % 4 == 1]
+        expected = [n for n in range(2, 10 ** 4 + 1)
+                    if n % 4 == 1 and is_prime(n)]
         ok = got.tolist() == expected
         return ok, {"count": len(expected), "matches_congruence_scan": ok}
     return _timed(8, "shifted-prime return set matches the congruence oracle",
@@ -447,7 +449,7 @@ def criterion_9(t: PrimeTable) -> CriterionResult:
         reports = scan_clusters(p, z4, A, eps, 1, t)
         thresh = recurrence_threshold(A, eps)
         verified = all(
-            all(is_prime(q, t) for q in rep.primes)
+            all(is_prime(q) for q in rep.primes)
             and all(correlation(z4, A, q - 1) >= thresh for q in rep.primes)
             and rep.width <= h6.diameter
             and all(q % 4 == 1 for q in rep.primes)
@@ -470,8 +472,8 @@ def criterion_9(t: PrimeTable) -> CriterionResult:
         reports2 = consecutive_filter(scan_clusters(p2, z4, A, eps, 1, t), p2, t)
         cons_ok = len(reports2) >= 1 and all(r.consecutive for r in reports2)
         for rep in reports2:
-            between = primes_between(rep.primes[0] + 1, rep.primes[-1] - 1, t)
-            cons_ok &= len(between) == 0
+            cons_ok &= not any(map(is_prime, range(rep.primes[0] + 1,
+                                                   rep.primes[-1])))
         details["consecutive_cluster_count"] = len(reports2)
         details["all_consecutive"] = cons_ok
         ok &= cons_ok
@@ -482,7 +484,7 @@ def criterion_9(t: PrimeTable) -> CriterionResult:
 
 # -- 10 ----------------------------------------------------------------------
 
-def criterion_10(t: PrimeTable) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Bump-function Fourier envelope with the fitted constant, re-checked at
     twice the fit range, and the truncation error bound on a grid."""
     def run():
@@ -518,13 +520,13 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     t = shared_table()
     return [
         criterion_1(t, seed=seed),
-        criterion_2(t),
+        criterion_2(),
         criterion_3(t),
         criterion_4(t),
         criterion_5(t),
-        criterion_6(t, seed=seed),
-        criterion_7(t),
+        criterion_6(seed=seed),
+        criterion_7(),
         criterion_8(t),
         criterion_9(t),
-        criterion_10(t),
+        criterion_10(),
     ]

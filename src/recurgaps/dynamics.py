@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, primes_in
+from .primes import PrimeTable, is_prime, primes_in
 
 if TYPE_CHECKING:
     from .sieve import SumReport
@@ -35,12 +36,7 @@ NMAX_BOUND = 1 << 22
 def _sqrt_prime_kappas(d: int) -> tuple[float, ...]:
     """Fractional parts of sqrt(2), sqrt(3), sqrt(5), ...: the canonical
     rationally independent rotation coordinates."""
-    ps = []
-    n = 2
-    while len(ps) < d:
-        if all(n % p for p in ps):
-            ps.append(n)
-        n += 1
+    ps = islice(filter(is_prime, count(2)), d)
     return tuple(math.sqrt(p) % 1.0 for p in ps)
 
 

@@ -269,7 +269,8 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     The true sup over theta is not computable; an evenly spaced grid of
     theta_grid points (one, theta = 0, when delta = 0) is scanned and the
     value reported as a lower bound.  A scan over SCAN_BUDGET is refused
-    once the window is sieved (see SCAN_PAIR_COST).
+    (see SCAN_PAIR_COST): before sieving when a proven floor on the window's
+    prime count already breaks it, else once the window is sieved.
 
     Each grid value is prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
     bit for bit: the primes and their logs are built once, the rational
@@ -292,16 +293,11 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
             f"delta={delta} is too large: the grid's span 2 delta overflows")
     _require_split(delta, "delta")  # every grid theta has |theta| <= delta
     _require_start(x)
-    ps = primes_in(range(x, 2 * x + 1), t)
     phi_q = phi_int(q)
     points = theta_grid if delta > 0 else 1
-    work = phi_q * points * (len(ps) + SCAN_PAIR_COST)
-    if work > SCAN_BUDGET:
-        raise ParameterError(
-            f"the scan of phi(q) = {phi_q} values of a at {points} theta "
-            f"points over {len(ps)} primes costs {work:.3g} > {SCAN_BUDGET:.3g}"
-            f" (primes + {SCAN_PAIR_COST} a pair); lower q (--q) or the theta"
-            f" grid (--grid)")
+    _require_scan_budget(phi_q, points, _window_primes_floor(x), "at least ")
+    ps = primes_in(range(x, 2 * x + 1), t)
+    _require_scan_budget(phi_q, points, len(ps))
     fps = ps.astype(np.float64)  # exact: every p < 2^53
     # cast once, not once per product: logs * phase casts the same way
     logs = np.log(fps).astype(np.complex128)
@@ -319,6 +315,31 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
                 best = max(best, abs(complex(np.sum(logs * phase)) - center))
         del rational  # free this block before the next one is built
     return best
+
+
+def _window_primes_floor(x: int) -> int:
+    """A proven lower bound L on the number of primes in [x, 2x].
+
+    Rosser and Schoenfeld (1962, Cor. 1): pi(y) > y / log y for y >= 17 and
+    pi(y) < 1.25506 y / log y for y > 1, so pi(2x) - pi(x) exceeds their
+    difference; one more is taken off for the rounding of the logs."""
+    if 2 * x < 17:
+        return 0
+    bound = 2 * x / math.log(2 * x) - 1.25506 * x / math.log(x)
+    return max(math.floor(bound) - 1, 0)
+
+
+def _require_scan_budget(phi_q: int, points: int, primes: int,
+                         at_least: str = "") -> None:
+    """Refuse a discrepancy scan whose work (see SCAN_PAIR_COST) is over
+    SCAN_BUDGET."""
+    work = phi_q * points * (primes + SCAN_PAIR_COST)
+    if work > SCAN_BUDGET:
+        raise ParameterError(
+            f"the scan of phi(q) = {phi_q} values of a at {points} theta "
+            f"points over {at_least}{primes} primes costs {at_least}"
+            f"{work:.3g} > {SCAN_BUDGET:.3g} (primes + {SCAN_PAIR_COST} a "
+            f"pair); lower q (--q) or the theta grid (--grid)")
 
 
 def _theta_grid(delta: float, points: int) -> Iterator[float]:

@@ -8,9 +8,11 @@ in O(SEGMENT + sqrt(x)) memory wherever the window lies.  An op that holds its w
 above DEFAULT_LIMIT_BUDGET before any sieving (``require_window``).
 
 A table holds the primes up to its limit and ``spf[n]``, the least prime
-dividing n.  An op builds one only up to isqrt of its window's last value
-and reads its primes alone; ``verify`` and the tests build one over a
-whole window, whose ``spf`` their oracles read.
+dividing n.  An op, and ``verify``, builds one only up to isqrt of its
+widest window's last value and reads its primes alone; only the tests read
+``spf``.  The one factoring routine, ``factorize``, trial-divides and needs
+no table: ``is_prime``, ``mobius``, ``phi_int`` and ``squarefree_divisors``
+are built on it, and ``verify``'s oracles read them.
 """
 
 from __future__ import annotations
@@ -151,83 +153,52 @@ def primes_in(r: range, t: PrimeTable) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _check_range(n: int, t: PrimeTable, lo: int = 2) -> None:
-    if not lo <= n <= t.limit:
-        raise ParameterError(f"n={n} outside table range [{lo}, {t.limit}]")
-
-
-def is_prime(n: int, t: PrimeTable) -> bool:
-    _check_range(n, t)
-    return int(t.spf[n]) == n
-
-
-def factorize(n: int, t: PrimeTable) -> list[tuple[int, int]]:
-    """Ascending (prime, exponent) pairs of n via spf lookups."""
-    _check_range(n, t, lo=1)
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs of n, by trial division."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}: need n >= 1")
     out: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        p = int(t.spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
+    rest, p = n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if rest > 1:
+        out.append((rest, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    """n is prime, by trial division."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def mobius(n: int) -> int:
-    """Moebius mu(n) by trial division, as phi_int."""
-    if n < 1:
-        raise ValueError(f"mobius undefined for {n}")
-    out, rest = 1, n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if rest > 1 else out
-
-
-def squarefree_divisors(n: int, bound: int, t: PrimeTable) -> list[int]:
-    """Ascending squarefree divisors d | n with d <= bound (1 included)."""
-    _check_range(n, t, lo=1)
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    ps = [p for p, _ in factorize(n, t)]
-    divs = [1]
-    for p in ps:
-        divs += [d * p for d in divs if d * p <= bound]
-    return sorted(divs)
-
-
-def primes_between(lo: int, hi: int, t: PrimeTable) -> np.ndarray:
-    """Primes p with lo <= p <= hi, as an int64 array view."""
-    if hi > t.limit:
-        raise ParameterError(f"upper bound {hi} exceeds table limit {t.limit}")
-    i = np.searchsorted(t.primes, lo, side="left")
-    j = np.searchsorted(t.primes, hi, side="right")
-    return t.primes[i:j]
+    """Moebius mu(n): 0 unless n is squarefree, else (-1)^(prime count)."""
+    fs = factorize(n)
+    return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
 
 
 def phi_int(m: int) -> int:
-    """Euler phi by trial division."""
-    if m < 1:
-        raise ValueError(f"phi undefined for {m}")
-    out, rest = m, m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            out -= out // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        out -= out // rest
+    """Euler phi: m times (1 - 1/p) over the primes p dividing m."""
+    out = m
+    for p, _ in factorize(m):
+        out -= out // p
     return out
+
+
+def squarefree_divisors(n: int, bound: int) -> list[int]:
+    """Ascending squarefree divisors d | n with d <= bound (1 included)."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    divs = [1]
+    for p, _ in factorize(n):
+        divs += [d * p for d in divs if d * p <= bound]
+    return sorted(divs)
 
 
 def torus_norm(x: float) -> float:

@@ -163,19 +163,16 @@ def _plan_primes(p: SieveParams, F: TestFunction, t: PrimeTable) -> list[int]:
             if q < cutoff and p.W % q != 0]
 
 
-def omega_n(n: int, p: SieveParams, F: TestFunction, t: PrimeTable) -> float:
+def omega_n(n: int, p: SieveParams, F: TestFunction) -> float:
     """The squared divisor-sum weight at one n, by enumerating every divisor
     tuple through lambda_weight: the oracle the period table
     (``omega_period``) is checked against.
     """
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    if n + max(p.h) > t.limit:
-        raise ParameterError(
-            f"table limit {t.limit} too small for n + max(h) = {n + max(p.h)}")
     cutoff = float(p.R) ** F.upper
     bound = max(1, int(cutoff) + 1)
-    lists = [[d for d in squarefree_divisors(n + hj, bound, t) if d < cutoff]
+    lists = [[d for d in squarefree_divisors(n + hj, bound) if d < cutoff]
              for hj in p.h]
     s = 0.0
     for tup in iter_product(*lists):

@@ -23,5 +23,6 @@ def mid_table():
 
 @pytest.fixture(scope="session")
 def big_table():
-    """Shared table for the verification suite (N = 4e6)."""
+    """The verification suite's table: the base primes of its widest
+    window (N = 4e6)."""
     return shared_table()

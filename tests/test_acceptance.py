@@ -10,9 +10,24 @@ honest ratios asserted; see the "Known status: check 3 reports FAIL"
 paragraph of README.md for the analysis.
 """
 
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
 from recurgaps import acceptance, sieve
+from recurgaps.admissible import make_sieve_params
+from recurgaps.primes import PrimeTable
+from recurgaps.serialize import dumps
+
+# sha256 of dumps(record()) of the checks whose details hold no floats,
+# recorded while their oracles still read a table over the whole window
+_RECORD_DIGESTS = {
+    1: "252ca6e4d50f35f4bdc786db54bccb5dad0de12ffba3123764fa2cca9a47ecb3",
+    8: "7c54d9c9e4784abd432fcd680f1bff99d6bb0e0b5082466928c0ce1546024b35",
+    9: "6f4cdd883b1305738628dcd47719a6c11641371b7a3a111decdc3e93c29ad3c5",
+}
 
 
 def _report(res):
@@ -20,6 +35,30 @@ def _report(res):
     print(f"[{status}] criterion {res.num}: {res.name} "
           f"({res.elapsed_s:.1f}s / budget {res.budget_s:.0f}s)")
     return res
+
+
+def _digest(res):
+    return hashlib.sha256(dumps(res.record()).encode()).hexdigest()
+
+
+def test_shared_table_holds_the_base_primes_of_the_widest_window():
+    # check 3's N = 4e6 window with h = (0, 6, 12) ends at 8,000,012
+    p = make_sieve_params(N=4 * 10 ** 6, h=(0, 6, 12), theta=0.1, w=5, W0=1)
+    assert p.top == 8_000_012
+    assert acceptance.TABLE_LIMIT == math.isqrt(p.top) + 1 == 2829
+
+
+@pytest.mark.parametrize("criterion", [acceptance.criterion_1,
+                                       acceptance.criterion_8,
+                                       acceptance.criterion_9])
+def test_oracles_read_no_least_prime_factors(criterion, big_table):
+    # the oracles factor by trial division, so a table without spf gives
+    # the same record bytes
+    primes_only = PrimeTable(limit=big_table.limit,
+                             spf=np.zeros(0, dtype=np.uint32),
+                             primes=big_table.primes)
+    assert (dumps(criterion(primes_only).record())
+            == dumps(criterion(big_table).record()))
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +72,7 @@ def test_criterion_1_omega_oracle_bitwise(big_table):
     assert res.details["checked"] == 400
     assert res.runtime_ok
     assert res.passed
+    assert _digest(res) == _RECORD_DIGESTS[1]
 
 
 def test_criterion_1_configs_have_non_empty_plans(big_table, monkeypatch):
@@ -51,8 +91,8 @@ def test_criterion_1_configs_have_non_empty_plans(big_table, monkeypatch):
     assert all(per > 1 for per in periods)
 
 
-def test_criterion_2_bilinear_identity_oracle(big_table):
-    res = _report(acceptance.criterion_2(big_table))
+def test_criterion_2_bilinear_identity_oracle():
+    res = _report(acceptance.criterion_2())
     for kind in ("lcm", "totient"):
         d = res.details[kind]
         assert d["routes_bitwise_equal"]
@@ -95,8 +135,8 @@ def test_criterion_5_expsum_main_terms(big_table):
     assert res.passed
 
 
-def test_criterion_6_exact_correlations(big_table):
-    res = _report(acceptance.criterion_6(big_table))
+def test_criterion_6_exact_correlations():
+    res = _report(acceptance.criterion_6())
     assert res.details["circle_worst_error"] <= 1e-12
     assert res.details["cyclic_pattern_exact"]
     assert res.details["monte_carlo_ok"]
@@ -104,8 +144,8 @@ def test_criterion_6_exact_correlations(big_table):
     assert res.passed
 
 
-def test_criterion_7_gap_stabilization(big_table):
-    res = _report(acceptance.criterion_7(big_table))
+def test_criterion_7_gap_stabilization():
+    res = _report(acceptance.criterion_7())
     assert res.details["max_gap_1e5"] == res.details["max_gap_2e5"]
     assert res.runtime_ok
     assert res.passed
@@ -116,6 +156,7 @@ def test_criterion_8_recurrence_set_oracle(big_table):
     assert res.details["matches_congruence_scan"]
     assert res.runtime_ok
     assert res.passed
+    assert _digest(res) == _RECORD_DIGESTS[8]
 
 
 def test_criterion_9_cluster_extraction(big_table):
@@ -127,10 +168,11 @@ def test_criterion_9_cluster_extraction(big_table):
     assert res.details["all_consecutive"]
     assert res.runtime_ok
     assert res.passed
+    assert _digest(res) == _RECORD_DIGESTS[9]
 
 
-def test_criterion_10_bump_envelope(big_table):
-    res = _report(acceptance.criterion_10(big_table))
+def test_criterion_10_bump_envelope():
+    res = _report(acceptance.criterion_10())
     assert res.details["fit_range_worst"] <= 1.0 + 1e-12
     assert res.details["extended_range_worst"] <= 1.05
     assert res.details["recon_err_K100"] <= res.details["recon_bound_K100"]

@@ -518,7 +518,7 @@ def test_timing_excludes_table_build(monkeypatch, capsys):
 
 # Each op's command and the last value `top` of the window it sieves (0 for
 # the ops that sieve none); it may ask for a table up to isqrt(top) + 1.
-# Only verify builds a table over a whole window.
+# verify too builds only the base primes of its widest window.
 _WINDOWS = {
     "sums": (["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
               "--theta", "0.24"], 100002),
@@ -613,6 +613,20 @@ def test_held_window_above_budget_exits_2_before_sieving(args, monkeypatch,
     assert out == ""
     assert "budget 2^27" in err
     assert max(limits) < 20_000
+
+
+def test_over_budget_discrepancy_exits_2_before_sieving(monkeypatch, capsys):
+    # at least 2,498,139 primes in [2^26 - 1, 2^27 - 2] already break the
+    # budget at phi(1000) = 400 values of a and 41 theta points
+    monkeypatch.setattr(
+        "recurgaps.expsum.primes_in",
+        lambda *a: pytest.fail("sieved the window of a refused scan"))
+    code, out, err = run_cli(["expsum", "--op", "discrepancy", "--n",
+                              "67108863", "--q", "1000", "--grid", "41",
+                              "--delta", "1e-6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "lower q (--q) or the theta grid (--grid)" in err
 
 
 def test_repeat_run_byte_identity(tmp_path, capsys):

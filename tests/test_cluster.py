@@ -9,7 +9,6 @@ from recurgaps.cluster import (ClusterReport, consecutive_filter, detector_sum,
                                scan_clusters)
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem, correlation,
                                 correlation_kernel, measure)
-from recurgaps.primes import is_prime, primes_between
 from recurgaps.sieve import _plan_primes, omega_kernel, omega_n, progression
 from recurgaps.testfn import default_test_function
 
@@ -29,7 +28,7 @@ def test_scan_twin_primes_against_direct_scan(small_table):
     reports = scan_clusters(p, sys_, A, 0.5, 1, small_table)
     got = sorted(r.n for r in reports)
     oracle = [int(n) for n in progression(p)
-              if is_prime(int(n), small_table) and is_prime(int(n) + 2, small_table)]
+              if small_table.spf[n] == n and small_table.spf[n + 2] == n + 2]
     assert got == oracle
     assert all(r.width == 2 for r in reports)
     assert len(got) > 0
@@ -47,7 +46,7 @@ def test_scan_z4_pairs(small_table):
         assert rep.width <= h6.diameter
         assert rep.primes == tuple(rep.n + h6.h[i] for i in rep.hit_indices)
         for q in rep.primes:
-            assert is_prime(q, small_table)
+            assert small_table.spf[q] == q
             assert q % 4 == 1
             assert correlation(sys_, A, q - 1) >= thresh
 
@@ -82,9 +81,9 @@ def test_detector_whole_space_reduces_to_classical(small_table):
     rep = detector_sum(p, F, sys_, A, 1.0, 1, small_table)
     cap = math.log(3 * p.N)
     manual = math.fsum(
-        omega_n(int(n), p, F, small_table)
+        omega_n(int(n), p, F)
         * (math.fsum(math.log(int(n) + h) for h in p.h
-                     if is_prime(int(n) + h, small_table)) - cap)
+                     if small_table.spf[n + h] == n + h) - cap)
         for n in progression(p))
     assert rep.measured == pytest.approx(manual, rel=1e-12)
 
@@ -145,8 +144,8 @@ def test_consecutive_filter_flags_and_error(small_table):
     assert len(flagged) >= 1
     for rep in flagged:
         assert rep.consecutive is True
-        inner = primes_between(rep.primes[0] + 1, rep.primes[-1] - 1, small_table)
-        assert len(inner) == 0
+        ps = small_table.primes
+        assert not np.any((ps > rep.primes[0]) & (ps < rep.primes[-1]))
 
     # breach detection: pretend a non-consecutive cluster came from
     # consecutive-mode parameters

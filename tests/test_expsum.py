@@ -21,8 +21,8 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               weighted_expsum, zq_inverse, _phase,
                               _rational_phase, _SPLIT, _theta_frac,
                               _theta_grid, _theta_phase)
-from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
-                              primes_between, torus_norm)
+from recurgaps.primes import (build_prime_table, mobius, phi_int, primes_in,
+                              torus_norm)
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
@@ -62,7 +62,7 @@ def test_prime_expsum_matches_naive_loop(table):
     naive = sum(
         math.log(n) * cmath.exp(2j * math.pi * ((n % 4) / 4))
         for n in range(10 ** 3, 2 * 10 ** 3 + 1)
-        if is_prime(n, table) and n % 3 == 1)
+        if table.spf[n] == n and n % 3 == 1)
     assert abs(got - naive) <= 1e-11 * abs(naive)
 
 
@@ -249,6 +249,22 @@ def test_discrepancy_refuses_a_billion_point_grid(table):
         expsum_discrepancy(4, 1e-6, 10 ** 3, 10 ** 9, table)
 
 
+# pi(2^27 - 2) - pi(2^26 - 2): the primes in [x, 2x] at x = 2^26 - 1
+@pytest.mark.parametrize("x,count", [
+    (250_000, None), (10 ** 6, None), (67_108_863, 3_645_744)])
+def test_window_primes_floor_is_below_the_prime_count(x, count):
+    if count is None:
+        count = len(primes_in(range(x, 2 * x + 1),
+                              build_prime_table(math.isqrt(2 * x) + 1)))
+    assert 0 < expsum._window_primes_floor(x) < count
+
+
+@pytest.mark.parametrize("x", range(1, 9))
+def test_window_primes_floor_is_zero_where_the_bound_does_not_hold(x):
+    # the lower bound pi(y) > y / log y holds from y = 17 on
+    assert expsum._window_primes_floor(x) == 0
+
+
 class _Admitted(Exception):
     pass
 
@@ -306,7 +322,8 @@ def test_blocked_discrepancy_equals_one_block(per_block, delta, table,
     # phi(210) = 48 values of a, in blocks of 1, 2 and 7 (the last one
     # short), against one block that holds all of them
     q, x, grid = 210, 1000, 5
-    held = 16 * len(primes_between(x, 2 * x, table))  # bytes per a
+    ps = table.primes
+    held = 16 * np.count_nonzero((ps >= x) & (ps <= 2 * x))  # bytes per a
     assert expsum.PHASE_BLOCK_BYTES >= 48 * held
     want = expsum_discrepancy(q, delta, x, grid, table)
     calls = []
@@ -341,7 +358,8 @@ def test_discrepancy_memory_is_bounded_by_the_block_budget(table, monkeypatch):
 
 @pytest.mark.parametrize("x", [1000, 250_000])
 def test_phase_is_rational_times_theta(x, wide_table):
-    ps = primes_between(x, 2 * x, wide_table)
+    ps = wide_table.primes
+    ps = ps[(ps >= x) & (ps <= 2 * x)]
     for a, q, theta in ((1, 3, 1e-6), (7, 30, -0.37), (1, 1, 2.5e-3)):
         r = _rational_phase(ps, a, q)
         e = _theta_phase(ps, theta)

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from recurgaps import primes
 from recurgaps.admissible import ParameterError
-from recurgaps.primes import (DEFAULT_LIMIT_BUDGET, PrimeTable, ap_primality,
+from recurgaps.primes import (DEFAULT_LIMIT_BUDGET, ap_primality,
                               build_prime_table, factorize, is_prime, mobius,
-                              phi_int, primes_between, primes_in,
-                              squarefree_divisors)
+                              phi_int, primes_in, squarefree_divisors)
 
 ORACLE_LIMIT = 10 ** 4
 
@@ -165,7 +164,7 @@ def test_mobius_examples():
     assert mobius(1) == 1
     assert mobius(12) == 0
     assert mobius(30) == -1
-    with pytest.raises(ValueError, match="mobius undefined for 0"):
+    with pytest.raises(ValueError, match="cannot factorize 0: need n >= 1"):
         mobius(0)
 
 
@@ -176,10 +175,10 @@ def test_mobius_matches_the_oracle(n):
     assert mobius(n) == _oracle_mobius(n)
 
 
-def test_totient_squarefree_examples(table):
+def test_totient_squarefree_examples():
     assert phi_int(30) == 8
-    assert squarefree_divisors(12, 100, table) == [1, 2, 3, 6]
-    assert squarefree_divisors(12, 2, table) == [1, 2]
+    assert squarefree_divisors(12, 100) == [1, 2, 3, 6]
+    assert squarefree_divisors(12, 2) == [1, 2]
 
 
 def test_multiplicative_functions_match_trial_division():
@@ -197,13 +196,23 @@ def test_mobius_divisor_sum_identity():
         assert s == (1 if n == 1 else 0)
 
 
-def test_factorize_roundtrip(table):
-    for n in (2, 12, 30, 64, 9973, 9996):
-        prod = 1
-        for p, e in factorize(n, table):
-            assert is_prime(p, table)
-            prod *= p ** e
-        assert prod == n
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=ORACLE_LIMIT))
+def test_factorize_roundtrip(n):
+    t = _HYP_TABLE
+    fs = factorize(n)
+    assert [p for p, _ in fs] == sorted({p for p, _ in fs})
+    prod = 1
+    for p, e in fs:
+        assert t.spf[p] == p and e >= 1
+        prod *= p ** e
+    assert prod == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=ORACLE_LIMIT))
+def test_is_prime_matches_the_table(n):
+    assert is_prime(n) == (n >= 2 and _HYP_TABLE.spf[n] == n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,19 +228,12 @@ def test_spf_is_least_prime_factor(n):
 @given(st.integers(min_value=1, max_value=ORACLE_LIMIT),
        st.integers(min_value=1, max_value=200))
 def test_squarefree_divisors_properties(n, bound):
-    t = _HYP_TABLE
-    ds = squarefree_divisors(n, bound, t)
+    ds = squarefree_divisors(n, bound)
     assert ds[0] == 1
     assert ds == sorted(set(ds))
     for d in ds:
         assert d <= bound and n % d == 0
         assert _oracle_mobius(d) != 0
-
-
-def test_primes_between(table):
-    assert primes_between(10, 20, table).tolist() == [11, 13, 17, 19]
-    with pytest.raises(ParameterError):
-        primes_between(2, ORACLE_LIMIT + 5, table)
 
 
 def test_phi_int_matches_table(table):
@@ -334,7 +336,8 @@ def test_primes_in_segment_edges(table):
         mp.setattr(primes, "SEGMENT", 10)
         for stop in (19, 20, 21, 22, 31, 32, 33):
             for start in (0, 1, 2, 3, 10, 11):
-                want = primes_between(start, stop - 1, table).tolist()
+                want = table.primes[(table.primes >= start)
+                                    & (table.primes < stop)].tolist()
                 assert primes_in(range(start, stop), table).tolist() == want
     assert primes_in(range(5, 5), None).tolist() == []
 

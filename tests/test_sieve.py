@@ -10,7 +10,7 @@ from recurgaps.admissible import ParameterError, make_sieve_params
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
-from recurgaps.primes import build_prime_table, is_prime
+from recurgaps.primes import build_prime_table
 from recurgaps.sieve import (omega_kernel, omega_n, omega_period, omega_sum,
                              progression, shift_primes, weighted_prime_sum,
                              _plan_primes)
@@ -51,14 +51,14 @@ def test_omega_prime_window_value(params_k2, small_table):
     # 5, 11, 17 all prime and above the divisor cutoff: only d = 1 contributes
     F = default_test_function(2)
     f0 = F.f0
-    assert omega_n(5, params_k2, F, small_table) == (f0 * f0 * f0) ** 2
+    assert omega_n(5, params_k2, F) == (f0 * f0 * f0) ** 2
 
 
 def test_omega_single_coordinate_prime(params_k0, small_table):
     # divisors of a prime q below R: 1 and q; weight collapses to log-ratio
     F = default_test_function(0)
     R = params_k0.R
-    got = omega_n(7, params_k0, F, small_table)
+    got = omega_n(7, params_k0, F)
     assert got == pytest.approx((math.log(7) / math.log(R)) ** 2, rel=1e-13)
 
 
@@ -67,8 +67,7 @@ def test_omega_oracle_agreement_nondegenerate(params_k0, small_table):
     ns = progression(params_k0)[:1500]
     table = omega_period(params_k0, F, small_table).at(ns)
     for n, fast in zip(ns.tolist(), table.tolist()):
-        assert fast == pytest.approx(omega_n(n, params_k0, F, small_table),
-                                     rel=1e-12)
+        assert fast == pytest.approx(omega_n(n, params_k0, F), rel=1e-12)
     assert len(set(table.tolist())) > 3  # genuinely non-degenerate weights
 
 
@@ -78,19 +77,13 @@ def test_omega_oracle_agreement_k1(small_table):
     ns = progression(p)[:300]
     table = omega_period(p, F, small_table).at(ns)
     for n, fast in zip(ns.tolist(), table.tolist()):
-        assert fast == pytest.approx(omega_n(n, p, F, small_table), rel=1e-12)
+        assert fast == pytest.approx(omega_n(n, p, F), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 5))
 def test_omega_nonnegative(n):
-    assert omega_n(n, _HYP_PARAMS, _HYP_F, _HYP_TABLE) >= 0.0
-
-
-def test_omega_table_too_small(params_k2):
-    tiny = build_prime_table(100)
-    with pytest.raises(ParameterError, match="table"):
-        omega_n(95, params_k2, default_test_function(2), tiny)
+    assert omega_n(n, _HYP_PARAMS, _HYP_F) >= 0.0
 
 
 def test_omega_sum_report_fields(params_k2, small_table):
@@ -139,7 +132,7 @@ def test_weighted_prime_sum_matches_direct_log_sum(params_k2, small_table):
     f0 = F.f0
     const = (f0 ** 3) ** 2  # degenerate weight at these parameters
     direct = const * math.fsum(
-        math.log(int(n)) for n in ns if is_prime(int(n), small_table))
+        math.log(int(n)) for n in ns if small_table.spf[n] == n)
     assert rep.measured == pytest.approx(direct, rel=1e-12)
     assert rep.measured > 0
 
