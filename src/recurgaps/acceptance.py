@@ -175,7 +175,7 @@ def bilinear_divisor_sum(W: int, R: int, F1: TestFunction, F2: TestFunction,
 
 # -- 1 -----------------------------------------------------------------------
 
-def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The period table the ops read (``omega_period``) equals brute-force
     tuple enumeration, bitwise, on 200 random progression points, k in
     {0, 1}, each with a non-empty divisor plan (3..13 and [3, 5]).
@@ -184,8 +184,7 @@ def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
     power of 2, and three such shifts cover every class mod 3, so w >= 3,
     3 | W and the plan's least prime is 5; R^(1/3) > 5 needs N > 125^4
     (about 2.4e8) at theta < 1/4, 240 times the N of the k = 1 config.
-    The oracle factors each n + h_j by trial division, so it reads no
-    table."""
+    Both sides factor by trial division, so neither reads a table."""
     def run():
         rng = np.random.default_rng(seed)
         all_equal = True
@@ -195,7 +194,7 @@ def criterion_1(t: PrimeTable, seed: int = DEFAULT_SEED) -> CriterionResult:
             F = default_test_function(len(h) - 1)
             pick = rng.choice(progression(p), size=200, replace=True)
             brute = [omega_n(n, p, F) for n in pick.tolist()]
-            all_equal &= omega_period(p, F, t).at(pick).tolist() == brute
+            all_equal &= omega_period(p, F).at(pick).tolist() == brute
             checked += len(brute)
         return all_equal, {"checked": checked, "bitwise_equal": all_equal}
     return _timed(1, "separable weight = brute-force tuple oracle (bitwise)",
@@ -245,7 +244,7 @@ def criterion_3(t: PrimeTable) -> CriterionResult:
         ratios = {}
         for N in (10 ** 6, 4 * 10 ** 6):
             p = make_sieve_params(N=N, h=(0, 6, 12), theta=0.1, w=5, W0=1)
-            reps = [omega_sum(p, F, t)]
+            reps = [omega_sum(p, F)]
             reps += [weighted_prime_sum(p, F, i, t) for i in range(3)]
             ratios[N] = [r.ratio for r in reps]
         window = all(0.5 <= r <= 1.5 for rs in ratios.values() for r in rs)
@@ -519,7 +518,7 @@ def criterion_10() -> CriterionResult:
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     t = shared_table()
     return [
-        criterion_1(t, seed=seed),
+        criterion_1(seed=seed),
         criterion_2(),
         criterion_3(t),
         criterion_4(t),

@@ -357,7 +357,7 @@ def _cmd_sums(cfg: dict, em: _Emitter, table, args) -> int:
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
     t = table(p.top)
-    em.emit_report(omega_sum(p, F, t))
+    em.emit_report(omega_sum(p, F))
     for i in range(p.k + 1):
         em.emit_report(weighted_prime_sum(p, F, i, t))
     return 0

@@ -5,8 +5,8 @@ positivity certifies existence of a window with m+1 recurrent primes, and
 a direct unweighted scan that lists every such window outright.  The scan
 is the ground truth (it never reads the sieve weights); the detector is
 reported alongside because its sign is the existence argument.  The
-detector reads Omega_n from the period table (``sieve.omega_period``), as
-every weighted progression sum does.
+detector reads Omega_n from the op's one period table
+(``sieve.omega_period``), which every weighted progression sum shares.
 
 The detector and the scan sieve each shifted progression n + h_i
 (``sieve.shift_primes``) and the consecutive filter sieves [N + min h,
@@ -81,8 +81,8 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     """
     thresh, corr, cap = _setup(p, sys, A, eps, m)
     pts = points(p)
-    om = omega_period(p, F, t)
     shifts = [(hi, shift_primes(p, hi, t)) for hi in p.h]
+    om = omega_period(p, F)
 
     def kern(chunk: np.ndarray) -> np.ndarray:
         inner = np.zeros(len(chunk))

@@ -154,7 +154,7 @@ def primes_in(r: range, t: PrimeTable) -> np.ndarray:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Ascending (prime, exponent) pairs of n, by trial division."""
+    """Ascending (prime, exponent) pairs of n, by odd trial divisors after 2."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}: need n >= 1")
     out: list[tuple[int, int]] = []
@@ -166,7 +166,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 rest //= p
                 e += 1
             out.append((p, e))
-        p += 1
+        p += 1 if p == 2 else 2
     if rest > 1:
         out.append((rest, 1))
     return out

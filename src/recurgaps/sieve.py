@@ -11,8 +11,9 @@ the ratio is the whole point of the experiment.
 
 Omega_n depends on n only through the plan primes dividing n + h_j, so
 along the progression it is periodic with period dividing their product
-P; it is evaluated once on min(P, L) points (``omega_period``) and the
-sums here and in expsum, dynamics and cluster read it from that table.
+P; it is evaluated on min(P, L) points (``omega_period``) from p and F
+alone, once per op -- every sum here and in expsum, dynamics and cluster
+reads that cached table -- and above OMEGA_TABLE_BUDGET points refused.
 ``omega_n`` evaluates it at one n by full divisor-tuple enumeration, the
 oracle the table is checked against.
 
@@ -21,9 +22,8 @@ terms through one pipeline, ``prime_kernel``: ``shift_primes`` sieves the
 shifted progression n + h_i itself, SEGMENT points at a time
 (``primes.ap_primality``), as ``chunked_sum`` walks the ``points`` range
 CHUNK at a time, and the factor is read only where n + h_i is prime.  So
-those sums need a prime table only up to isqrt(2N + max h) -- the sieve's
-base primes, which include the plan primes -- and run in
-O(CHUNK + SEGMENT + sqrt(N)) memory besides the Omega table.
+those sums need only the sieve's base primes, up to isqrt(2N + max h),
+and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides the Omega table.
 
 Summation order is pinned: per-coordinate subset terms follow one fixed
 preorder, and each total is the correctly rounded exact sum of its per-n
@@ -35,6 +35,7 @@ chunkings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -47,6 +48,9 @@ from .accumulate import CHUNK, chunked_sum, periodic_sum
 from .admissible import ParameterError, SieveParams
 from .primes import PrimeTable, phi_int, squarefree_divisors
 from .testfn import TestFunction, J_star, J_i, lambda_weight
+
+# Points an Omega period table may hold: 2^26 float64s are 512 MiB.
+OMEGA_TABLE_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -155,12 +159,11 @@ def _divisor_plan(F: TestFunction, R: int,
     return plan
 
 
-def _plan_primes(p: SieveParams, F: TestFunction, t: PrimeTable) -> list[int]:
-    """The primes below the support cutoff that do not divide W."""
+def _plan_primes(p: SieveParams, F: TestFunction) -> list[int]:
+    """The primes below the support cutoff that do not divide W, ascending."""
     cutoff = float(p.R) ** F.upper
-    hi = min(t.limit, int(cutoff) + 1)
-    return [int(q) for q in t.primes[t.primes <= hi]
-            if q < cutoff and p.W % q != 0]
+    return [q for q in range(2, math.ceil(cutoff))
+            if p.W % q != 0 and primes.is_prime(q)]
 
 
 def omega_n(n: int, p: SieveParams, F: TestFunction) -> float:
@@ -180,7 +183,7 @@ def omega_n(n: int, p: SieveParams, F: TestFunction) -> float:
     return s * s
 
 
-def omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
+def omega_kernel(p: SieveParams, F: TestFunction):
     """Chunk kernel: Omega values for an array of progression points.
 
     On the progression every divisor of n + h_j is coprime to W, so the plan
@@ -188,7 +191,7 @@ def omega_kernel(p: SieveParams, F: TestFunction, t: PrimeTable):
     zeros and the per-element float result is unchanged bit for bit.
     """
     f0 = F.f0
-    plan = _divisor_plan(F, p.R, _plan_primes(p, F, t))
+    plan = _divisor_plan(F, p.R, _plan_primes(p, F))
     hs = p.h
 
     def kernel(ns: np.ndarray) -> np.ndarray:
@@ -234,30 +237,35 @@ class OmegaPeriod:
         return periodic_sum(self.vals, self.count)
 
 
-def omega_period(p: SieveParams, F: TestFunction, t: PrimeTable) -> OmegaPeriod:
+@functools.lru_cache(maxsize=1)
+def omega_period(p: SieveParams, F: TestFunction) -> OmegaPeriod:
     """Omega on the first min(P, L) points of the progression of L points,
-    where P is the product of the plan primes (all coprime to W)."""
-    # the table must hold the window's base primes, the plan primes among them
-    primes.base_primes(t, p.top)
+    where P is the product of the plan primes (all coprime to W); the sums
+    of an op share it, cached on (p, F), so it is read-only."""
     pts = points(p)
     start, count = pts.start, len(pts)
-    per = min(math.prod(_plan_primes(p, F, t)), count)
-    kern = omega_kernel(p, F, t)
+    per = min(math.prod(_plan_primes(p, F)), count)
+    if per > OMEGA_TABLE_BUDGET:
+        raise ParameterError(
+            f"the Omega table needs {per} points, above the budget 2^26 = "
+            f"{OMEGA_TABLE_BUDGET}; lower --n or --theta")
+    kern = omega_kernel(p, F)
     vals = np.empty(per)
     for i in range(0, per, CHUNK):
         j = min(i + CHUNK, per)
         vals[i:j] = kern(np.arange(start + i * p.W, start + j * p.W, p.W,
                                    dtype=np.int64))
+    vals.flags.writeable = False
     return OmegaPeriod(start=start, W=p.W, count=count, vals=vals)
 
 
-def omega_sum(p: SieveParams, F: TestFunction, t: PrimeTable) -> SumReport:
+def omega_sum(p: SieveParams, F: TestFunction) -> SumReport:
     """Sum of Omega_n over the progression vs J_* N W^k/((log R)^(k+1) phi(W)^(k+1)).
 
     An exact class-count sum over the period table; the progression itself
     is never built.
     """
-    om = omega_period(p, F, t)
+    om = omega_period(p, F)
     predicted = J_star(F) * main_scale(p, p.k + 1)
     return SumReport.build("omega_sum", om.total(), predicted, om.count, p.echo())
 
@@ -271,9 +279,9 @@ def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
     Every other term is an exact zero, which ``math.fsum`` drops, so the
     kernel keeps only the prime ones and evaluates factor there alone.
     """
-    om = omega_period(p, F, t)
     hi = p.h[i]
-    prime = shift_primes(p, hi, t)
+    prime = shift_primes(p, hi, t)  # checks t before the table is built
+    om = omega_period(p, F)
 
     def kern(ns: np.ndarray) -> np.ndarray:
         ns = ns[prime.at(ns)]

@@ -48,8 +48,7 @@ def test_shared_table_holds_the_base_primes_of_the_widest_window():
     assert acceptance.TABLE_LIMIT == math.isqrt(p.top) + 1 == 2829
 
 
-@pytest.mark.parametrize("criterion", [acceptance.criterion_1,
-                                       acceptance.criterion_8,
+@pytest.mark.parametrize("criterion", [acceptance.criterion_8,
                                        acceptance.criterion_9])
 def test_oracles_read_no_least_prime_factors(criterion, big_table):
     # the oracles factor by trial division, so a table without spf gives
@@ -66,8 +65,8 @@ def crit3(big_table):
     return _report(acceptance.criterion_3(big_table))
 
 
-def test_criterion_1_omega_oracle_bitwise(big_table):
-    res = _report(acceptance.criterion_1(big_table))
+def test_criterion_1_omega_oracle_bitwise():
+    res = _report(acceptance.criterion_1())
     assert res.details["bitwise_equal"]
     assert res.details["checked"] == 400
     assert res.runtime_ok
@@ -75,18 +74,18 @@ def test_criterion_1_omega_oracle_bitwise(big_table):
     assert _digest(res) == _RECORD_DIGESTS[1]
 
 
-def test_criterion_1_configs_have_non_empty_plans(big_table, monkeypatch):
+def test_criterion_1_configs_have_non_empty_plans(monkeypatch):
     # an empty plan makes Omega the constant f(0)^(2(k+1)), so the bitwise
     # check would compare that constant with itself
     plans, periods = [], []
 
-    def recording_period(p, F, t):
-        plans.append(sieve._plan_primes(p, F, t))
-        periods.append(len(sieve.omega_period(p, F, t).vals))
-        return sieve.omega_period(p, F, t)
+    def recording_period(p, F):
+        plans.append(sieve._plan_primes(p, F))
+        periods.append(len(sieve.omega_period(p, F).vals))
+        return sieve.omega_period(p, F)
 
     monkeypatch.setattr(acceptance, "omega_period", recording_period)
-    assert acceptance.criterion_1(big_table).passed
+    assert acceptance.criterion_1().passed
     assert plans == [[3, 5, 7, 11, 13], [3, 5]]
     assert all(per > 1 for per in periods)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import recurgaps
-from recurgaps import acceptance, cli
+from recurgaps import acceptance, cli, sieve
 from recurgaps.admissible import DEFAULT_SEED
 from recurgaps.cli import main, parse_set, parse_system
 from recurgaps.primes import PrimeTable
@@ -627,6 +627,51 @@ def test_over_budget_discrepancy_exits_2_before_sieving(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "lower q (--q) or the theta grid (--grid)" in err
+
+
+# each op's sums of Omega-weighted terms, more than one record apiece
+_ONE_TABLE_OPS = {
+    "sums": ["sums", "--n", "50000", "--k", "1", "--h", "0,2", "--w", "2",
+             "--theta", "0.24"],
+    "recur-weighted": ["recur", "--weighted", "--n", "50000", "--k", "1",
+                       "--h", "0,4", "--w", "2", "--w0", "4", "--theta", "0.2",
+                       "--system", "g=4"],
+    "minor-scan": ["expsum", "--op", "minor-scan", "--n", "50000", "--k", "1",
+                   "--h", "0,2", "--w", "2", "--theta", "0.24", "--alphas",
+                   "0.6180339887498949,0.41421356237309515"],
+}
+
+
+@pytest.mark.parametrize("args", _ONE_TABLE_OPS.values(),
+                         ids=_ONE_TABLE_OPS.keys())
+def test_each_op_builds_one_omega_table(args, monkeypatch, capsys):
+    builds = []
+    kernel = sieve.omega_kernel
+
+    def counted(*a):
+        builds.append(a)
+        return kernel(*a)
+
+    monkeypatch.setattr(sieve, "omega_kernel", counted)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert len(lines_of(out)) > 1
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("n,budget", [(50_000, 1000),
+                                      (10 ** 9, None)])  # 5e8 points, 3.7 GiB
+def test_omega_table_over_budget_exits_2_before_the_kernel(n, budget,
+                                                           monkeypatch, capsys):
+    if budget is not None:  # N = 5e4 needs P = 3 * 5 * 7 * 11 = 1155 points
+        monkeypatch.setattr(sieve, "OMEGA_TABLE_BUDGET", budget)
+    monkeypatch.setattr(sieve, "omega_kernel",
+                        lambda *a: pytest.fail("built an over-budget table"))
+    code, out, err = run_cli(["sums", "--n", str(n), "--k", "0", "--h", "0",
+                              "--w", "2", "--theta", "0.24"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--n" in err and "--theta" in err
 
 
 def test_repeat_run_byte_identity(tmp_path, capsys):

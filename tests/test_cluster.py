@@ -96,7 +96,7 @@ def test_detector_reads_omega_bit_for_bit_as_the_kernel(small_table,
     sys_, A = z4_setup()
     p = make_sieve_params(N=2 * 10 ** 5, h=(0, 4), theta=0.24, w=2, W0=4)
     F = default_test_function(1)
-    assert _plan_primes(p, F, small_table) == [3]
+    assert _plan_primes(p, F) == [3]
     rep = detector_sum(p, F, sys_, A, 0.01, 1, small_table)
     ns = progression(p)
     corr = correlation_kernel(sys_, A)
@@ -107,7 +107,7 @@ def test_detector_reads_omega_bit_for_bit_as_the_kernel(small_table,
         varpi = np.where(mid_table.spf[m] == m,
                          np.log(m.astype(np.float64)), 0.0)
         inner = inner + varpi * (corr(m - 1) - thresh)
-    omega = omega_kernel(p, F, small_table)(ns)
+    omega = omega_kernel(p, F)(ns)
     assert len(set(omega.tolist())) > 1
     dense = omega * (inner - math.log(3 * p.N))
     assert rep.measured == math.fsum(dense.tolist())

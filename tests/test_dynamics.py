@@ -263,7 +263,7 @@ def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch)
     ns = progression(p)
     m = ns + p.h[0]
     varpi = np.where(small_table.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
-    dense = (varpi * omega_kernel(p, F, small_table)(ns)
+    dense = (varpi * omega_kernel(p, F)(ns)
              * correlation_kernel(sys_, A)(m - 1))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)

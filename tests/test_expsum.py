@@ -393,7 +393,7 @@ for size in (1, 7):
     parts = [_phase(m[i:i + size], pt) for i in range(0, len(m), size)]
     assert np.concatenate(parts).tobytes() == whole.tobytes(), size
 varpi = np.where(t.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
-dense = varpi * omega_kernel(p, F, t)(ns) * whole
+dense = varpi * omega_kernel(p, F)(ns) * whole
 accumulate.CHUNK = 1
 got = weighted_expsum(p, F, 1, pt, t).measured
 want = complex(math.fsum(dense.real.tolist()), math.fsum(dense.imag.tolist()))

@@ -62,20 +62,20 @@ def test_omega_single_coordinate_prime(params_k0, small_table):
     assert got == pytest.approx((math.log(7) / math.log(R)) ** 2, rel=1e-13)
 
 
-def test_omega_oracle_agreement_nondegenerate(params_k0, small_table):
+def test_omega_oracle_agreement_nondegenerate(params_k0):
     F = default_test_function(0)
     ns = progression(params_k0)[:1500]
-    table = omega_period(params_k0, F, small_table).at(ns)
+    table = omega_period(params_k0, F).at(ns)
     for n, fast in zip(ns.tolist(), table.tolist()):
         assert fast == pytest.approx(omega_n(n, params_k0, F), rel=1e-12)
     assert len(set(table.tolist())) > 3  # genuinely non-degenerate weights
 
 
-def test_omega_oracle_agreement_k1(small_table):
+def test_omega_oracle_agreement_k1():
     p = make_sieve_params(N=10 ** 5, h=(0, 2), theta=0.2349, w=2, W0=1)
     F = default_test_function(1)
     ns = progression(p)[:300]
-    table = omega_period(p, F, small_table).at(ns)
+    table = omega_period(p, F).at(ns)
     for n, fast in zip(ns.tolist(), table.tolist()):
         assert fast == pytest.approx(omega_n(n, p, F), rel=1e-12)
 
@@ -86,9 +86,9 @@ def test_omega_nonnegative(n):
     assert omega_n(n, _HYP_PARAMS, _HYP_F) >= 0.0
 
 
-def test_omega_sum_report_fields(params_k2, small_table):
+def test_omega_sum_report_fields(params_k2):
     F = default_test_function(2)
-    rep = omega_sum(params_k2, F, small_table)
+    rep = omega_sum(params_k2, F)
     assert rep.op == "omega_sum"
     assert rep.measured >= 0.0
     assert rep.predicted > 0.0
@@ -97,31 +97,31 @@ def test_omega_sum_report_fields(params_k2, small_table):
     assert rep.params["N"] == params_k2.N
 
 
-def test_omega_sum_subrange_additivity(small_table):
+def test_omega_sum_subrange_additivity():
     # one period of Omega (P = 15015) repeats across the split point: the
     # table reads the kernel's value bit for bit on both subranges, and the
     # exactly rounded sum of the left and right subrange terms is the total
     p = make_sieve_params(N=60_000, h=(0,), theta=0.24999, w=2, W0=1)
     F = default_test_function(0)
-    om = omega_period(p, F, small_table)
+    om = omega_period(p, F)
     ns = progression(p)
     assert len(om.vals) == 15015 < om.count == len(ns) < 2 * len(om.vals)
     mid = p.N + 31_415
-    kern = omega_kernel(p, F, small_table)
+    kern = omega_kernel(p, F)
     left, right = kern(ns[ns <= mid]), kern(ns[ns > mid])
     assert len(left) and len(right)
     assert np.array_equal(om.at(ns[ns <= mid]), left)
     assert np.array_equal(om.at(ns[ns > mid]), right)
     full = math.fsum(np.concatenate([left, right]).tolist())
-    assert omega_sum(p, F, small_table).measured == full
+    assert omega_sum(p, F).measured == full
 
 
-def test_omega_sum_scales_with_N(small_table):
+def test_omega_sum_scales_with_N():
     F = default_test_function(2)
     p1 = make_sieve_params(N=4 * 10 ** 4, h=(0, 6, 12), theta=0.1, w=5, W0=1)
     p2 = make_sieve_params(N=8 * 10 ** 4, h=(0, 6, 12), theta=0.1, w=5, W0=1)
-    m1 = omega_sum(p1, F, small_table).measured
-    m2 = omega_sum(p2, F, small_table).measured
+    m1 = omega_sum(p1, F).measured
+    m2 = omega_sum(p2, F).measured
     assert m2 == pytest.approx(2 * m1, rel=0.2)
 
 
@@ -145,7 +145,7 @@ def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
     F = default_test_function(0)
     ns = progression(p)
     dense = (_dense_varpi(small_table, ns + p.h[0])
-             * omega_kernel(p, F, small_table)(ns))
+             * omega_kernel(p, F)(ns))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
     assert weighted_prime_sum(p, F, 0, small_table).measured == math.fsum(dense.tolist())
@@ -162,13 +162,13 @@ def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
     t = _HYP_TABLE
     ns = progression(p)
     m = ns + p.h[i]
-    omega = omega_kernel(p, F, t)(ns)
+    omega = omega_kernel(p, F)(ns)
     base = _dense_varpi(t, m) * omega
     phased = base * _phase(m, pt)
     corr = base * correlation_kernel(_HALF_ARC, _HALF_SET)(m - 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accumulate, "CHUNK", chunk)
-        got = [omega_sum(p, F, t).measured,
+        got = [omega_sum(p, F).measured,
                weighted_prime_sum(p, F, i, t).measured,
                weighted_expsum(p, F, i, pt, t).measured,
                weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i, 0.01,
@@ -209,7 +209,7 @@ def test_sums_equal_dense_fsum_at_the_period_extremes(N, theta, k, period,
                                                       chunk):
     p = make_sieve_params(N=N, h=(0, 2)[:k + 1], theta=theta, w=2, W0=1)
     F = default_test_function(k)
-    assert len(omega_period(p, F, _HYP_TABLE).vals) == period
+    assert len(omega_period(p, F).vals) == period
     _assert_sums_equal_dense_fsum(p, k, RationalPoint(1, 3, 0.01), chunk)
 
 
@@ -219,10 +219,41 @@ def test_sums_equal_dense_fsum_when_the_period_exceeds_the_run(chunk):
     # table holds Omega at every point of the progression
     p = make_sieve_params(N=100_000, h=(0,), theta=0.24999, w=2, W0=64)
     F = default_test_function(0)
-    om = omega_period(p, F, _HYP_TABLE)
-    P = math.prod(_plan_primes(p, F, _HYP_TABLE))
+    om = omega_period(p, F)
+    P = math.prod(_plan_primes(p, F))
     assert P == 15015 > om.count == len(om.vals)
     _assert_sums_equal_dense_fsum(p, 0, RationalPoint(1, 3, 0.01), chunk)
+
+
+def _table_plan_primes(p, F, t):
+    """The plan primes read from a prime table over the window's base
+    primes: the oracle for ``_plan_primes``, which finds them by trial
+    division."""
+    cutoff = float(p.R) ** F.upper
+    hi = min(t.limit, int(cutoff) + 1)
+    return [int(q) for q in t.primes[t.primes <= hi]
+            if q < cutoff and p.W % q != 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=100, max_value=10 ** 12),
+       st.floats(min_value=0.01, max_value=0.2499),
+       st.sampled_from([(0,), (0, 2), (0, 2, 6), (0, 4, 6, 10)]),
+       st.sampled_from([2, 3, 5, 7]))
+def test_plan_primes_need_no_table(N, theta, h, w):
+    try:
+        p = make_sieve_params(N=N, h=h, theta=theta, w=w, W0=1)
+    except ParameterError:  # no residue b for this tuple at this w
+        assume(False)
+    F = default_test_function(p.k)
+    t = build_prime_table(math.isqrt(p.top) + 1)
+    assert _plan_primes(p, F) == _table_plan_primes(p, F, t)
+
+
+def test_omega_table_is_shared_and_read_only():
+    om = omega_period(_HYP_PARAMS, _HYP_F)
+    assert omega_period(_HYP_PARAMS, _HYP_F) is om
+    assert not om.vals.flags.writeable
 
 
 # ---------------------------------------------------------------------------
