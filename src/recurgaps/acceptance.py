@@ -33,7 +33,7 @@ from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
 from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
 from .primes import PrimeTable, build_prime_table, is_prime, mobius, phi_int
-from .sieve import (SumReport, omega_n, omega_period, omega_sum, progression,
+from .sieve import (SumReport, omega_n, omega_period, omega_sum, points,
                     weighted_prime_sum)
 from .testfn import TestFunction, default_test_function
 
@@ -192,9 +192,10 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         for N, h in ((10 ** 5, (0,)), (10 ** 6, (0, 2))):
             p = make_sieve_params(N=N, h=h, theta=0.24, w=2, W0=1)
             F = default_test_function(len(h) - 1)
-            pick = rng.choice(progression(p), size=200, replace=True)
-            brute = [omega_n(n, p, F) for n in pick.tolist()]
-            all_equal &= omega_period(p, F).at(pick).tolist() == brute
+            pts = points(p)
+            js = rng.choice(len(pts), size=200, replace=True)
+            brute = [omega_n(pts[j], p, F) for j in js.tolist()]
+            all_equal &= omega_period(p, F).at(js).tolist() == brute
             checked += len(brute)
         return all_equal, {"checked": checked, "bitwise_equal": all_equal}
     return _timed(1, "separable weight = brute-force tuple oracle (bitwise)",

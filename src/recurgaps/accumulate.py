@@ -1,13 +1,13 @@
 """Deterministic reductions: one exactly rounded math.fsum per sum.
 
 Every progression sum is one ``math.fsum`` over its per-point terms,
-streamed chunk by chunk over a range of points (``chunked_sum``), or, for
-a periodic sequence, over exact multiples of one period
-(``periodic_sum``).  ``fsum`` returns the correctly rounded value of the
-exact total, which depends only on the multiset of terms, so the final
-double is independent of chunk boundaries, and summing the terms of a
-partition of the range gives the full-range value exactly.  Chunks are evaluated one after another on the calling
-thread; no list of all terms is built, so memory is O(CHUNK) per real sum.
+streamed one span of point indices at a time (``chunked_sum``), or, for a
+periodic sequence, over exact multiples of one period (``periodic_sum``).
+``fsum`` returns the correctly rounded value of the exact total, which
+depends only on the multiset of terms, so the final double is independent
+of chunk boundaries, and the terms of a partition of the range sum to the
+full-range value exactly.  Spans are evaluated in turn on the calling
+thread and no list of all terms is built: O(CHUNK) memory per real sum.
 """
 
 from __future__ import annotations
@@ -22,19 +22,18 @@ CHUNK = 1 << 13  # progression elements per chunk; fixed, so memory is O(CHUNK)
 
 
 def chunked_sum(points: range,
-                kernel: Callable[[np.ndarray], np.ndarray],
+                kernel: Callable[[int, int], np.ndarray],
                 complex_valued: bool = False):
     """Exactly rounded sum of kernel over points, CHUNK points at a time.
 
-    Each CHUNK slice of points is built as an int64 array when it is
-    reached, and kernel maps it to per-point terms.  Complex sums stream
-    the real parts through fsum and keep each chunk's imaginary parts
-    (8 bytes per term) for a second fsum.  An empty range gives 0.0 (0j
-    when complex_valued) without calling kernel.
+    kernel(lo, hi) maps the points of index lo <= j < hi, one CHUNK span
+    after another, to their terms; the values are points.start + j *
+    points.step.  Complex sums stream the real parts through fsum and keep
+    each chunk's imaginary parts (8 bytes per term) for a second fsum.  An
+    empty range gives 0.0 (0j when complex_valued) without calling kernel.
     """
-    chunks = (points[i:i + CHUNK] for i in range(0, len(points), CHUNK))
-    terms = (kernel(np.arange(r.start, r.stop, r.step, dtype=np.int64))
-             for r in chunks)
+    n = len(points)
+    terms = (kernel(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
     if not complex_valued:
         return math.fsum(chain.from_iterable(c.tolist() for c in terms))
     imag: list[np.ndarray] = []

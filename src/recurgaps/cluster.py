@@ -81,16 +81,18 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     """
     thresh, corr, cap = _setup(p, sys, A, eps, m)
     pts = points(p)
-    shifts = [(hi, shift_primes(p, hi, t)) for hi in p.h]
+    shifts = [(h, shift_primes(p, h, t)) for h in p.h]
     om = omega_period(p, F)
 
-    def kern(chunk: np.ndarray) -> np.ndarray:
-        inner = np.zeros(len(chunk))
-        for hi, prime in shifts:
-            mvals = chunk + hi
-            wp = np.where(prime.at(chunk), np.log(mvals.astype(np.float64)), 0.0)
+    def kern(lo: int, hi: int) -> np.ndarray:
+        js = np.arange(lo, hi, dtype=np.int64)
+        ns = pts.start + js * p.W
+        inner = np.zeros(hi - lo)
+        for h, prime in shifts:
+            mvals = ns + h
+            wp = np.where(prime.at(lo, hi), np.log(mvals.astype(np.float64)), 0.0)
             inner = inner + wp * (corr(mvals - 1) - thresh)
-        return om.at(chunk) * (inner - cap)
+        return om.at(js) * (inner - cap)
 
     measured = chunked_sum(pts, kern)
     scale = main_scale(p, p.k)
@@ -118,7 +120,7 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
     varpis = []
     for hi in p.h:
         mvals = ns + hi
-        hits.append(shift_primes(p, hi, t).at(ns))
+        hits.append(shift_primes(p, hi, t).at(0, len(ns)))
         recur_ok.append(corr(mvals - 1) >= thresh)
         varpis.append(np.where(hits[-1], np.log(mvals.astype(np.float64)), 0.0))
     good = np.sum([h & r for h, r in zip(hits, recur_ok)], axis=0)

@@ -3,9 +3,11 @@
 Every op learns primality one way: ``ap_primality`` sieves the values of
 an arithmetic progression with the base primes up to the square root of
 its last value (``base_primes``), SEGMENT values at a time in its callers
-(``primes_in``; ``sieve.ShiftPrimes`` takes a longer chunk in one span),
-in O(SEGMENT + sqrt(x)) memory wherever the window lies.  An op that holds its whole window refuses one
-above DEFAULT_LIMIT_BUDGET before any sieving (``require_window``).
+(``primes_in``; ``sieve.ShiftPrimes`` takes a longer span in one), with
+the step's inverses computed once per walk (``step_inverses``), in
+O(SEGMENT + sqrt(x)) memory wherever the window lies.  An op that holds
+its whole window refuses one above DEFAULT_LIMIT_BUDGET before any sieving
+(``require_window``).
 
 A table holds the primes up to its limit and ``spf[n]``, the least prime
 dividing n.  An op, and ``verify``, builds one only up to isqrt of its
@@ -76,8 +78,8 @@ def build_prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, spf=spf, primes=primes)
 
 
-def ap_primality(first: int, step: int, count: int,
-                 base: np.ndarray) -> np.ndarray:
+def ap_primality(first: int, step: int, count: int, base: np.ndarray,
+                 inverses: np.ndarray) -> np.ndarray:
     """Exact is-prime mask of first + j * step for 0 <= j < count.
 
     ``base`` is an ascending int64 array holding at least every prime up to
@@ -85,7 +87,8 @@ def ap_primality(first: int, step: int, count: int,
     values it divides from the first one >= p * p on, so p itself is kept
     and every composite is crossed out by its least prime factor; when p
     divides ``step`` the values are all = first (mod p), so it crosses out
-    all of them from there or none.  Values below 2 are not prime.
+    all of them from there or none (``inverses``, which is
+    ``step_inverses(step, base)``, is 0 there).  Values below 2 are not prime.
     """
     if step < 1 or count < 0:
         raise ValueError(f"need step >= 1 and count >= 0, got {step}, {count}")
@@ -96,29 +99,31 @@ def ap_primality(first: int, step: int, count: int,
         mask[:-((first - 2) // step)] = False  # the values below 2
     root = math.isqrt(max(first + (count - 1) * step, 0))
     ps = base[:np.searchsorted(base, root, side="right")]
+    inv = inverses[:len(ps)]
     jmin = np.maximum(-((first - ps * ps) // step), 0)  # first value >= p * p
-    divides = step % ps == 0
+    divides = inv == 0
     for p, j in zip(ps[divides].tolist(), jmin[divides].tolist()):
         if first % p == 0:
             mask[j:] = False
     ps, jmin = ps[~divides], jmin[~divides]
     # the values divisible by p are those with j = -first / step (mod p)
-    r = (-first) % ps * _inverse_mod(step % ps, ps) % ps
+    r = (-first) % ps * inv[~divides] % ps
     for p, j in zip(ps.tolist(), (jmin + (r - jmin) % ps).tolist()):
         mask[j:: p] = False
     return mask
 
 
-def _inverse_mod(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """a^-1 mod p for each prime p of ps, as a^(p-2) by square and multiply
-    (every product is below p^2, so p < 3e9 keeps it in int64)."""
+def step_inverses(step: int, ps: np.ndarray) -> np.ndarray:
+    """step^-1 mod p for each prime p of ps (0 where p divides step), as
+    step^(p-2) by square and multiply; p < 3e9 keeps each product in int64."""
+    a = step % ps
     out = np.ones_like(ps)
     e = ps - 2
     while e.any():
         out = np.where(e & 1, out * a % ps, out)
         a = a * a % ps
         e >>= 1
-    return out
+    return np.where(step % ps, out, 0)
 
 
 def base_primes(t: PrimeTable, top: int) -> np.ndarray:
@@ -146,9 +151,10 @@ def primes_in(r: range, t: PrimeTable) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     require_window(r[-1])
     base = base_primes(t, r[-1])
+    inv = step_inverses(r.step, base)
     parts = []
     for j in range(0, len(r), SEGMENT):
-        mask = ap_primality(r[j], r.step, min(SEGMENT, len(r) - j), base)
+        mask = ap_primality(r[j], r.step, min(SEGMENT, len(r) - j), base, inv)
         parts.append(np.flatnonzero(mask) * r.step + r[j])
     return np.concatenate(parts)
 

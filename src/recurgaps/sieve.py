@@ -17,13 +17,15 @@ reads that cached table -- and above OMEGA_TABLE_BUDGET points refused.
 ``omega_n`` evaluates it at one n by full divisor-tuple enumeration, the
 oracle the table is checked against.
 
-Every sum of varpi(n+h_i) Omega_n times a factor of n+h_i builds its
-terms through one pipeline, ``prime_kernel``: ``shift_primes`` sieves the
-shifted progression n + h_i itself, SEGMENT points at a time
-(``primes.ap_primality``), as ``chunked_sum`` walks the ``points`` range
-CHUNK at a time, and the factor is read only where n + h_i is prime.  So
-those sums need only the sieve's base primes, up to isqrt(2N + max h),
-and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides the Omega table.
+The walk over n_j = start + jW has one coordinate, the index j: a kernel
+gets a span lo <= j < hi, reads primality (``ShiftPrimes.at``) and Omega
+(``OmegaPeriod.at``) by index, and builds n_j where it needs it.  Every
+sum of varpi(n+h_i) Omega_n factor(n+h_i) has one kernel, ``prime_kernel``:
+``shift_primes`` sieves n + h_i itself, SEGMENT points at a time, as
+``chunked_sum`` walks CHUNK at a time, and the factor is read only where
+n + h_i is prime.  So those sums need only the base primes, up to
+isqrt(2N + max h), and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides
+the Omega table.
 
 Summation order is pinned: per-coordinate subset terms follow one fixed
 preorder, and each total is the correctly rounded exact sum of its per-n
@@ -95,35 +97,28 @@ def progression(p: SieveParams) -> np.ndarray:
 
 
 class ShiftPrimes:
-    """Whether n + h is prime, for the points n of one progression, sieved
-    one span at a time (``primes.ap_primality``) as a chunk scan advances.
+    """Whether m_j = n_j + h is prime, for the points n_j of one
+    progression, sieved one span of indices at a time (``ap_primality``).
 
-    ``at`` is read like ``OmegaPeriod.at``, one chunk of consecutive
-    progression points at a time.  A chunk the span held does not cover
-    starts a new span: max(SEGMENT, len(chunk)) points from the chunk's
-    first one.  As CHUNK divides SEGMENT and every scan starts at point 0,
-    a forward scan sieves each point once and holds one segment.
+    A span lo <= j < hi the held mask does not cover starts a new one:
+    max(SEGMENT, hi - lo) points from lo.  As CHUNK divides SEGMENT and
+    every scan starts at index 0, a forward scan sieves each point once
+    and holds one segment.
     """
 
     def __init__(self, points: range, h: int, base: np.ndarray):
-        self.points = points
-        self.h = h
+        self.values = range(points.start + h, points.stop + h, points.step)
         self.base = base
+        self.inverses = primes.step_inverses(points.step, base)
         self._lo = 0                           # index of _mask[0]
         self._mask = np.zeros(0, dtype=bool)
 
-    def at(self, ns: np.ndarray) -> np.ndarray:
-        """Boolean mask: n + h is prime, for consecutive progression points ns."""
-        if not len(ns):
-            return np.zeros(0, dtype=bool)
-        lo = (int(ns[0]) - self.points.start) // self.points.step
-        hi = lo + len(ns)
-        if int(ns[-1]) != self.points[hi - 1]:
-            raise ValueError("points must be consecutive progression points")
-        if not self._lo <= lo < hi <= self._lo + len(self._mask):
-            n = min(max(primes.SEGMENT, len(ns)), len(self.points) - lo)
+    def at(self, lo: int, hi: int) -> np.ndarray:
+        """Boolean mask: n_j + h is prime, for lo <= j < hi."""
+        if not self._lo <= lo <= hi <= self._lo + len(self._mask):
+            m = self.values[lo:lo + max(primes.SEGMENT, hi - lo)]
             self._lo, self._mask = lo, primes.ap_primality(
-                self.points[lo] + self.h, self.points.step, n, self.base)
+                m.start, m.step, len(m), self.base, self.inverses)
         return self._mask[lo - self._lo:hi - self._lo]
 
 
@@ -216,21 +211,19 @@ def main_scale(p: SieveParams, log_power: int) -> float:
 
 @dataclass(frozen=True)
 class OmegaPeriod:
-    """Omega over the progression n_j = start + jW, 0 <= j < count, from
-    one period of its values.
+    """Omega over the progression points n_j, 0 <= j < count, from one
+    period of its values.
 
     Omega at n_j is vals[j % len(vals)], bit for bit the kernel's value,
     since the table entries come from the same per-element operations.
     """
 
-    start: int
-    W: int
     count: int
     vals: np.ndarray
 
-    def at(self, ms: np.ndarray) -> np.ndarray:
-        """Omega at the progression points ms."""
-        return self.vals[(ms - self.start) // self.W % len(self.vals)]
+    def at(self, js: np.ndarray) -> np.ndarray:
+        """Omega at the progression points of index js."""
+        return self.vals[js % len(self.vals)]
 
     def total(self) -> float:
         """Exactly rounded sum of Omega over the progression."""
@@ -243,8 +236,7 @@ def omega_period(p: SieveParams, F: TestFunction) -> OmegaPeriod:
     where P is the product of the plan primes (all coprime to W); the sums
     of an op share it, cached on (p, F), so it is read-only."""
     pts = points(p)
-    start, count = pts.start, len(pts)
-    per = min(math.prod(_plan_primes(p, F)), count)
+    per = min(math.prod(_plan_primes(p, F)), len(pts))
     if per > OMEGA_TABLE_BUDGET:
         raise ParameterError(
             f"the Omega table needs {per} points, above the budget 2^26 = "
@@ -253,10 +245,9 @@ def omega_period(p: SieveParams, F: TestFunction) -> OmegaPeriod:
     vals = np.empty(per)
     for i in range(0, per, CHUNK):
         j = min(i + CHUNK, per)
-        vals[i:j] = kern(np.arange(start + i * p.W, start + j * p.W, p.W,
-                                   dtype=np.int64))
+        vals[i:j] = kern(pts.start + np.arange(i, j, dtype=np.int64) * p.W)
     vals.flags.writeable = False
-    return OmegaPeriod(start=start, W=p.W, count=count, vals=vals)
+    return OmegaPeriod(count=len(pts), vals=vals)
 
 
 def omega_sum(p: SieveParams, F: TestFunction) -> SumReport:
@@ -273,20 +264,19 @@ def omega_sum(p: SieveParams, F: TestFunction) -> SumReport:
 def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
                  factor: Callable[[np.ndarray], np.ndarray] | None = None):
     """Chunk kernel for the sum of varpi(n+h_i) Omega_n factor(n+h_i) over
-    the progression: log(m) Omega_n (times factor(m)) at the n of a chunk
-    with m = n + h_i prime.
+    the progression: log(m) Omega_n (times factor(m)) at the points n_j of
+    a span lo <= j < hi with m = n_j + h_i prime.
 
     Every other term is an exact zero, which ``math.fsum`` drops, so the
     kernel keeps only the prime ones and evaluates factor there alone.
     """
-    hi = p.h[i]
-    prime = shift_primes(p, hi, t)  # checks t before the table is built
+    prime = shift_primes(p, p.h[i], t)  # checks t before the table is built
     om = omega_period(p, F)
 
-    def kern(ns: np.ndarray) -> np.ndarray:
-        ns = ns[prime.at(ns)]
-        m = ns + hi
-        terms = np.log(m) * om.at(ns)
+    def kern(lo: int, hi: int) -> np.ndarray:
+        js = lo + np.flatnonzero(prime.at(lo, hi))
+        m = prime.values.start + js * p.W
+        terms = np.log(m) * om.at(js)
         return terms if factor is None else terms * factor(m)
 
     return kern

@@ -19,8 +19,8 @@ terms_of = st.lists(st.one_of(finite, scaled), max_size=60)
 
 
 def lookup(values: np.ndarray):
-    """Kernel reading per-point terms off a chunk of indices."""
-    return lambda idx: values[idx]
+    """Kernel reading per-point terms off a span of point indices."""
+    return lambda lo, hi: values[lo:hi]
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,9 +67,25 @@ def test_ill_conditioned_terms(monkeypatch, chunk, reps):
                        complex_valued=True) == complex(reps, -2 * reps)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 8192])
+def test_kernel_sees_consecutive_index_spans(monkeypatch, chunk):
+    # the spans are point indices, whatever the range's start and step
+    points = range(1001, 1200, 6)
+    spans = []
+
+    def kernel(lo, hi):
+        spans.append((lo, hi))
+        return np.ones(hi - lo)
+
+    monkeypatch.setattr(accumulate, "CHUNK", chunk)
+    assert chunked_sum(points, kernel) == len(points)
+    assert spans == [(lo, min(lo + chunk, len(points)))
+                     for lo in range(0, len(points), chunk)]
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_empty_progression(monkeypatch, chunk):
-    def kernel(chunk):
+    def kernel(lo, hi):
         raise AssertionError("kernel called on an empty progression")
 
     ns = range(0)

@@ -439,7 +439,7 @@ _KERNEL_PROBE = """
 import numpy as np
 from recurgaps.expsum import (_SPLIT, _e, _rational_phase, _theta_frac,
                               _theta_phase)
-from recurgaps.primes import ap_primality, build_prime_table
+from recurgaps.primes import ap_primality, build_prime_table, step_inverses
 
 def old_frac(ns, theta):
     c = theta * _SPLIT
@@ -451,10 +451,12 @@ def old_e(f):
     return np.exp(2j * np.pi * f)
 
 base = build_prime_table(1 << 14).primes  # up to isqrt(2^28)
+inverses = step_inverses(1, base)
 rng = np.random.default_rng(2015)
 width = 1 << 15
 starts = [2] + rng.integers(2, (1 << 28) - width, 40).tolist()
-ps = np.concatenate([np.flatnonzero(ap_primality(lo, 1, width, base)) + lo
+ps = np.concatenate([np.flatnonzero(ap_primality(lo, 1, width, base,
+                                                 inverses)) + lo
                      for lo in starts])
 fps = ps.astype(np.float64)
 thetas = [1e-6, -1e-6, -0.37, 2.5e-3, -2.5e-3, 0.5, -3.7, 1e-12]

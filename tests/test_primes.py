@@ -9,7 +9,8 @@ from recurgaps import primes
 from recurgaps.admissible import ParameterError
 from recurgaps.primes import (DEFAULT_LIMIT_BUDGET, ap_primality,
                               build_prime_table, factorize, is_prime, mobius,
-                              phi_int, primes_in, squarefree_divisors)
+                              phi_int, primes_in, squarefree_divisors,
+                              step_inverses)
 
 ORACLE_LIMIT = 10 ** 4
 
@@ -253,10 +254,26 @@ def _spf_primality(first, step, count, table):
     return (vals >= 2) & (table.spf[vals] == vals)
 
 
+def _ap(first, step, count, base):
+    """ap_primality with the step's inverses over the whole base, of which
+    it reads the prefix it sieves with."""
+    return ap_primality(first, step, count, base, step_inverses(step, base))
+
+
 def _assert_ap_matches_table(first, step, count, table):
-    got = ap_primality(first, step, count, table.primes)
+    got = _ap(first, step, count, table.primes)
     assert got.dtype == bool and len(got) == count
     assert np.array_equal(got, _spf_primality(first, step, count, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 12))
+def test_step_inverses_invert_the_step_or_mark_a_divisor(step):
+    ps = _HYP_TABLE.primes
+    inv = step_inverses(step, ps)
+    assert inv.dtype == ps.dtype
+    assert [(step * int(i)) % q for i, q in zip(inv.tolist(), ps.tolist())] == [
+        0 if step % q == 0 else 1 for q in ps.tolist()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -287,18 +304,18 @@ def test_ap_primality_edge_starts(p, step, which, any_first, count):
 
 def test_ap_primality_keeps_a_base_prime_on_a_step_it_divides(table):
     # every value is a multiple of 3, and only 3 itself is prime
-    got = ap_primality(3, 3, 5, table.primes)
+    got = _ap(3, 3, 5, table.primes)
     assert got.tolist() == [True, False, False, False, False]
-    assert ap_primality(0, 1, 4, table.primes).tolist() == [
+    assert _ap(0, 1, 4, table.primes).tolist() == [
         False, False, True, True]
-    assert ap_primality(5, 7, 0, table.primes).tolist() == []
+    assert _ap(5, 7, 0, table.primes).tolist() == []
 
 
 def test_ap_primality_needs_only_base_primes(table):
     # a window far above the table, checked against trial division
     first, step, count = 10 ** 7 + 1, 6, 500
     base = table.primes[table.primes <= math.isqrt(first + step * count)]
-    got = ap_primality(first, step, count, base)
+    got = _ap(first, step, count, base)
     want = [all((first + j * step) % q for q in base.tolist())
             for j in range(count)]
     assert got.tolist() == want
@@ -307,9 +324,9 @@ def test_ap_primality_needs_only_base_primes(table):
 
 def test_ap_primality_rejects_bad_shapes(table):
     with pytest.raises(ValueError, match="step"):
-        ap_primality(1, 0, 5, table.primes)
+        _ap(1, 0, 5, table.primes)
     with pytest.raises(ValueError, match="count"):
-        ap_primality(1, 2, -1, table.primes)
+        _ap(1, 2, -1, table.primes)
 
 
 # primes_in against the table primes of the same range, with SEGMENT cut

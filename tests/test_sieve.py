@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from recurgaps import accumulate, primes, sieve
 from recurgaps.acceptance import bilinear_divisor_sum
 from recurgaps.admissible import ParameterError, make_sieve_params
+from recurgaps.cluster import detector_sum
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
@@ -15,6 +16,17 @@ from recurgaps.sieve import (omega_kernel, omega_n, omega_period, omega_sum,
                              progression, shift_primes, weighted_prime_sum,
                              _plan_primes)
 from recurgaps.testfn import default_test_function
+
+
+def _is_prime(m):
+    """m is prime, elementwise, by a plain sieve of Eratosthenes up to
+    max(m): a primality oracle that shares no code with the package."""
+    flags = np.ones(int(m.max()) + 1, dtype=bool)
+    flags[:2] = False
+    for q in range(2, math.isqrt(len(flags) - 1) + 1):
+        if flags[q]:
+            flags[q * q::q] = False
+    return flags[m]
 
 
 def _dense_varpi(t, m):
@@ -64,9 +76,9 @@ def test_omega_single_coordinate_prime(params_k0, small_table):
 
 def test_omega_oracle_agreement_nondegenerate(params_k0):
     F = default_test_function(0)
-    ns = progression(params_k0)[:1500]
-    table = omega_period(params_k0, F).at(ns)
-    for n, fast in zip(ns.tolist(), table.tolist()):
+    js = np.arange(1500)
+    table = omega_period(params_k0, F).at(js)
+    for n, fast in zip(progression(params_k0)[js].tolist(), table.tolist()):
         assert fast == pytest.approx(omega_n(n, params_k0, F), rel=1e-12)
     assert len(set(table.tolist())) > 3  # genuinely non-degenerate weights
 
@@ -74,9 +86,9 @@ def test_omega_oracle_agreement_nondegenerate(params_k0):
 def test_omega_oracle_agreement_k1():
     p = make_sieve_params(N=10 ** 5, h=(0, 2), theta=0.2349, w=2, W0=1)
     F = default_test_function(1)
-    ns = progression(p)[:300]
-    table = omega_period(p, F).at(ns)
-    for n, fast in zip(ns.tolist(), table.tolist()):
+    js = np.arange(300)
+    table = omega_period(p, F).at(js)
+    for n, fast in zip(progression(p)[js].tolist(), table.tolist()):
         assert fast == pytest.approx(omega_n(n, p, F), rel=1e-12)
 
 
@@ -105,13 +117,14 @@ def test_omega_sum_subrange_additivity():
     F = default_test_function(0)
     om = omega_period(p, F)
     ns = progression(p)
+    js = np.arange(len(ns))
     assert len(om.vals) == 15015 < om.count == len(ns) < 2 * len(om.vals)
     mid = p.N + 31_415
     kern = omega_kernel(p, F)
     left, right = kern(ns[ns <= mid]), kern(ns[ns > mid])
     assert len(left) and len(right)
-    assert np.array_equal(om.at(ns[ns <= mid]), left)
-    assert np.array_equal(om.at(ns[ns > mid]), right)
+    assert np.array_equal(om.at(js[ns <= mid]), left)
+    assert np.array_equal(om.at(js[ns > mid]), right)
     full = math.fsum(np.concatenate([left, right]).tolist())
     assert omega_sum(p, F).measured == full
 
@@ -276,25 +289,27 @@ def _base_table(p):
 @pytest.mark.parametrize("segment", [1, 3, 7])
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
 def test_shift_primes_matches_the_table_at_segment_edges(p, segment, chunk,
-                                                         small_table,
                                                          monkeypatch):
     # chunks that straddle segments, and segments shorter than chunks
     monkeypatch.setattr(primes, "SEGMENT", segment)
     ns, base = progression(p), _base_table(p)
     for h in p.h:
         look = shift_primes(p, h, base)
-        got = np.concatenate([look.at(ns[i:i + chunk])
+        got = np.concatenate([look.at(i, min(i + chunk, len(ns)))
                               for i in range(0, len(ns), chunk)])
-        m = ns + h
-        assert np.array_equal(got, small_table.spf[m] == m)
+        assert np.array_equal(got, _is_prime(ns + h))
 
 
-def test_shift_primes_takes_consecutive_points_only(small_table):
+def test_shift_primes_reads_any_span_by_index(monkeypatch):
+    # empty spans, a span inside the held mask, and spans behind it
+    monkeypatch.setattr(primes, "SEGMENT", 7)
     p = _SEGMENT_PARAMS[0]
-    look = shift_primes(p, 0, small_table)
-    assert look.at(np.zeros(0, dtype=np.int64)).tolist() == []
-    with pytest.raises(ValueError, match="consecutive"):
-        look.at(progression(p)[::2][:3])
+    want = _is_prime(progression(p))
+    look = shift_primes(p, 0, _base_table(p))
+    assert look.at(0, 0).tolist() == []
+    for lo, hi in [(10, 30), (12, 15), (15, 15), (3, 9), (0, 40),
+                   (len(want) - 2, len(want))]:
+        assert np.array_equal(look.at(lo, hi), want[lo:hi])
 
 
 def test_segment_is_a_multiple_of_chunk():
@@ -303,15 +318,14 @@ def test_segment_is_a_multiple_of_chunk():
 
 @pytest.mark.parametrize("chunk,segment", [(1, 1), (1, 7), (3, 12), (5, 5)])
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
-def test_forward_scan_sieves_each_point_once(p, chunk, segment, small_table,
-                                             monkeypatch):
+def test_forward_scan_sieves_each_point_once(p, chunk, segment, monkeypatch):
     # with CHUNK | SEGMENT a forward chunked_sum asks ap_primality for
     # ceil(L / SEGMENT) spans per shift, so no point is sieved twice
     calls = []
 
-    def counted(first, step, count, base):
+    def counted(first, step, count, base, inverses):
         calls.append(count)
-        return primality(first, step, count, base)
+        return primality(first, step, count, base, inverses)
 
     primality = primes.ap_primality
     monkeypatch.setattr(primes, "ap_primality", counted)
@@ -321,11 +335,28 @@ def test_forward_scan_sieves_each_point_once(p, chunk, segment, small_table,
     for h in p.h:
         calls.clear()
         look = shift_primes(p, h, base)
-        count = accumulate.chunked_sum(pts, lambda ns: look.at(ns) * 1.0)
+        count = accumulate.chunked_sum(pts, lambda lo, hi: look.at(lo, hi) * 1.0)
         assert len(calls) == -(-len(pts) // segment)
         assert sum(calls) == len(pts)
-        m = progression(p) + h
-        assert count == np.count_nonzero(small_table.spf[m] == m)
+        assert count == np.count_nonzero(_is_prime(progression(p) + h))
+
+
+@pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
+def test_a_walk_computes_the_step_inverses_once(p, monkeypatch):
+    steps = []
+
+    def counted(step, ps):
+        steps.append(step)
+        return inverses(step, ps)
+
+    inverses = primes.step_inverses
+    monkeypatch.setattr(primes, "step_inverses", counted)
+    monkeypatch.setattr(primes, "SEGMENT", 5)
+    monkeypatch.setattr(accumulate, "CHUNK", 5)
+    look = shift_primes(p, p.h[0], _base_table(p))
+    accumulate.chunked_sum(sieve.points(p), lambda lo, hi: look.at(lo, hi) * 1.0)
+    primes.primes_in(range(p.N, p.top + 1, 3), _base_table(p))
+    assert steps == [p.W, 3]
 
 
 def _weighted_sums(p, t):
@@ -338,6 +369,7 @@ def _weighted_sums(p, t):
         out.append((z.real.hex(), z.imag.hex()))
         out.append(weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i,
                                             0.01, t).measured.hex())
+    out.append(detector_sum(p, F, _HALF_ARC, _HALF_SET, 0.01, 1, t).measured.hex())
     return out
 
 
