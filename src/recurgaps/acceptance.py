@@ -16,7 +16,6 @@ caller, so no other op compiles it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .accumulate import exact_sum, rounded
 from .admissible import (DEFAULT_SEED, ParameterError, choose_b, dense_tuple,
                          make_sieve_params)
 from .cluster import consecutive_filter, scan_clusters
@@ -87,7 +87,7 @@ def _squarefree_support(R: int, upper: float, W: int) -> np.ndarray:
 
 def _pair_terms(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                 phi_by_value: np.ndarray, kind: str,
-                route: str) -> Iterator[list[float]]:
+                route: str) -> Iterator[np.ndarray]:
     """Stream the terms w1[d] * w2[e] / den([d, e]) over all pairs (d, e)
     from ds, one row at a time.
 
@@ -106,7 +106,7 @@ def _pair_terms(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
             else:
                 den = (int(phi_by_value[d]) * phi_by_value[ds]
                        // phi_by_value[g]).astype(np.float64)
-            yield ((w1[i] * w2) / den).tolist()
+            yield (w1[i] * w2) / den
     elif route == "gcd":
         in_support = np.zeros(maxval + 1, dtype=bool)
         in_support[ds] = True
@@ -128,7 +128,7 @@ def _pair_terms(ds: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                 else:
                     den = (int(phi_by_value[d]) * phi_by_value[ev]
                            // int(phi_by_value[g])).astype(np.float64)
-                yield ((w1v[d] * w2v[ev]) / den).tolist()
+                yield (w1v[d] * w2v[ev]) / den
     else:
         raise ParameterError(f"unknown route {route!r}")
 
@@ -165,7 +165,7 @@ def bilinear_divisor_sum(W: int, R: int, F1: TestFunction, F2: TestFunction,
         phi_by_value[d] = phi_int(d)
 
     rows = _pair_terms(ds, w1, w2, phi_by_value, kind, route)
-    total = math.fsum(itertools.chain.from_iterable(rows))
+    total = rounded(sum(map(exact_sum, rows)))
     predicted = float(W) / phi_int(W) / logR * F1.deriv_cross(F2)
     params = {"W": W, "R": R, "kind": kind, "route": route,
               "support_size": len(ds)}

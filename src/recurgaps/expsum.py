@@ -371,7 +371,7 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
         raise ParameterError(
             f"phase e(n theta) needs n < 2^{_SPLIT_BITS}, got n = {top}")
     kern = prime_kernel(p, F, i, t, lambda m: _phase(m, pt))
-    measured = chunked_sum(pts, kern, complex_valued=True)
+    measured = chunked_sum(pts, kern)
     scale = J_i(F, i) * main_scale(p, p.k) / p.N  # per-n main scale
     params = p.echo()
     params.update({"i": i, "a": pt.a, "q": pt.q, "theta_offset": pt.theta})

@@ -28,9 +28,9 @@ isqrt(2N + max h), and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides
 the Omega table.
 
 Summation order is pinned: per-coordinate subset terms follow one fixed
-preorder, and each total is the correctly rounded exact sum of its per-n
-terms -- one ``math.fsum`` over exact multiples of the table
-(``accumulate.periodic_sum``) or over the terms streamed in chunks
+preorder, and each sum is its per-n terms' exact integer total, rounded
+once -- the table's total times its count (``accumulate.periodic_sum``)
+or the sum of each chunk's total as the terms stream
 (``accumulate.chunked_sum``) -- so results are bit-identical across
 chunkings.
 """
@@ -225,10 +225,6 @@ class OmegaPeriod:
         """Omega at the progression points of index js."""
         return self.vals[js % len(self.vals)]
 
-    def total(self) -> float:
-        """Exactly rounded sum of Omega over the progression."""
-        return periodic_sum(self.vals, self.count)
-
 
 @functools.lru_cache(maxsize=1)
 def omega_period(p: SieveParams, F: TestFunction) -> OmegaPeriod:
@@ -258,7 +254,8 @@ def omega_sum(p: SieveParams, F: TestFunction) -> SumReport:
     """
     om = omega_period(p, F)
     predicted = J_star(F) * main_scale(p, p.k + 1)
-    return SumReport.build("omega_sum", om.total(), predicted, om.count, p.echo())
+    measured = periodic_sum(om.vals, om.count)
+    return SumReport.build("omega_sum", measured, predicted, om.count, p.echo())
 
 
 def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
@@ -267,8 +264,9 @@ def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
     the progression: log(m) Omega_n (times factor(m)) at the points n_j of
     a span lo <= j < hi with m = n_j + h_i prime.
 
-    Every other term is an exact zero, which ``math.fsum`` drops, so the
-    kernel keeps only the prime ones and evaluates factor there alone.
+    Every other term is an exact zero, which adds nothing to an exact
+    total, so the kernel keeps only the prime ones and evaluates factor
+    there alone.
     """
     prime = shift_primes(p, p.h[i], t)  # checks t before the table is built
     om = omega_period(p, F)

@@ -19,6 +19,7 @@ from recurgaps.admissible import DEFAULT_SEED
 from recurgaps.cli import main, parse_set, parse_system
 from recurgaps.primes import PrimeTable
 from recurgaps.serialize import NonFiniteError, config_hash, dumps
+from test_expsum import _run_probe, _simd_masks
 
 
 def run_cli(args, capsys):
@@ -297,6 +298,19 @@ def test_exit_code_malformed_system_and_factor_spec(args, message, capsys):
     assert message in err
 
 
+def test_non_finite_term_exits_1(capsys):
+    # f(0) = 1e100 makes every Omega term (f(0)^2)^2 = inf: the sum refuses
+    # it before any record is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(
+            ["expsum", "--op", "weighted", "--n", "50000", "--k", "1", "--h",
+             "0,2", "--w", "2", "--theta", "0.24", "--f-spec",
+             "[[0.5, [1e100, -2e100]]]"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "ArithmeticError" in err and "nan or infinite" in err
+
+
 _CLUSTER = ["cluster", "--n", "100000", "--system", "g=4", "--set", "0",
             "--w0", "4", "--tuple-style", "dense", "--k", "1"]
 
@@ -450,6 +464,37 @@ def test_stdout_without_timing_unchanged(args, digest, capsys):
         canon = dumps(rec["config"], sort_keys=True).encode()
         assert (rec["config_hash"] == config_hash(rec["config"])
                 == hashlib.sha256(canon).hexdigest()[:16])
+
+
+# Each golden command, and the two weighted prime sums of the sums-k1 config
+# at N = 1e6 to the last bit, in a fresh interpreter: np.log differs in the
+# last bit between numpy's SIMD paths, and the bytes must not
+_SIMD_PROBE = """
+import contextlib, hashlib, io, math
+from recurgaps.admissible import make_sieve_params
+from recurgaps.cli import main
+from recurgaps.primes import build_prime_table
+from recurgaps.sieve import weighted_prime_sum
+from recurgaps.testfn import default_test_function
+
+for args, digest in GOLDEN:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(args) == 0, args
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, args
+p = make_sieve_params(N=10 ** 6, h=(0, 2), theta=0.24, w=2)
+F = default_test_function(1)
+t = build_prime_table(math.isqrt(2 * p.N + 2) + 1)
+got = [weighted_prime_sum(p, F, i, t).measured.hex() for i in (0, 1)]
+assert got == ["0x1.5c252a15e4568p+15", "0x1.5bda733ae72b0p+15"], got
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("mask", _simd_masks())
+def test_stdout_is_the_same_at_every_simd_level(mask):
+    golden = [g[1:] for g in GOLDEN_STDOUT]
+    _run_probe(f"GOLDEN = {golden!r}\n" + _SIMD_PROBE, mask)
 
 
 # sha256 of each --help text at 80 columns, recorded with Python 3.11 while
