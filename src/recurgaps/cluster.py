@@ -8,10 +8,14 @@ reported alongside because its sign is the existence argument.  The
 detector reads Omega_n from the op's one period table
 (``sieve.omega_period``), which every weighted progression sum shares.
 
-The detector and the scan sieve each shifted progression n + h_i
-(``sieve.shift_primes``) and the consecutive filter sieves [N + min h,
-2N + max h] once, so all read the primes up to isqrt(2N + max h) only.
-The scan holds its progression: a window above 2^27 is refused first.
+Both walk the progression one CHUNK span of point indices at a time and
+read the same span terms (``_setup``): per shift, whether n + h_i is a
+recurrent prime, and the detector term varpi(n + h_i)(corr - threshold).
+Each shift is sieved along the walk (``sieve.shift_primes``), and the
+consecutive filter walks one ``sieve.ShiftPrimes`` over [N + min h,
+2N + max h], a span per report, so all read the primes up to
+isqrt(2N + max h) only.  The scan holds its reports, which grow with N: a
+window above 2^27 is refused first.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .accumulate import chunked_sum
+from . import accumulate, primes
+from .accumulate import chunked_sum, exact_sum, rounded
 from .admissible import ParameterError, SieveParams
 from .dynamics import (BoxSet, KroneckerSystem, correlation_kernel, measure,
                        recurrence_threshold, require_group_step, system_echo)
-from .primes import PrimeTable, primes_in, require_window
-from .sieve import (SumReport, main_scale, omega_period, points, progression,
+from .primes import PrimeTable, require_window
+from .sieve import (ShiftPrimes, SumReport, main_scale, omega_period, points,
                     shift_primes)
 from .testfn import TestFunction, J_i, J_star
 
@@ -51,15 +56,38 @@ class ClusterReport:
 
 
 def _setup(p: SieveParams, sys: KroneckerSystem, A: BoxSet, eps: float,
-           m: int) -> tuple[float, Callable, float]:
+           m: int, t: PrimeTable) -> tuple[Callable, float]:
     """The rules the detector and the scan share, and what they read: the
-    recurrence threshold, the correlation kernel and the cap m log(3N)."""
+    span terms and the cap m log(3N).
+
+    terms(lo, hi) gives two (k+1) x (hi - lo) arrays over the points
+    lo <= j < hi: whether n_j + h_i is prime with corr(n_j + h_i - 1) at
+    or above the recurrence threshold, and the detector term
+    varpi(n_j + h_i)(corr - threshold), which is 0 where n_j + h_i is not
+    prime.
+    """
     require_group_step(p, sys)
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     thresh = recurrence_threshold(A, eps)
-    require_window(p.top)
-    return thresh, correlation_kernel(sys, A), m * math.log(3 * p.N)
+    require_window(p.top)  # the scan's reports, and the output, grow with N
+    corr = correlation_kernel(sys, A)
+    pts = points(p)
+    shifts = [(h, shift_primes(p, h, t)) for h in p.h]
+
+    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        ns = pts.start + np.arange(lo, hi, dtype=np.int64) * p.W
+        ok, det = [], []
+        for h, prime in shifts:
+            mvals = ns + h
+            hit = prime.at(lo, hi)
+            c = corr(mvals - 1)
+            ok.append(hit & (c >= thresh))
+            det.append(np.where(hit, np.log(mvals.astype(np.float64)), 0.0)
+                       * (c - thresh))
+        return np.array(ok), np.array(det)
+
+    return terms, m * math.log(3 * p.N)
 
 
 def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
@@ -79,20 +107,13 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     (Cauchy-Schwarz, as f(1/(k+1)) = 0), with equality for the default
     linear f.
     """
-    thresh, corr, cap = _setup(p, sys, A, eps, m)
+    terms, cap = _setup(p, sys, A, eps, m, t)
     pts = points(p)
-    shifts = [(h, shift_primes(p, h, t)) for h in p.h]
     om = omega_period(p, F)
 
     def kern(lo: int, hi: int) -> np.ndarray:
-        js = np.arange(lo, hi, dtype=np.int64)
-        ns = pts.start + js * p.W
-        inner = np.zeros(hi - lo)
-        for h, prime in shifts:
-            mvals = ns + h
-            wp = np.where(prime.at(lo, hi), np.log(mvals.astype(np.float64)), 0.0)
-            inner = inner + wp * (corr(mvals - 1) - thresh)
-        return om.at(js) * (inner - cap)
+        inner = sum(terms(lo, hi)[1], np.zeros(hi - lo))
+        return om.at(np.arange(lo, hi, dtype=np.int64)) * (inner - cap)
 
     measured = chunked_sum(pts, kern)
     scale = main_scale(p, p.k)
@@ -112,28 +133,19 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
     Independent of the sieve weights by design; this is the certificate,
     the detector is the motivation.
     """
-    thresh, corr, cap = _setup(p, sys, A, eps, m)
-    ns = progression(p)
-
-    hits = []
-    recur_ok = []
-    varpis = []
-    for hi in p.h:
-        mvals = ns + hi
-        hits.append(shift_primes(p, hi, t).at(0, len(ns)))
-        recur_ok.append(corr(mvals - 1) >= thresh)
-        varpis.append(np.where(hits[-1], np.log(mvals.astype(np.float64)), 0.0))
-    good = np.sum([h & r for h, r in zip(hits, recur_ok)], axis=0)
-
+    terms, cap = _setup(p, sys, A, eps, m, t)
+    pts = points(p)
     out: list[ClusterReport] = []
-    for idx in np.flatnonzero(good >= m + 1):
-        n = int(ns[idx])
-        gh = [i for i in range(p.k + 1) if hits[i][idx] and recur_ok[i][idx]]
-        ps = tuple(n + p.h[i] for i in gh)
-        det = math.fsum(varpis[i][idx] * (corr(np.array([n + p.h[i] - 1]))[0] - thresh)
-                        for i in range(p.k + 1) if hits[i][idx]) - cap
-        out.append(ClusterReport(n=n, hit_indices=tuple(gh), primes=ps,
-                                 width=ps[-1] - ps[0], detector_value=det))
+    for lo in range(0, len(pts), accumulate.CHUNK):
+        ok, det = terms(lo, min(lo + accumulate.CHUNK, len(pts)))
+        js = np.flatnonzero(ok.sum(axis=0) >= m + 1)
+        for j, hit, col in zip(js.tolist(), ok[:, js].T.tolist(), det[:, js].T):
+            n = pts[lo + j]
+            gh = tuple(i for i, good in enumerate(hit) if good)
+            ps = tuple(n + p.h[i] for i in gh)
+            out.append(ClusterReport(
+                n=n, hit_indices=gh, primes=ps, width=ps[-1] - ps[0],
+                detector_value=rounded(exact_sum(col)) - cap))
     return out
 
 
@@ -148,14 +160,18 @@ def consecutive_filter(reports: list[ClusterReport], p: SieveParams,
     """
     if not reports:
         return []
-    # every report's primes lie in [N + min h, 2N + max h]: sieve it once
-    window = primes_in(range(p.N + min(p.h), p.top + 1), t)
+    # report n's primes lie in [n + min h, n + max h], a span of one walk
+    # over [N + min h, 2N + max h] whose start ascends with n
+    window = ShiftPrimes(range(p.N + min(p.h), p.top + 1), 0,
+                         primes.base_primes(t, p.top))
     out = []
     for rep in reports:
-        i, j = np.searchsorted(window, [rep.primes[0], rep.primes[-1] + 1])
-        between = window[i:j]
-        flag = len(between) == len(rep.primes) and all(
-            int(q) in rep.primes for q in between)
+        i = rep.n - p.N
+        found = rep.n + min(p.h) + np.flatnonzero(
+            window.at(i, i + p.tuple.diameter + 1))
+        between = tuple(q for q in found.tolist()
+                        if rep.primes[0] <= q <= rep.primes[-1])
+        flag = between == rep.primes
         if p.forced and not flag:
             raise AssertionError(
                 f"consecutive-mode invariant breach at n={rep.n}: "

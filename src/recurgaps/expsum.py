@@ -108,8 +108,6 @@ def _require_split(theta: float, what: str) -> None:
 
 def _theta_frac(ns: np.ndarray, theta: float) -> np.ndarray:
     """frac(n * theta) with the integer part removed before precision is lost."""
-    if theta == 0.0:
-        return np.zeros(len(ns))
     if len(ns) and int(ns.max()) >= (1 << _SPLIT_BITS):
         raise ParameterError(
             f"phase e(n theta) needs n < 2^{_SPLIT_BITS}, got n = {int(ns.max())}")

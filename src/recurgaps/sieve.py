@@ -90,20 +90,16 @@ def points(p: SieveParams) -> range:
     return range(_progression_start(p), 2 * p.N + 1, p.W)
 
 
-def progression(p: SieveParams) -> np.ndarray:
-    """All n with N <= n <= 2N and n = b (mod W), ascending int64."""
-    r = points(p)
-    return np.arange(r.start, r.stop, r.step, dtype=np.int64)
-
-
 class ShiftPrimes:
-    """Whether m_j = n_j + h is prime, for the points n_j of one
-    progression, sieved one span of indices at a time (``ap_primality``).
+    """Whether m_j = n_j + h is prime, for the points n_j of an ascending
+    range (a progression, or a window of step 1), sieved one span of
+    indices at a time (``ap_primality``).
 
     A span lo <= j < hi the held mask does not cover starts a new one:
-    max(SEGMENT, hi - lo) points from lo.  As CHUNK divides SEGMENT and
-    every scan starts at index 0, a forward scan sieves each point once
-    and holds one segment.
+    max(SEGMENT, hi - lo) points from lo.  So a walk whose spans start in
+    ascending order never steps back behind the held segment, and holds
+    one; as CHUNK divides SEGMENT, any forward scan of CHUNK spans sieves
+    each point at most once.
     """
 
     def __init__(self, points: range, h: int, base: np.ndarray):

@@ -24,12 +24,6 @@ def small_table():
 
 
 @pytest.fixture(scope="session")
-def mid_table():
-    """Covers N = 1e6 experiments."""
-    return build_prime_table(2 * 10 ** 6 + 700)
-
-
-@pytest.fixture(scope="session")
 def big_table():
     """The verification suite's table: the base primes of its widest
     window (N = 4e6)."""

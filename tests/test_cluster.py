@@ -9,7 +9,8 @@ from recurgaps.cluster import (ClusterReport, consecutive_filter, detector_sum,
                                scan_clusters)
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem, correlation,
                                 correlation_kernel, measure)
-from recurgaps.sieve import _plan_primes, omega_kernel, omega_n, progression
+from recurgaps.primes import is_prime
+from recurgaps.sieve import _plan_primes, omega_kernel, omega_n, points
 from recurgaps.testfn import default_test_function
 
 
@@ -27,8 +28,7 @@ def test_scan_twin_primes_against_direct_scan(small_table):
     p = make_sieve_params(N=10 ** 4, h=(0, 2), theta=0.2, w=5, W0=1)
     reports = scan_clusters(p, sys_, A, 0.5, 1, small_table)
     got = sorted(r.n for r in reports)
-    oracle = [int(n) for n in progression(p)
-              if small_table.spf[n] == n and small_table.spf[n + 2] == n + 2]
+    oracle = [n for n in points(p) if is_prime(n) and is_prime(n + 2)]
     assert got == oracle
     assert all(r.width == 2 for r in reports)
     assert len(got) > 0
@@ -46,7 +46,7 @@ def test_scan_z4_pairs(small_table):
         assert rep.width <= h6.diameter
         assert rep.primes == tuple(rep.n + h6.h[i] for i in rep.hit_indices)
         for q in rep.primes:
-            assert small_table.spf[q] == q
+            assert is_prime(q)
             assert q % 4 == 1
             assert correlation(sys_, A, q - 1) >= thresh
 
@@ -81,15 +81,13 @@ def test_detector_whole_space_reduces_to_classical(small_table):
     rep = detector_sum(p, F, sys_, A, 1.0, 1, small_table)
     cap = math.log(3 * p.N)
     manual = math.fsum(
-        omega_n(int(n), p, F)
-        * (math.fsum(math.log(int(n) + h) for h in p.h
-                     if small_table.spf[n + h] == n + h) - cap)
-        for n in progression(p))
+        omega_n(n, p, F)
+        * (math.fsum(math.log(n + h) for h in p.h if is_prime(n + h)) - cap)
+        for n in points(p))
     assert rep.measured == pytest.approx(manual, rel=1e-12)
 
 
-def test_detector_reads_omega_bit_for_bit_as_the_kernel(small_table,
-                                                        mid_table):
+def test_detector_reads_omega_bit_for_bit_as_the_kernel(small_table):
     # plan primes [3] (2 divides W = 8): Omega takes more than one value,
     # and the detector's exactly rounded sum equals a dense fsum of terms
     # built on omega_kernel, bit for bit
@@ -98,13 +96,13 @@ def test_detector_reads_omega_bit_for_bit_as_the_kernel(small_table,
     F = default_test_function(1)
     assert _plan_primes(p, F) == [3]
     rep = detector_sum(p, F, sys_, A, 0.01, 1, small_table)
-    ns = progression(p)
+    ns = np.array(points(p))
     corr = correlation_kernel(sys_, A)
     thresh = measure(A) ** 2 - 0.01
     inner = np.zeros(len(ns))
     for h in p.h:
         m = ns + h
-        varpi = np.where(mid_table.spf[m] == m,
+        varpi = np.where([is_prime(x) for x in m.tolist()],
                          np.log(m.astype(np.float64)), 0.0)
         inner = inner + varpi * (corr(m - 1) - thresh)
     omega = omega_kernel(p, F)(ns)

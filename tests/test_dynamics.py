@@ -12,8 +12,8 @@ from recurgaps.dynamics import (BoxSet, BumpPsi, Cube, KroneckerSystem,
                                 monte_carlo_correlation,
                                 shifted_prime_recurrence_set,
                                 weighted_correlation_sum)
-from recurgaps.primes import torus_norm
-from recurgaps.sieve import omega_kernel, progression, weighted_prime_sum
+from recurgaps.primes import is_prime, torus_norm
+from recurgaps.sieve import omega_kernel, points, weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
 SILVER = math.sqrt(2.0) - 1.0
@@ -260,9 +260,10 @@ def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch)
     sys_, A = circle_system(), half_circle()
     p = make_sieve_params(N=5000, h=(0,), theta=0.24999, w=2, W0=1)
     F = default_test_function(0)
-    ns = progression(p)
+    ns = np.array(points(p))
     m = ns + p.h[0]
-    varpi = np.where(small_table.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
+    varpi = np.where([is_prime(x) for x in m.tolist()],
+                     np.log(m.astype(np.float64)), 0.0)
     dense = (varpi * omega_kernel(p, F)(ns)
              * correlation_kernel(sys_, A)(m - 1))
     assert 0 < np.count_nonzero(dense) < len(dense)

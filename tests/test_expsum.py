@@ -21,8 +21,8 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               weighted_expsum, zq_inverse, _phase,
                               _rational_phase, _SPLIT, _theta_frac,
                               _theta_grid, _theta_phase)
-from recurgaps.primes import (build_prime_table, mobius, phi_int, primes_in,
-                              torus_norm)
+from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
+                              primes_in, torus_norm)
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
@@ -62,7 +62,7 @@ def test_prime_expsum_matches_naive_loop(table):
     naive = sum(
         math.log(n) * cmath.exp(2j * math.pi * ((n % 4) / 4))
         for n in range(10 ** 3, 2 * 10 ** 3 + 1)
-        if table.spf[n] == n and n % 3 == 1)
+        if is_prime(n) and n % 3 == 1)
     assert abs(got - naive) <= 1e-11 * abs(naive)
 
 
@@ -84,6 +84,8 @@ def test_theta_frac_precision():
         want = [float(mpmath.fmod(int(n) * mpmath.mpf(theta), 1)) for n in ns]
     for g, w in zip(got, want):
         assert abs((g % 1.0) - w) < 1e-9
+    # no op passes theta = 0, and the general formula gives +0.0 there too
+    assert _theta_frac(ns, 0.0).tobytes() == np.zeros(len(ns)).tobytes()
 
 
 def test_zq_membership_examples():
@@ -378,21 +380,22 @@ import numpy as np
 from recurgaps import accumulate
 from recurgaps.admissible import make_sieve_params
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
-from recurgaps.primes import build_prime_table
-from recurgaps.sieve import omega_kernel, progression
+from recurgaps.primes import build_prime_table, is_prime
+from recurgaps.sieve import omega_kernel, points
 from recurgaps.testfn import default_test_function
 
 p = make_sieve_params(N=20_000, h=(0, 2), theta=0.1, w=2, W0=1)
 F = default_test_function(1)
 t = build_prime_table(2 * p.N + 10)
 pt = RationalPoint(1, 3, 0.01)
-ns = progression(p)
+ns = np.array(points(p))
 m = ns + p.h[1]
 whole = _phase(m, pt)
 for size in (1, 7):
     parts = [_phase(m[i:i + size], pt) for i in range(0, len(m), size)]
     assert np.concatenate(parts).tobytes() == whole.tobytes(), size
-varpi = np.where(t.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
+varpi = np.where([is_prime(x) for x in m.tolist()],
+                 np.log(m.astype(np.float64)), 0.0)
 dense = varpi * omega_kernel(p, F)(ns) * whole
 accumulate.CHUNK = 1
 got = weighted_expsum(p, F, 1, pt, t).measured

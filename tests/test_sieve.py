@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 from recurgaps import accumulate, primes, sieve
 from recurgaps.acceptance import bilinear_divisor_sum
 from recurgaps.admissible import ParameterError, make_sieve_params
-from recurgaps.cluster import detector_sum
+from recurgaps.cluster import consecutive_filter, detector_sum, scan_clusters
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table
 from recurgaps.sieve import (omega_kernel, omega_n, omega_period, omega_sum,
-                             progression, shift_primes, weighted_prime_sum,
+                             points, shift_primes, weighted_prime_sum,
                              _plan_primes)
 from recurgaps.testfn import default_test_function
 
@@ -29,9 +29,9 @@ def _is_prime(m):
     return flags[m]
 
 
-def _dense_varpi(t, m):
-    """log m where the full spf table says m is prime, else 0.0."""
-    return np.where(t.spf[m] == m, np.log(m.astype(np.float64)), 0.0)
+def _dense_varpi(m):
+    """log m where m is prime, else 0.0."""
+    return np.where(_is_prime(m), np.log(m.astype(np.float64)), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def params_k2(small_table):
 
 
 def test_progression_bounds(params_k2):
-    ns = progression(params_k2)
+    ns = np.array(points(params_k2))
     assert ns[0] >= params_k2.N and ns[-1] <= 2 * params_k2.N
     assert np.all(ns % params_k2.W == params_k2.b % params_k2.W)
     assert np.all(np.diff(ns) == params_k2.W)
@@ -56,7 +56,7 @@ def test_progression_empty_error():
     p = make_sieve_params(N=10 ** 4, h=(0, 2), theta=0.2, w=13, W0=2)
     assert p.W == 60060 > p.N
     with pytest.raises(ParameterError, match="empty progression"):
-        progression(p)
+        points(p)
 
 
 def test_omega_prime_window_value(params_k2, small_table):
@@ -78,7 +78,7 @@ def test_omega_oracle_agreement_nondegenerate(params_k0):
     F = default_test_function(0)
     js = np.arange(1500)
     table = omega_period(params_k0, F).at(js)
-    for n, fast in zip(progression(params_k0)[js].tolist(), table.tolist()):
+    for n, fast in zip(points(params_k0)[:1500], table.tolist()):
         assert fast == pytest.approx(omega_n(n, params_k0, F), rel=1e-12)
     assert len(set(table.tolist())) > 3  # genuinely non-degenerate weights
 
@@ -88,7 +88,7 @@ def test_omega_oracle_agreement_k1():
     F = default_test_function(1)
     js = np.arange(300)
     table = omega_period(p, F).at(js)
-    for n, fast in zip(progression(p)[js].tolist(), table.tolist()):
+    for n, fast in zip(points(p)[:300], table.tolist()):
         assert fast == pytest.approx(omega_n(n, p, F), rel=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_omega_sum_report_fields(params_k2):
     assert rep.measured >= 0.0
     assert rep.predicted > 0.0
     assert rep.ratio == rep.measured / rep.predicted
-    assert rep.count == len(progression(params_k2))
+    assert rep.count == len(points(params_k2))
     assert rep.params["N"] == params_k2.N
 
 
@@ -116,7 +116,7 @@ def test_omega_sum_subrange_additivity():
     p = make_sieve_params(N=60_000, h=(0,), theta=0.24999, w=2, W0=1)
     F = default_test_function(0)
     om = omega_period(p, F)
-    ns = progression(p)
+    ns = np.array(points(p))
     js = np.arange(len(ns))
     assert len(om.vals) == 15015 < om.count == len(ns) < 2 * len(om.vals)
     mid = p.N + 31_415
@@ -141,11 +141,11 @@ def test_omega_sum_scales_with_N():
 def test_weighted_prime_sum_matches_direct_log_sum(params_k2, small_table):
     F = default_test_function(2)
     rep = weighted_prime_sum(params_k2, F, 0, small_table)
-    ns = progression(params_k2)
+    ns = np.array(points(params_k2))
     f0 = F.f0
     const = (f0 ** 3) ** 2  # degenerate weight at these parameters
     direct = const * math.fsum(
-        math.log(int(n)) for n in ns if small_table.spf[n] == n)
+        math.log(int(n)) for n in ns[_is_prime(ns)])
     assert rep.measured == pytest.approx(direct, rel=1e-12)
     assert rep.measured > 0
 
@@ -156,8 +156,8 @@ def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
     # fsum over every dense term wp(m) * omega(n), zeros included
     p = make_sieve_params(N=5000, h=(0,), theta=0.24999, w=2, W0=1)
     F = default_test_function(0)
-    ns = progression(p)
-    dense = (_dense_varpi(small_table, ns + p.h[0])
+    ns = np.array(points(p))
+    dense = (_dense_varpi(ns + p.h[0])
              * omega_kernel(p, F)(ns))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
@@ -173,10 +173,10 @@ def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
     zeros included, with Omega evaluated by the kernel at every n."""
     F = default_test_function(p.k)
     t = _HYP_TABLE
-    ns = progression(p)
+    ns = np.array(points(p))
     m = ns + p.h[i]
     omega = omega_kernel(p, F)(ns)
-    base = _dense_varpi(t, m) * omega
+    base = _dense_varpi(m) * omega
     phased = base * _phase(m, pt)
     corr = base * correlation_kernel(_HALF_ARC, _HALF_SET)(m - 1)
     with pytest.MonkeyPatch.context() as mp:
@@ -292,7 +292,7 @@ def test_shift_primes_matches_the_table_at_segment_edges(p, segment, chunk,
                                                          monkeypatch):
     # chunks that straddle segments, and segments shorter than chunks
     monkeypatch.setattr(primes, "SEGMENT", segment)
-    ns, base = progression(p), _base_table(p)
+    ns, base = np.array(points(p)), _base_table(p)
     for h in p.h:
         look = shift_primes(p, h, base)
         got = np.concatenate([look.at(i, min(i + chunk, len(ns)))
@@ -304,7 +304,7 @@ def test_shift_primes_reads_any_span_by_index(monkeypatch):
     # empty spans, a span inside the held mask, and spans behind it
     monkeypatch.setattr(primes, "SEGMENT", 7)
     p = _SEGMENT_PARAMS[0]
-    want = _is_prime(progression(p))
+    want = _is_prime(np.array(points(p)))
     look = shift_primes(p, 0, _base_table(p))
     assert look.at(0, 0).tolist() == []
     for lo, hi in [(10, 30), (12, 15), (15, 15), (3, 9), (0, 40),
@@ -338,7 +338,7 @@ def test_forward_scan_sieves_each_point_once(p, chunk, segment, monkeypatch):
         count = accumulate.chunked_sum(pts, lambda lo, hi: look.at(lo, hi) * 1.0)
         assert len(calls) == -(-len(pts) // segment)
         assert sum(calls) == len(pts)
-        assert count == np.count_nonzero(_is_prime(progression(p) + h))
+        assert count == np.count_nonzero(_is_prime(np.array(points(p)) + h))
 
 
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
@@ -370,7 +370,11 @@ def _weighted_sums(p, t):
         out.append(weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i,
                                             0.01, t).measured.hex())
     out.append(detector_sum(p, F, _HALF_ARC, _HALF_SET, 0.01, 1, t).measured.hex())
-    return out
+    # eps = 0.2 leaves the consecutive progression, of 11 points, 4 reports
+    reports = consecutive_filter(
+        scan_clusters(p, _HALF_ARC, _HALF_SET, 0.2, 1, t), p, t)
+    assert reports
+    return out + [(r.as_dict(), r.detector_value.hex()) for r in reports]
 
 
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
@@ -384,12 +388,32 @@ def test_weighted_sums_need_only_the_base_primes(p, small_table):
 @pytest.mark.parametrize("segment", [1, 3, 7])
 def test_weighted_sums_ignore_segment_and_chunk_edges(segment, chunk,
                                                       small_table):
-    p = _SEGMENT_PARAMS[1]
-    want = _weighted_sums(p, small_table)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primes, "SEGMENT", segment)
-        mp.setattr(accumulate, "CHUNK", chunk)
-        assert _weighted_sums(p, _base_table(p)) == want
+    for p in _SEGMENT_PARAMS:
+        want = _weighted_sums(p, small_table)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes, "SEGMENT", segment)
+            mp.setattr(accumulate, "CHUNK", chunk)
+            assert _weighted_sums(p, _base_table(p)) == want
+
+
+@pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
+def test_consecutive_filter_never_steps_back(p, monkeypatch):
+    # each report asks for the span from n - N, which ascends with n, so a
+    # new segment always starts past the one held before it
+    t = _base_table(p)
+    reports = scan_clusters(p, _HALF_ARC, _HALF_SET, 0.2, 1, t)
+    firsts = []
+
+    def counted(first, step, count, base, inverses):
+        firsts.append(first)
+        return primality(first, step, count, base, inverses)
+
+    primality = primes.ap_primality
+    monkeypatch.setattr(primes, "ap_primality", counted)
+    monkeypatch.setattr(primes, "SEGMENT", 7)
+    consecutive_filter(reports, p, t)
+    assert len(firsts) > 1
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
 
 
 def test_weighted_sums_name_the_base_bound():
