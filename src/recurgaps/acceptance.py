@@ -169,8 +169,8 @@ def bilinear_divisor_sum(W: int, R: int, F1: TestFunction, F2: TestFunction,
     predicted = float(W) / phi_int(W) / logR * F1.deriv_cross(F2)
     params = {"W": W, "R": R, "kind": kind, "route": route,
               "support_size": len(ds)}
-    return SumReport.build("bilinear_divisor_sum", total, predicted,
-                           len(ds) ** 2, params)
+    return SumReport("bilinear_divisor_sum", total, predicted, len(ds) ** 2,
+                     params)
 
 
 # -- 1 -----------------------------------------------------------------------

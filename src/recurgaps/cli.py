@@ -250,8 +250,6 @@ def parse_system(spec: str) -> KroneckerSystem:
     d = _int_field(fields.get("d", "0"), "--system d")
     gamma0 = _int_field(fields.get("gamma0", str(1 % g)), "--system gamma0")
     kap = fields.get("kappa", "sqrt_primes")
-    if d == 0:
-        return KroneckerSystem(g=g, d=0, gamma0=gamma0 % g, kappa=())
     if kap == "sqrt_primes":
         return KroneckerSystem.with_sqrt_kappa(g=g, d=d, gamma0=gamma0)
     kappa = tuple(_float_field(x, "--system kappa") % 1.0

@@ -122,7 +122,7 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     params = p.echo()
     params.update({"eps": eps, "m": m, "system": system_echo(sys),
                    "set_measure": measure(A)})
-    return SumReport.build("detector_sum", measured, predicted, len(pts), params)
+    return SumReport("detector_sum", measured, predicted, len(pts), params)
 
 
 def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,

@@ -36,7 +36,7 @@ NMAX_BOUND = 1 << 22
 def _sqrt_prime_kappas(d: int) -> tuple[float, ...]:
     """Fractional parts of sqrt(2), sqrt(3), sqrt(5), ...: the canonical
     rationally independent rotation coordinates."""
-    ps = islice(filter(is_prime, count(2)), d)
+    ps = islice(filter(is_prime, count(2)), max(d, 0))
     return tuple(math.sqrt(p) % 1.0 for p in ps)
 
 
@@ -144,8 +144,6 @@ def arc_overlap(start1: float, len1: float, start2: float, len2: float) -> float
 
 
 def _cubes_overlap(c1: Cube, c2: Cube) -> bool:
-    if not c1.corner:  # d = 0: single point each
-        return True
     vol = 1.0
     for a, b in zip(c1.corner, c2.corner):
         vol *= arc_overlap(a, c1.side, b, c2.side)
@@ -329,8 +327,8 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     params = p.echo()
     params.update({"i": i, "eps": eps, "system": system_echo(sys),
                    "set_measure": measure(A)})
-    return SumReport.build("weighted_correlation_sum", measured, predicted,
-                           len(pts), params)
+    return SumReport("weighted_correlation_sum", measured, predicted,
+                     len(pts), params)
 
 
 def correlation_kernel(sys: KroneckerSystem, A: BoxSet):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class RationalPoint:
         _require_modulus(self.q)
         if not math.isfinite(self.theta):
             raise ParameterError(f"theta offset must be finite, got {self.theta}")
-
-    @property
-    def alpha(self) -> float:
-        return self.a / self.q + self.theta
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,6 @@ def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> co
     _require_class(x, D, b)
     _require_split(pt.theta, "theta offset")
     ps = primes_in(range(x + (b - x) % D, 2 * x + 1, D), t)
-    if not len(ps):
-        return 0j
     return complex(np.sum(np.log(ps.astype(np.float64)) * _phase(ps, pt)))
 
 
@@ -302,10 +296,11 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     mu_over_phi = mobius(q) / phi_q
     per_block = max(1, PHASE_BLOCK_BYTES // (16 * max(1, len(ps))))
     coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
+    grid = np.linspace(-delta, delta, points).tolist()
     best = 0.0
     while block := list(islice(coprime, per_block)):
         rational = [_rational_phase(ps, a, q) for a in block]
-        for theta in _theta_grid(delta, theta_grid) if delta > 0 else [0.0]:
+        for theta in grid:
             center = mu_over_phi * geometric_phase_sum(x, theta)
             e = _theta_phase(fps, theta) if theta != 0.0 else None
             for r in rational:
@@ -340,15 +335,6 @@ def _require_scan_budget(phi_q: int, points: int, primes: int,
             f"pair); lower q (--q) or the theta grid (--grid)")
 
 
-def _theta_grid(delta: float, points: int) -> Iterator[float]:
-    """np.linspace(-delta, delta, points), bit for bit, one point at a time:
-    j * step - delta for j < points - 1, then delta itself."""
-    step = (delta - -delta) / (points - 1)
-    for j in range(points - 1):
-        yield j * step - delta
-    yield delta
-
-
 def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
                     t: PrimeTable) -> SumReport:
     """Progression sum of varpi(n+h_i) e((n+h_i)(a/q+theta)) Omega_n.
@@ -376,11 +362,11 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
     if p.W % pt.q == 0:
         phase = np.exp(2j * np.pi * ((pt.a * ((p.b + hi) % pt.q)) % pt.q) / pt.q)
         predicted = phase * scale * geometric_phase_sum(p.N, pt.theta)
-        return SumReport.build("weighted_expsum", measured, complex(predicted),
-                               len(pts), params)
+        return SumReport("weighted_expsum", measured, complex(predicted),
+                         len(pts), params)
     bound = main_scale(p, p.k) / p.w
-    return SumReport.build("weighted_expsum", measured, 0j, len(pts), params,
-                           bound=bound)
+    return SumReport("weighted_expsum", measured, 0j, len(pts), params,
+                     bound=bound)
 
 
 def convergents(alpha: float, q_cap: float) -> list[tuple[int, int]]:

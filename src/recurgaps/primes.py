@@ -114,16 +114,9 @@ def ap_primality(first: int, step: int, count: int, base: np.ndarray,
 
 
 def step_inverses(step: int, ps: np.ndarray) -> np.ndarray:
-    """step^-1 mod p for each prime p of ps (0 where p divides step), as
-    step^(p-2) by square and multiply; p < 3e9 keeps each product in int64."""
-    a = step % ps
-    out = np.ones_like(ps)
-    e = ps - 2
-    while e.any():
-        out = np.where(e & 1, out * a % ps, out)
-        a = a * a % ps
-        e >>= 1
-    return np.where(step % ps, out, 0)
+    """step^-1 mod p for each prime p of ps (0 where p divides step)."""
+    return np.array([pow(step, -1, p) if step % p else 0 for p in ps.tolist()],
+                    dtype=ps.dtype)
 
 
 def base_primes(t: PrimeTable, top: int) -> np.ndarray:

@@ -62,19 +62,14 @@ class SumReport:
     op: str
     measured: float | complex
     predicted: float | complex
-    ratio: float | complex | None
     count: int
     params: dict
     bound: float | None = None
 
-    @staticmethod
-    def build(op: str, measured, predicted, count: int, params: dict,
-              bound: float | None = None) -> "SumReport":
-        ratio = None
-        if abs(predicted) > 0:
-            ratio = measured / predicted
-        return SumReport(op=op, measured=measured, predicted=predicted,
-                         ratio=ratio, count=count, params=params, bound=bound)
+    @property
+    def ratio(self) -> float | complex | None:
+        """measured / predicted, or None when the prediction is 0."""
+        return self.measured / self.predicted if abs(self.predicted) > 0 else None
 
 
 def _progression_start(p: SieveParams) -> int:
@@ -125,16 +120,16 @@ def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
 
 
 def _divisor_plan(F: TestFunction, R: int,
-                  primes: Sequence[int]) -> list[tuple[int, float]]:
-    """Fixed-order (product, signed f-value) pairs for squarefree products of
-    the given primes below the support cutoff R**(1/(k+1)).
+                  ps: Sequence[int]) -> list[tuple[int, float]]:
+    """Fixed-order (product, signed f-value) pairs for the squarefree
+    products below the support cutoff R**(1/(k+1)) of the primes ps, which
+    ascend and lie below it (``_plan_primes``).
 
     The order is a preorder walk over ascending primes (include-branch first);
     every Omega evaluation uses this same order, which pins the float result.
     """
     cutoff = float(R) ** F.upper
     logR = math.log(R)
-    ps = [int(p) for p in primes if p < cutoff]
     plan: list[tuple[int, float]] = []
 
     def walk(start: int, prod: int, depth: int) -> None:
@@ -251,7 +246,7 @@ def omega_sum(p: SieveParams, F: TestFunction) -> SumReport:
     om = omega_period(p, F)
     predicted = J_star(F) * main_scale(p, p.k + 1)
     measured = periodic_sum(om.vals, om.count)
-    return SumReport.build("omega_sum", measured, predicted, om.count, p.echo())
+    return SumReport("omega_sum", measured, predicted, om.count, p.echo())
 
 
 def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
@@ -285,4 +280,4 @@ def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
     predicted = J_i(F, i) * main_scale(p, p.k)
     params = p.echo()
     params["i"] = i
-    return SumReport.build("weighted_prime_sum", measured, predicted, len(pts), params)
+    return SumReport("weighted_prime_sum", measured, predicted, len(pts), params)

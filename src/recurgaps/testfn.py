@@ -94,12 +94,9 @@ class TestFunction:
 
     def factor(self, t: float) -> float:
         """The one-variable factor f, zero outside [0, upper)."""
-        if t < 0.0 or t >= self.upper:
+        if not 0.0 <= t < self.upper:
             return 0.0
-        for edge, coeffs in self.pieces:
-            if t < edge:
-                return _poly_eval(coeffs, t)
-        return 0.0
+        return _poly_eval(self._piece_at(t), t)
 
     def deriv_l2(self) -> float:
         """int_0^upper f'(t)^2 dt, exactly from the coefficients."""

@@ -326,6 +326,11 @@ _CLUSTER = ["cluster", "--n", "100000", "--system", "g=4", "--set", "0",
     (["recur", "--weighted", "--n", "50000", "--k", "1", "--w0", "4",
       "--system", "g=4", "--set", "0", "--eps", "0"],
      "eps must be positive, got 0.0"),
+    # an explicit kappa at the default d = 0 is not dropped
+    (["recur", "--system", "g=4,kappa=0.3", "--set", "0", "--nmax", "10"],
+     "kappa has 1 coordinates, expected d=0"),
+    (["recur", "--system", "g=4,d=-1", "--nmax", "10"],
+     "torus dimension must be >= 0, got -1"),
 ])
 def test_bad_file_flag_spec_or_eps_exits_2_naming_it(args, named, tmp_path,
                                                      capsys):

@@ -20,7 +20,7 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               minor_arc_scan, prime_expsum,
                               weighted_expsum, zq_inverse, _phase,
                               _rational_phase, _SPLIT, _theta_frac,
-                              _theta_grid, _theta_phase)
+                              _theta_phase)
 from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
                               primes_in, torus_norm)
 from recurgaps.sieve import weighted_prime_sum
@@ -42,7 +42,6 @@ def test_rational_point_validation():
     for theta in (math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterError, match="finite"):
             RationalPoint(1, 3, theta)
-    assert RationalPoint(3, 4, 0.0).alpha == 0.75
 
 
 def test_prime_expsum_trivial_is_real_positive(table):
@@ -240,9 +239,15 @@ def test_phase_sums_refuse_a_theta_the_split_cannot_hold(table):
 
 @pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])
 @pytest.mark.parametrize("delta", [1e-6, 1.1e-6, 0.3, 5e-9])
-def test_theta_grid_equals_linspace(delta, grid):
-    got = np.fromiter(_theta_grid(delta, grid), dtype=np.float64, count=grid)
-    assert got.tobytes() == np.linspace(-delta, delta, grid).tobytes()
+def test_theta_grid_equals_linspace(delta, grid, table, monkeypatch):
+    # the scan centres at each point of np.linspace's grid once, in order
+    # (its phases are stubbed: only the points are read here)
+    thetas = []
+    monkeypatch.setattr(expsum, "geometric_phase_sum",
+                        lambda x, theta: thetas.append(theta) or 0j)
+    monkeypatch.setattr(expsum, "_theta_phase", lambda ns, theta: 1.0)
+    expsum_discrepancy(1, delta, 1, grid, table)
+    assert np.array(thetas).tobytes() == np.linspace(-delta, delta, grid).tobytes()
 
 
 def test_discrepancy_refuses_a_billion_point_grid(table):

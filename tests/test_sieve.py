@@ -12,9 +12,9 @@ from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
 from recurgaps.primes import build_prime_table
-from recurgaps.sieve import (omega_kernel, omega_n, omega_period, omega_sum,
-                             points, shift_primes, weighted_prime_sum,
-                             _plan_primes)
+from recurgaps.sieve import (SumReport, omega_kernel, omega_n, omega_period,
+                             omega_sum, points, shift_primes,
+                             weighted_prime_sum, _plan_primes)
 from recurgaps.testfn import default_test_function
 
 
@@ -107,6 +107,14 @@ def test_omega_sum_report_fields(params_k2):
     assert rep.ratio == rep.measured / rep.predicted
     assert rep.count == len(points(params_k2))
     assert rep.params["N"] == params_k2.N
+
+
+def test_sum_report_ratio_is_measured_over_a_nonzero_prediction():
+    assert SumReport("op", 3.0, 2.0, 1, {}).ratio == 1.5
+    ratio = SumReport("op", 1 + 2j, 2j, 1, {}).ratio
+    assert ratio == 1 - 0.5j and isinstance(ratio, complex)
+    for zero in (0.0, 0j):
+        assert SumReport("op", 1.0, zero, 1, {}).ratio is None
 
 
 def test_omega_sum_subrange_additivity():

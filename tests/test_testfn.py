@@ -132,6 +132,16 @@ def test_piece_validation():
         TestFunction(k=1, pieces=((0.25, (0.0, 1.0)), (0.5, (1.0, -2.0))))
 
 
+def test_factor_reads_its_piece_inside_the_support_and_0_outside():
+    # f(t) = 2t on [0, 1/4), 1 - 2t on [1/4, 1/2): every value is exact
+    F = piecewise_test_function(1, [(0.25, (0.0, 2.0)), (0.5, (1.0, -2.0))])
+    cases = [(-0.25, 0.0), (-1e-300, 0.0), (0.0, 0.0), (0.125, 0.25),
+             (0.25, 0.5), (0.375, 0.25), (0.5, 0.0), (0.75, 0.0),
+             (math.nan, 0.0)]
+    for t, want in cases:
+        assert F.factor(t) == want, t
+
+
 def test_tent_function_valid():
     F = _tent(2)
     assert F.factor(0.0) == 0.0
