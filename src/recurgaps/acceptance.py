@@ -32,14 +32,10 @@ from .dynamics import (BoxSet, Cube, KroneckerSystem, build_bump, correlation,
                        recurrence_threshold, shifted_prime_recurrence_set)
 from .expsum import (RationalPoint, expsum_main_term, prime_expsum,
                      weighted_expsum)
-from .primes import PrimeTable, build_prime_table, is_prime, mobius, phi_int
+from .primes import is_prime, mobius, phi_int
 from .sieve import (SumReport, omega_n, omega_period, omega_sum, points,
                     weighted_prime_sum)
 from .testfn import TestFunction, default_test_function
-
-# the base primes of the widest window, 2N + max h = 8,000,012 for check 3
-# at N = 4e6 with h = (0, 6, 12); the oracles factor by trial division
-TABLE_LIMIT = math.isqrt(8_000_012) + 1
 
 
 @dataclass
@@ -60,10 +56,6 @@ class CriterionResult:
         return {"criterion": self.num, "name": self.name,
                 "passed": bool(self.passed and self.runtime_ok),
                 "details": self.details}
-
-
-def shared_table() -> PrimeTable:
-    return build_prime_table(TABLE_LIMIT)
 
 
 def _timed(num, name, budget_s, fn) -> CriterionResult:
@@ -233,7 +225,7 @@ def criterion_2() -> CriterionResult:
 
 # -- 3 -----------------------------------------------------------------------
 
-def criterion_3(t: PrimeTable) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Progression sums vs main terms at N = 1e6 and 4e6 (k=2, w=5, theta=0.1):
     ratio window [0.5, 1.5] plus improvement at the larger N.
 
@@ -246,7 +238,7 @@ def criterion_3(t: PrimeTable) -> CriterionResult:
         for N in (10 ** 6, 4 * 10 ** 6):
             p = make_sieve_params(N=N, h=(0, 6, 12), theta=0.1, w=5, W0=1)
             reps = [omega_sum(p, F)]
-            reps += [weighted_prime_sum(p, F, i, t) for i in range(3)]
+            reps += [weighted_prime_sum(p, F, i) for i in range(3)]
             ratios[N] = [r.ratio for r in reps]
         window = all(0.5 <= r <= 1.5 for rs in ratios.values() for r in rs)
         trend = all(abs(r4 - 1.0) <= abs(r1 - 1.0) + 0.05
@@ -261,7 +253,7 @@ def criterion_3(t: PrimeTable) -> CriterionResult:
 
 # -- 4 -----------------------------------------------------------------------
 
-def criterion_4(t: PrimeTable) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Weighted exponential sum consistency: trivial frequency matches the
     real prime sum to 1e-9 relative; q=2 phase sign; suppression off the
     divisors of W."""
@@ -270,13 +262,13 @@ def criterion_4(t: PrimeTable) -> CriterionResult:
         F = default_test_function(2)
         details, ok = {}, True
 
-        base = weighted_prime_sum(p, F, 0, t)
-        triv = weighted_expsum(p, F, 0, RationalPoint(1, 1, 0.0), t)
+        base = weighted_prime_sum(p, F, 0)
+        triv = weighted_expsum(p, F, 0, RationalPoint(1, 1, 0.0))
         rel = abs(triv.measured - base.measured) / abs(base.measured)
         details["trivial_rel_error"] = rel
         ok &= rel <= 1e-9 and abs(triv.measured.imag) == 0.0
 
-        half = weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0), t)
+        half = weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0))
         sign_match = (half.measured.real < 0) == (half.predicted.real < 0)
         imag_small = abs(half.measured.imag) <= 1e-6 * abs(half.measured.real)
         details["q2_sign_match"] = sign_match
@@ -286,7 +278,7 @@ def criterion_4(t: PrimeTable) -> CriterionResult:
         main_mag = abs(half.predicted)
         worst = 0.0
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            rep = weighted_expsum(p, F, 0, RationalPoint(1, q, 0.0), t)
+            rep = weighted_expsum(p, F, 0, RationalPoint(1, q, 0.0))
             worst = max(worst, abs(rep.measured) / main_mag)
         details["offdivisor_worst_ratio"] = worst
         ok &= worst <= 0.5
@@ -297,7 +289,7 @@ def criterion_4(t: PrimeTable) -> CriterionResult:
 
 # -- 5 -----------------------------------------------------------------------
 
-def criterion_5(t: PrimeTable) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Prime exponential sums in progressions vs the closed-form main term:
     error at most 0.1 x/log x over a (D, q) grid at x = 1e6, and the
     structurally-zero cases stay below 0.05 x."""
@@ -312,7 +304,7 @@ def criterion_5(t: PrimeTable) -> CriterionResult:
                     if math.gcd(a, q) != 1:
                         continue
                     pt = RationalPoint(a, q, 0.0)
-                    s = prime_expsum(x, D, 1, pt, t)
+                    s = prime_expsum(x, D, 1, pt)
                     m = expsum_main_term(x, D, 1, pt)
                     if m == 0:
                         zero_worst = max(zero_worst, abs(s))
@@ -321,7 +313,7 @@ def criterion_5(t: PrimeTable) -> CriterionResult:
         for a in (1, 3):  # gcd(D,q)=2 with q/(D,q)=2: main term exactly zero
             pt = RationalPoint(a, 4, 0.0)
             m = expsum_main_term(x, 2, 1, pt)
-            s = prime_expsum(x, 2, 1, pt, t)
+            s = prime_expsum(x, 2, 1, pt)
             assert m == 0
             zero_worst = max(zero_worst, abs(s))
         ok = worst <= tol and zero_worst <= 0.05 * x
@@ -417,13 +409,13 @@ def criterion_7() -> CriterionResult:
 
 # -- 8 -----------------------------------------------------------------------
 
-def criterion_8(t: PrimeTable) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Shifted-prime return set on Z/4 with A = {0} is exactly the primes
     p = 1 (mod 4) up to 1e4."""
     def run():
         z4 = KroneckerSystem.cyclic(4)
         A = BoxSet(g=4, d=0, pieces=((0, Cube((), 1.0)),))
-        got = shifted_prime_recurrence_set(z4, A, 0.01, 10 ** 4, t)
+        got = shifted_prime_recurrence_set(z4, A, 0.01, 10 ** 4)
         expected = [n for n in range(2, 10 ** 4 + 1)
                     if n % 4 == 1 and is_prime(n)]
         ok = got.tolist() == expected
@@ -434,7 +426,7 @@ def criterion_8(t: PrimeTable) -> CriterionResult:
 
 # -- 9 -----------------------------------------------------------------------
 
-def criterion_9(t: PrimeTable) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Cluster extraction on Z/4: >= 10 re-verified clusters at N = 1e6 for a
     6-shift tuple of multiples of 4; consecutive mode hard-verified on the
     feasible 2-shift configuration and cleanly rejected when the gap count
@@ -446,7 +438,7 @@ def criterion_9(t: PrimeTable) -> CriterionResult:
         eps = 0.01
         h6 = dense_tuple(5, 4)
         p = make_sieve_params(N=10 ** 6, h=h6, theta=0.1, w=5, W0=4)
-        reports = scan_clusters(p, z4, A, eps, 1, t)
+        reports = scan_clusters(p, z4, A, eps, 1)
         thresh = recurrence_threshold(A, eps)
         verified = all(
             all(is_prime(q) for q in rep.primes)
@@ -469,7 +461,7 @@ def criterion_9(t: PrimeTable) -> CriterionResult:
 
         p2 = make_sieve_params(N=10 ** 6, h=(0, 4), theta=0.1, w=11, W0=4,
                                consecutive=True)
-        reports2 = consecutive_filter(scan_clusters(p2, z4, A, eps, 1, t), p2, t)
+        reports2 = consecutive_filter(scan_clusters(p2, z4, A, eps, 1), p2)
         cons_ok = len(reports2) >= 1 and all(r.consecutive for r in reports2)
         for rep in reports2:
             cons_ok &= not any(map(is_prime, range(rep.primes[0] + 1,
@@ -517,16 +509,15 @@ def criterion_10() -> CriterionResult:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    t = shared_table()
     return [
         criterion_1(seed=seed),
         criterion_2(),
-        criterion_3(t),
-        criterion_4(t),
-        criterion_5(t),
+        criterion_3(),
+        criterion_4(),
+        criterion_5(),
         criterion_6(seed=seed),
         criterion_7(),
-        criterion_8(t),
-        criterion_9(t),
+        criterion_8(),
+        criterion_9(),
         criterion_10(),
     ]

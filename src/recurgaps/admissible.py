@@ -31,6 +31,23 @@ def _small_primes(m: int) -> list[int]:
     return out
 
 
+def _shown(n: int) -> str:
+    """n in full up to 30 digits; past that, its digit count, so that a
+    refusal stays short."""
+    big = abs(n) // 10 ** 30  # str() refuses a number past 4,300 digits
+    return f"<{len(str(big)) + 30} digits>" if big else str(n)
+
+
+def require_shift_count(count: int, flag: str) -> None:
+    """Refuse a tuple of 53 or more shifts before it is built: no 63-bit W
+    serves one.  W0 * primorial(w) <= MAX_W forces w <= 52 (compute_W), and
+    53 or more admissible shifts miss a class mod 53, so two of them differ
+    by a multiple of 53 > w, which the w rule forbids."""
+    if count > 52:
+        raise ParameterError(f"{flag} asks for {_shown(count)} shifts, past "
+                             f"the 52-shift limit of a 63-bit W")
+
+
 def is_admissible(h: list[int] | tuple[int, ...]) -> bool:
     """True iff {h_j mod p} misses a residue class for every prime p <= len(h).
 
@@ -79,16 +96,21 @@ def primorial(w: int) -> int:
 
 
 def compute_W(w: int, W0: int = 1) -> int:
-    """W0 times the product of all primes <= w."""
+    """W0 times the product of all primes <= w, refused above MAX_W.
+
+    W0 * primorial(47) is the largest such product that can fit, and
+    primorial(53) alone passes MAX_W, so the product stops at the primes up
+    to min(w, 53): a larger w is refused as fast.
+    """
     if w < 2:
         raise ParameterError(f"w must be at least 2, got {w}")
     if W0 < 1:
         raise ParameterError(f"W0 must be at least 1, got {W0}")
-    W = W0 * primorial(w)
+    W = W0 * primorial(min(w, 53))
     if W > MAX_W:
-        raise ParameterError(
-            f"W = W0 * primorial({w}) = {W} exceeds the 63-bit modulus cap; "
-            f"desk-scale runs keep w <= 13")
+        raise ParameterError(f"W = W0 * primorial(w) exceeds the 63-bit modulus "
+                             f"cap 2^63 - 1 at w = {_shown(w)}; desk-scale runs "
+                             f"keep w <= 13")
     return W
 
 
@@ -137,8 +159,8 @@ def _residue_modulus(tup: AdmissibleTuple, w: int, W0: int) -> int:
                     d //= p
             if d > 1:
                 raise ParameterError(
-                    f"w={w} too small: {hj}-{hi} has a prime factor > w "
-                    f"(remaining factor {d}); raise w")
+                    f"w={w} too small: {_shown(hj)}-{_shown(hi)} has a prime "
+                    f"factor > w (remaining factor {_shown(d)}); raise w")
     return W
 
 

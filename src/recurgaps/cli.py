@@ -57,7 +57,8 @@ try:
 
     from .admissible import (DEFAULT_SEED, AdmissibleTuple, ParameterError,
                              choose_b, compute_W, dense_tuple,
-                             make_sieve_params, standard_tuple)
+                             make_sieve_params, require_shift_count,
+                             standard_tuple)
     from .primes import build_prime_table
     from .serialize import config_hash, dumps
 
@@ -288,8 +289,11 @@ def parse_set(spec: str, sys_: KroneckerSystem) -> BoxSet:
 
 def _build_tuple(cfg: dict) -> AdmissibleTuple:
     if cfg.get("h"):
+        shifts = str(cfg["h"]).split(",")
+        require_shift_count(len(shifts), "--h")
         return AdmissibleTuple(tuple(_int_field(x, "--h shift")
-                                     for x in str(cfg["h"]).split(",")))
+                                     for x in shifts))
+    require_shift_count(cfg["k"] + 1, "--k")
     if cfg["tuple_style"] == "dense":
         return dense_tuple(cfg["k"], cfg["w0"])
     return standard_tuple(cfg["k"], cfg["w0"])
@@ -354,10 +358,10 @@ def _cmd_sums(cfg: dict, em: _Emitter, table, args) -> int:
     _load("sieve")
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
-    t = table(p.top)
+    table(p.top)
     em.emit_report(omega_sum(p, F))
     for i in range(p.k + 1):
-        em.emit_report(weighted_prime_sum(p, F, i, t))
+        em.emit_report(weighted_prime_sum(p, F, i))
     return 0
 
 
@@ -373,8 +377,8 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
         # the sums refuse x < 1 too, but prime and discrepancy build a table first
         raise ParameterError(f"--n must be >= 1, got {cfg['n']}")
     if op == "discrepancy":
-        val = expsum_discrepancy(args.q, args.delta, cfg["n"], args.grid,
-                                 table(2 * cfg["n"]))
+        table(2 * cfg["n"])
+        val = expsum_discrepancy(args.q, args.delta, cfg["n"], args.grid)
         em.emit({"op": "expsum_discrepancy", "q": args.q, "delta": args.delta,
                  "x": cfg["n"], "grid": args.grid, "value": val,
                  "semantics": "grid lower bound"})
@@ -384,8 +388,10 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
           if op in ("prime", "main-term", "weighted") else None)
     if op in ("prime", "main-term"):
         x, D, b = cfg["n"], args.d_mod, args.b_res
-        val = (prime_expsum(x, D, b, pt, table(2 * x)) if op == "prime"
-               else expsum_main_term(x, D, b, pt))  # main-term reads no window
+        if op == "prime":  # main-term reads no window
+            table(2 * x)
+        val = (prime_expsum(x, D, b, pt) if op == "prime"
+               else expsum_main_term(x, D, b, pt))
         em.emit({"op": "prime_expsum" if op == "prime" else "expsum_main_term",
                  "x": x, "D": D, "b": b, "a": pt.a, "q": pt.q,
                  "theta_offset": pt.theta, "value": val})
@@ -395,10 +401,12 @@ def _cmd_expsum(cfg: dict, em: _Emitter, table, args) -> int:
         raise ParameterError(f"--i must be in 0..{p.k}, got {args.i}")
     F = _build_F(cfg, p.k)
     if op == "weighted":
-        em.emit_report(weighted_expsum(p, F, args.i, pt, table(p.top)))
+        table(p.top)
+        em.emit_report(weighted_expsum(p, F, args.i, pt))
         return 0
     alphas = [_float_field(x, "--alphas entry") for x in args.alphas.split(",")]
-    for rec in minor_arc_scan(p, F, args.i, alphas, table(p.top)):
+    table(p.top)
+    for rec in minor_arc_scan(p, F, args.i, alphas):
         em.emit({"op": "minor_arc_scan", **rec})
     return 0
 
@@ -414,14 +422,14 @@ def _cmd_recur(cfg: dict, em: _Emitter, table, args) -> int:
     if args.weighted:
         p = _build_params(cfg)
         F = _build_F(cfg, p.k)
-        t = table(p.top)
+        table(p.top)
         for i in range(p.k + 1):
             em.emit_report(weighted_correlation_sum(
-                p, F, sys_, A, i, cfg["eps"], t))
+                p, F, sys_, A, i, cfg["eps"]))
         return 0
     if args.pmax is not None:
-        ps = shifted_prime_recurrence_set(sys_, A, cfg["eps"], args.pmax,
-                                          table(args.pmax))
+        table(args.pmax)
+        ps = shifted_prime_recurrence_set(sys_, A, cfg["eps"], args.pmax)
         em.emit({"op": "shifted_prime_recurrence_set", "eps": cfg["eps"],
                  "pmax": args.pmax, "count": len(ps),
                  "primes": [int(x) for x in ps]})
@@ -441,13 +449,13 @@ def _cmd_cluster(cfg: dict, em: _Emitter, table, args) -> int:
     A = parse_set(cfg["set"], sys_)
     p = _build_params(cfg)
     F = _build_F(cfg, p.k)
-    t = table(p.top)
+    table(p.top)
     # opened first, so that a bad path is refused before any record
     with (_open(args.csv, "--csv", "w") if args.csv
           else contextlib.nullcontext()) as csv:
-        em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"], t))
-        reports = scan_clusters(p, sys_, A, cfg["eps"], cfg["m"], t)
-        reports = consecutive_filter(reports, p, t)
+        em.emit_report(detector_sum(p, F, sys_, A, cfg["eps"], cfg["m"]))
+        reports = scan_clusters(p, sys_, A, cfg["eps"], cfg["m"])
+        reports = consecutive_filter(reports, p)
         for rep in reports:
             em.emit({"op": "cluster", **rep.as_dict()})
         em.emit({"op": "cluster_summary", "clusters": len(reports),
@@ -535,11 +543,12 @@ def main(argv=None) -> int:
         try:
             em = _Emitter(cfg, out)
 
-            def table(top: int):
-                """The base primes of a window whose last value is top."""
-                t = build_prime_table(math.isqrt(top) + 1)
-                em.restart_clock()  # wall_ms never counts the table build
-                return t
+            def table(top: int) -> None:
+                """Build the table of base primes that the op reads
+                (``primes.base_primes``) for a window whose last value is
+                top, before the op starts: wall_ms never counts it."""
+                build_prime_table(math.isqrt(top) + 1)
+                em.restart_clock()
 
             return _COMMANDS[args.subcommand][0](cfg, em, table, args)
         finally:

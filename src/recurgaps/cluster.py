@@ -11,11 +11,11 @@ detector reads Omega_n from the op's one period table
 Both walk the progression one CHUNK span of point indices at a time and
 read the same span terms (``_setup``): per shift, whether n + h_i is a
 recurrent prime, and the detector term varpi(n + h_i)(corr - threshold).
-Each shift is sieved along the walk (``sieve.shift_primes``), and the
-consecutive filter walks one ``sieve.ShiftPrimes`` over [N + min h,
-2N + max h], a span per report, so all read the primes up to
-isqrt(2N + max h) only.  The scan holds its reports, which grow with N: a
-window above 2^27 is refused first.
+Each shift is sieved along the walk (a ``primes.ShiftPrimes``), and the
+consecutive filter walks one more over [N + min h, 2N + max h], a span
+per report, so all read the primes up to isqrt(2N + max h) only.  The
+scan holds its reports, which grow with N: a window above 2^27 is refused
+first.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import accumulate, primes
+from . import accumulate
 from .accumulate import chunked_sum, exact_sum, rounded
 from .admissible import ParameterError, SieveParams
 from .dynamics import (BoxSet, KroneckerSystem, correlation_kernel, measure,
                        recurrence_threshold, require_group_step, system_echo)
-from .primes import PrimeTable, require_window
-from .sieve import (ShiftPrimes, SumReport, main_scale, omega_period, points,
-                    shift_primes)
+from .primes import ShiftPrimes, require_window
+from .sieve import SumReport, main_scale, omega_period, points
 from .testfn import TestFunction, J_i, J_star
 
 
@@ -56,7 +55,7 @@ class ClusterReport:
 
 
 def _setup(p: SieveParams, sys: KroneckerSystem, A: BoxSet, eps: float,
-           m: int, t: PrimeTable) -> tuple[Callable, float]:
+           m: int) -> tuple[Callable, float]:
     """The rules the detector and the scan share, and what they read: the
     span terms and the cap m log(3N).
 
@@ -73,7 +72,7 @@ def _setup(p: SieveParams, sys: KroneckerSystem, A: BoxSet, eps: float,
     require_window(p.top)  # the scan's reports, and the output, grow with N
     corr = correlation_kernel(sys, A)
     pts = points(p)
-    shifts = [(h, shift_primes(p, h, t)) for h in p.h]
+    shifts = [(h, ShiftPrimes(pts, h, p.top)) for h in p.h]
 
     def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         ns = pts.start + np.arange(lo, hi, dtype=np.int64) * p.W
@@ -91,7 +90,7 @@ def _setup(p: SieveParams, sys: KroneckerSystem, A: BoxSet, eps: float,
 
 
 def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
-                 A: BoxSet, eps: float, m: int, t: PrimeTable) -> SumReport:
+                 A: BoxSet, eps: float, m: int) -> SumReport:
     """Weighted detector over the progression:
 
         sum_n Omega_n ( sum_i varpi(n+h_i) (corr(n+h_i-1) - (mu(A)^2 - eps))
@@ -107,7 +106,7 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
     (Cauchy-Schwarz, as f(1/(k+1)) = 0), with equality for the default
     linear f.
     """
-    terms, cap = _setup(p, sys, A, eps, m, t)
+    terms, cap = _setup(p, sys, A, eps, m)
     pts = points(p)
     om = omega_period(p, F)
 
@@ -126,14 +125,14 @@ def detector_sum(p: SieveParams, F: TestFunction, sys: KroneckerSystem,
 
 
 def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
-                  eps: float, m: int, t: PrimeTable) -> list[ClusterReport]:
+                  eps: float, m: int) -> list[ClusterReport]:
     """Every n in the progression whose window holds >= m+1 shifts with
     n + h_i prime and correlation(n + h_i - 1) above threshold.
 
     Independent of the sieve weights by design; this is the certificate,
     the detector is the motivation.
     """
-    terms, cap = _setup(p, sys, A, eps, m, t)
+    terms, cap = _setup(p, sys, A, eps, m)
     pts = points(p)
     out: list[ClusterReport] = []
     for lo in range(0, len(pts), accumulate.CHUNK):
@@ -149,8 +148,8 @@ def scan_clusters(p: SieveParams, sys: KroneckerSystem, A: BoxSet,
     return out
 
 
-def consecutive_filter(reports: list[ClusterReport], p: SieveParams,
-                       t: PrimeTable) -> list[ClusterReport]:
+def consecutive_filter(reports: list[ClusterReport],
+                       p: SieveParams) -> list[ClusterReport]:
     """Attach to each report whether its primes are consecutive (no other
     prime strictly between the first and the last).
 
@@ -162,8 +161,7 @@ def consecutive_filter(reports: list[ClusterReport], p: SieveParams,
         return []
     # report n's primes lie in [n + min h, n + max h], a span of one walk
     # over [N + min h, 2N + max h] whose start ascends with n
-    window = ShiftPrimes(range(p.N + min(p.h), p.top + 1), 0,
-                         primes.base_primes(t, p.top))
+    window = ShiftPrimes(range(p.N + min(p.h), p.top + 1), 0, p.top)
     out = []
     for rep in reports:
         i = rep.n - p.N

@@ -22,7 +22,7 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, is_prime, primes_in
+from .primes import is_prime, primes_in
 
 if TYPE_CHECKING:
     from .sieve import SumReport
@@ -226,10 +226,10 @@ def khintchine_set(sys: KroneckerSystem, A: BoxSet, eps: float,
 
 
 def shifted_prime_recurrence_set(sys: KroneckerSystem, A: BoxSet, eps: float,
-                                 p_max: int, t: PrimeTable) -> np.ndarray:
+                                 p_max: int) -> np.ndarray:
     """Primes p <= p_max with correlation(p - 1) >= measure(A)^2 - eps."""
     thresh = recurrence_threshold(A, eps)
-    ps = primes_in(range(2, p_max + 1), t)
+    ps = primes_in(range(2, p_max + 1))
     return ps[correlation_kernel(sys, A)(ps - 1) >= thresh]
 
 
@@ -308,7 +308,7 @@ def build_bump(delta0: float, delta1: float, K: int = 10_000) -> BumpPsi:
 
 def weighted_correlation_sum(p: SieveParams, F: TestFunction,
                              sys: KroneckerSystem, A: BoxSet, i: int,
-                             eps: float, t: PrimeTable) -> SumReport:
+                             eps: float) -> SumReport:
     """Progression sum of varpi(n+h_i) Omega_n * correlation(n+h_i-1)
     against (measure(A)^2 - eps) times the prime-sum main term.
 
@@ -320,7 +320,7 @@ def weighted_correlation_sum(p: SieveParams, F: TestFunction,
     require_group_step(p, sys)
     thresh = recurrence_threshold(A, eps)
     corr = correlation_kernel(sys, A)
-    kern = prime_kernel(p, F, i, t, lambda m: corr(m - 1))
+    kern = prime_kernel(p, F, i, lambda m: corr(m - 1))
     pts = points(p)
     measured = chunked_sum(pts, kern)
     predicted = thresh * J_i(F, i) * main_scale(p, p.k)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .accumulate import chunked_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, mobius, phi_int, primes_in, torus_norm
+from .primes import mobius, phi_int, primes_in, torus_norm
 
 if TYPE_CHECKING:
     from .sieve import SumReport
@@ -210,11 +210,11 @@ def _require_class(x: int, D: int, b: int) -> None:
         raise ParameterError(f"gcd(b, D) must be 1, got b={b}, D={D}")
 
 
-def prime_expsum(x: int, D: int, b: int, pt: RationalPoint, t: PrimeTable) -> complex:
+def prime_expsum(x: int, D: int, b: int, pt: RationalPoint) -> complex:
     """sum over primes p in [x, 2x], p = b (mod D), of log(p) e(p (a/q + theta))."""
     _require_class(x, D, b)
     _require_split(pt.theta, "theta offset")
-    ps = primes_in(range(x + (b - x) % D, 2 * x + 1, D), t)
+    ps = primes_in(range(x + (b - x) % D, 2 * x + 1, D))
     return complex(np.sum(np.log(ps.astype(np.float64)) * _phase(ps, pt)))
 
 
@@ -251,8 +251,7 @@ def expsum_main_term(x: int, D: int, b: int, pt: RationalPoint) -> complex:
     return mu_v * phase / phi_lcm * geometric_phase_sum(x, pt.theta)
 
 
-def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
-                       t: PrimeTable) -> float:
+def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int) -> float:
     """Grid lower bound for the centered prime-sum discrepancy at level q:
 
         max over a coprime to q, theta on a grid in [-delta, delta], of
@@ -264,7 +263,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     (see SCAN_PAIR_COST): before sieving when a proven floor on the window's
     prime count already breaks it, else once the window is sieved.
 
-    Each grid value is prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
+    Each grid value is prime_expsum(x, 1, 1, RationalPoint(a, q, theta))
     bit for bit: the primes and their logs are built once, the rational
     phases once per block of a, e(p theta) and the centring sum once per
     theta and block, and every term is the same log * (rational * theta)
@@ -288,7 +287,7 @@ def expsum_discrepancy(q: int, delta: float, x: int, theta_grid: int,
     phi_q = phi_int(q)
     points = theta_grid if delta > 0 else 1
     _require_scan_budget(phi_q, points, _window_primes_floor(x), "at least ")
-    ps = primes_in(range(x, 2 * x + 1), t)
+    ps = primes_in(range(x, 2 * x + 1))
     _require_scan_budget(phi_q, points, len(ps))
     fps = ps.astype(np.float64)  # exact: every p < 2^53
     # cast once, not once per product: logs * phase casts the same way
@@ -335,8 +334,8 @@ def _require_scan_budget(phi_q: int, points: int, primes: int,
             f"pair); lower q (--q) or the theta grid (--grid)")
 
 
-def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
-                    t: PrimeTable) -> SumReport:
+def weighted_expsum(p: SieveParams, F: TestFunction, i: int,
+                    pt: RationalPoint) -> SumReport:
     """Progression sum of varpi(n+h_i) e((n+h_i)(a/q+theta)) Omega_n.
 
     Predicted main term applies when q divides W:
@@ -354,7 +353,7 @@ def weighted_expsum(p: SieveParams, F: TestFunction, i: int, pt: RationalPoint,
     if pt.theta != 0.0 and top >= (1 << _SPLIT_BITS):
         raise ParameterError(
             f"phase e(n theta) needs n < 2^{_SPLIT_BITS}, got n = {top}")
-    kern = prime_kernel(p, F, i, t, lambda m: _phase(m, pt))
+    kern = prime_kernel(p, F, i, lambda m: _phase(m, pt))
     measured = chunked_sum(pts, kern)
     scale = J_i(F, i) * main_scale(p, p.k) / p.N  # per-n main scale
     params = p.echo()
@@ -422,7 +421,7 @@ def classify_arc(alpha: float, N: int) -> ArcLabel:
 
 
 def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,
-                   alphas: list[float], t: PrimeTable) -> list[dict]:
+                   alphas: list[float]) -> list[dict]:
     """|weighted sum| at minor frequencies, against the theta=0 major
     main-term magnitude for contrast."""
     from .sieve import main_scale
@@ -436,7 +435,7 @@ def minor_arc_scan(p: SieveParams, F: TestFunction, i: int,
             raise ParameterError(f"alpha={alpha} is not minor at N={p.N}")
         theta = alpha - label.a / label.q
         pt = RationalPoint(a=label.a, q=label.q, theta=theta)
-        rep = weighted_expsum(p, F, i, pt, t)
+        rep = weighted_expsum(p, F, i, pt)
         records.append({
             "alpha": alpha,
             "a": label.a,

@@ -2,23 +2,27 @@
 
 Every op learns primality one way: ``ap_primality`` sieves the values of
 an arithmetic progression with the base primes up to the square root of
-its last value (``base_primes``), SEGMENT values at a time in its callers
-(``primes_in``; ``sieve.ShiftPrimes`` takes a longer span in one), with
-the step's inverses computed once per walk (``step_inverses``), in
+its window's last value (``base_primes``), one span of indices at a time,
+with the step's inverses computed once per walk.  ``ShiftPrimes`` is that
+walk, the only one: the shifted progressions of the sums read it span by
+span, and ``primes_in`` reads it SEGMENT values at a time, in
 O(SEGMENT + sqrt(x)) memory wherever the window lies.  An op that holds
-its whole window refuses one above DEFAULT_LIMIT_BUDGET before any sieving
-(``require_window``).
+its whole window refuses one above DEFAULT_LIMIT_BUDGET before any
+sieving (``require_window``).
 
 A table holds the primes up to its limit and ``spf[n]``, the least prime
-dividing n.  An op, and ``verify``, builds one only up to isqrt of its
-widest window's last value and reads its primes alone; only the tests read
-``spf``.  The one factoring routine, ``factorize``, trial-divides and needs
-no table: ``is_prime``, ``mobius``, ``phi_int`` and ``squarefree_divisors``
-are built on it, and ``verify``'s oracles read them.
+dividing n.  ``base_primes`` reads the primes of one, built up to isqrt of
+the window's last value and cached, so an op builds it once: the CLI
+builds it before the op starts, and the op reads that table; only the
+tests read ``spf``.  The one factoring routine, ``factorize``,
+trial-divides and needs no table: ``is_prime``, ``mobius``, ``phi_int``
+and ``squarefree_divisors`` are built on it, and ``verify``'s oracles read
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +36,7 @@ from .admissible import ParameterError
 # ~0.7 GiB; prime_expsum over [2^26, 2^27] peaks at 0.23 GiB.
 DEFAULT_LIMIT_BUDGET = 1 << 27
 
-# Progression points sieved at a time by ap_primality's callers: a mask of
+# Points a walk (ShiftPrimes) sieves at a time at least: a mask of
 # 256 KiB, so its strided stores stay in cache.
 SEGMENT = 1 << 18
 
@@ -50,8 +54,10 @@ class PrimeTable:
         self.primes.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=1)
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve least prime factors for 2..limit.
+    """Sieve least prime factors for 2..limit; the last table built is
+    cached, and it is read-only.
 
     Memory is proportional to ``limit``; a limit above DEFAULT_LIMIT_BUDGET
     is refused before any allocation, so a typo cannot swallow the machine.
@@ -119,13 +125,11 @@ def step_inverses(step: int, ps: np.ndarray) -> np.ndarray:
                     dtype=ps.dtype)
 
 
-def base_primes(t: PrimeTable, top: int) -> np.ndarray:
-    """The primes of t up to isqrt(top): all that ap_primality needs to
-    sieve a window whose values are at most top."""
-    root = math.isqrt(max(top, 0))
-    if t.limit < root:
-        raise ParameterError(f"prime table limit {t.limit} below isqrt({top}) "
-                             f"= {root}, up to which the window is sieved")
+def base_primes(top: int) -> np.ndarray:
+    """The primes up to isqrt(top): all that ap_primality needs to sieve a
+    window whose values are at most top, read from the cached table."""
+    root = math.isqrt(max(top, 1))
+    t = build_prime_table(root + 1)
     return t.primes[:np.searchsorted(t.primes, root, side="right")]
 
 
@@ -137,19 +141,48 @@ def require_window(top: int) -> None:
             f"{DEFAULT_LIMIT_BUDGET} for an op that holds its window")
 
 
-def primes_in(r: range, t: PrimeTable) -> np.ndarray:
+class ShiftPrimes:
+    """Whether m_j = n_j + h is prime, for the points n_j of an ascending
+    range (a progression, or a window of step 1), sieved one span of
+    indices at a time (``ap_primality``) with the base primes of a window
+    whose values are at most top.
+
+    A span lo <= j < hi the held mask does not cover starts a new one:
+    max(SEGMENT, hi - lo) points from lo.  So a walk whose spans start in
+    ascending order never steps back behind the held segment, and holds
+    one; as CHUNK divides SEGMENT, any forward scan of CHUNK spans sieves
+    each point at most once.
+    """
+
+    def __init__(self, points: range, h: int, top: int):
+        self.values = range(points.start + h, points.stop + h, points.step)
+        self.base = base_primes(top)
+        self.inverses = step_inverses(points.step, self.base)
+        self._lo = 0                           # index of _mask[0]
+        self._mask = np.zeros(0, dtype=bool)
+
+    def at(self, lo: int, hi: int) -> np.ndarray:
+        """Boolean mask: n_j + h is prime, for lo <= j < hi."""
+        if not self._lo <= lo <= hi <= self._lo + len(self._mask):
+            m = self.values[lo:lo + max(SEGMENT, hi - lo)]
+            self._lo, self._mask = lo, ap_primality(
+                m.start, m.step, len(m), self.base, self.inverses)
+        return self._mask[lo - self._lo:hi - self._lo]
+
+
+def primes_in(r: range) -> np.ndarray:
     """The prime values of an ascending range, as an ascending int64 array,
-    sieved SEGMENT values at a time with the base primes of t."""
+    read SEGMENT values at a time from one walk, whose base primes cover
+    every value below r.stop."""
     if not len(r):
         return np.zeros(0, dtype=np.int64)
     require_window(r[-1])
-    base = base_primes(t, r[-1])
-    inv = step_inverses(r.step, base)
-    parts = []
-    for j in range(0, len(r), SEGMENT):
-        mask = ap_primality(r[j], r.step, min(SEGMENT, len(r) - j), base, inv)
-        parts.append(np.flatnonzero(mask) * r.step + r[j])
-    return np.concatenate(parts)
+    # r.stop - 1 is the last value of the window its callers name, as the
+    # CLI does when it builds the table this walk reads
+    walk = ShiftPrimes(r, 0, r.stop - 1)
+    return np.concatenate([
+        np.flatnonzero(walk.at(j, min(j + SEGMENT, len(r)))) * r.step + r[j]
+        for j in range(0, len(r), SEGMENT)])
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -18,14 +18,14 @@ reads that cached table -- and above OMEGA_TABLE_BUDGET points refused.
 oracle the table is checked against.
 
 The walk over n_j = start + jW has one coordinate, the index j: a kernel
-gets a span lo <= j < hi, reads primality (``ShiftPrimes.at``) and Omega
-(``OmegaPeriod.at``) by index, and builds n_j where it needs it.  Every
-sum of varpi(n+h_i) Omega_n factor(n+h_i) has one kernel, ``prime_kernel``:
-``shift_primes`` sieves n + h_i itself, SEGMENT points at a time, as
-``chunked_sum`` walks CHUNK at a time, and the factor is read only where
-n + h_i is prime.  So those sums need only the base primes, up to
-isqrt(2N + max h), and run in O(CHUNK + SEGMENT + sqrt(N)) memory besides
-the Omega table.
+gets a span lo <= j < hi, reads primality (``primes.ShiftPrimes.at``) and
+Omega (``OmegaPeriod.at``) by index, and builds n_j where it needs it.
+Every sum of varpi(n+h_i) Omega_n factor(n+h_i) has one kernel,
+``prime_kernel``: a ``ShiftPrimes`` walk sieves n + h_i itself, SEGMENT
+points at a time, as ``chunked_sum`` walks CHUNK at a time, and the
+factor is read only where n + h_i is prime.  So those sums need only the
+base primes, up to isqrt(2N + max h), and run in
+O(CHUNK + SEGMENT + sqrt(N)) memory besides the Omega table.
 
 Summation order is pinned: per-coordinate subset terms follow one fixed
 preorder, and each sum is its per-n terms' exact integer total, rounded
@@ -45,10 +45,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import primes
 from .accumulate import CHUNK, chunked_sum, periodic_sum
 from .admissible import ParameterError, SieveParams
-from .primes import PrimeTable, phi_int, squarefree_divisors
+from .primes import ShiftPrimes, is_prime, phi_int, squarefree_divisors
 from .testfn import TestFunction, J_star, J_i, lambda_weight
 
 # Points an Omega period table may hold: 2^26 float64s are 512 MiB.
@@ -85,40 +84,6 @@ def points(p: SieveParams) -> range:
     return range(_progression_start(p), 2 * p.N + 1, p.W)
 
 
-class ShiftPrimes:
-    """Whether m_j = n_j + h is prime, for the points n_j of an ascending
-    range (a progression, or a window of step 1), sieved one span of
-    indices at a time (``ap_primality``).
-
-    A span lo <= j < hi the held mask does not cover starts a new one:
-    max(SEGMENT, hi - lo) points from lo.  So a walk whose spans start in
-    ascending order never steps back behind the held segment, and holds
-    one; as CHUNK divides SEGMENT, any forward scan of CHUNK spans sieves
-    each point at most once.
-    """
-
-    def __init__(self, points: range, h: int, base: np.ndarray):
-        self.values = range(points.start + h, points.stop + h, points.step)
-        self.base = base
-        self.inverses = primes.step_inverses(points.step, base)
-        self._lo = 0                           # index of _mask[0]
-        self._mask = np.zeros(0, dtype=bool)
-
-    def at(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean mask: n_j + h is prime, for lo <= j < hi."""
-        if not self._lo <= lo <= hi <= self._lo + len(self._mask):
-            m = self.values[lo:lo + max(primes.SEGMENT, hi - lo)]
-            self._lo, self._mask = lo, primes.ap_primality(
-                m.start, m.step, len(m), self.base, self.inverses)
-        return self._mask[lo - self._lo:hi - self._lo]
-
-
-def shift_primes(p: SieveParams, h: int, t: PrimeTable) -> ShiftPrimes:
-    """Primality of n + h along the progression, sieved with the primes of
-    t up to isqrt(2N + max h)."""
-    return ShiftPrimes(points(p), h, primes.base_primes(t, p.top))
-
-
 def _divisor_plan(F: TestFunction, R: int,
                   ps: Sequence[int]) -> list[tuple[int, float]]:
     """Fixed-order (product, signed f-value) pairs for the squarefree
@@ -149,7 +114,7 @@ def _plan_primes(p: SieveParams, F: TestFunction) -> list[int]:
     """The primes below the support cutoff that do not divide W, ascending."""
     cutoff = float(p.R) ** F.upper
     return [q for q in range(2, math.ceil(cutoff))
-            if p.W % q != 0 and primes.is_prime(q)]
+            if p.W % q != 0 and is_prime(q)]
 
 
 def omega_n(n: int, p: SieveParams, F: TestFunction) -> float:
@@ -249,7 +214,7 @@ def omega_sum(p: SieveParams, F: TestFunction) -> SumReport:
     return SumReport("omega_sum", measured, predicted, om.count, p.echo())
 
 
-def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
+def prime_kernel(p: SieveParams, F: TestFunction, i: int,
                  factor: Callable[[np.ndarray], np.ndarray] | None = None):
     """Chunk kernel for the sum of varpi(n+h_i) Omega_n factor(n+h_i) over
     the progression: log(m) Omega_n (times factor(m)) at the points n_j of
@@ -259,7 +224,7 @@ def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
     total, so the kernel keeps only the prime ones and evaluates factor
     there alone.
     """
-    prime = shift_primes(p, p.h[i], t)  # checks t before the table is built
+    prime = ShiftPrimes(points(p), p.h[i], p.top)
     om = omega_period(p, F)
 
     def kern(lo: int, hi: int) -> np.ndarray:
@@ -271,10 +236,9 @@ def prime_kernel(p: SieveParams, F: TestFunction, i: int, t: PrimeTable,
     return kern
 
 
-def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int,
-                       t: PrimeTable) -> SumReport:
+def weighted_prime_sum(p: SieveParams, F: TestFunction, i: int) -> SumReport:
     """Sum of varpi(n+h_i) Omega_n vs J_i N W^k/((log R)^k phi(W)^(k+1))."""
-    kern = prime_kernel(p, F, i, t)
+    kern = prime_kernel(p, F, i)
     pts = points(p)
     measured = chunked_sum(pts, kern)
     predicted = J_i(F, i) * main_scale(p, p.k)

@@ -16,9 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from recurgaps import acceptance, sieve
+from recurgaps import acceptance, primes, sieve
 from recurgaps.admissible import make_sieve_params
-from recurgaps.primes import PrimeTable
+from recurgaps.primes import PrimeTable, build_prime_table
 from recurgaps.serialize import dumps
 
 # sha256 of dumps(record()) of the checks whose details hold no floats,
@@ -41,28 +41,40 @@ def _digest(res):
     return hashlib.sha256(dumps(res.record()).encode()).hexdigest()
 
 
-def test_shared_table_holds_the_base_primes_of_the_widest_window():
-    # check 3's N = 4e6 window with h = (0, 6, 12) ends at 8,000,012
+def test_shared_table_holds_the_base_primes_of_the_widest_window(
+        monkeypatch):
+    # check 3's N = 4e6 window with h = (0, 6, 12) ends at 8,000,012, the
+    # widest of the suite; each sum reads the base primes of its window
     p = make_sieve_params(N=4 * 10 ** 6, h=(0, 6, 12), theta=0.1, w=5, W0=1)
     assert p.top == 8_000_012
-    assert acceptance.TABLE_LIMIT == math.isqrt(p.top) + 1 == 2829
+    limits = []
+    monkeypatch.setattr(primes, "build_prime_table",
+                        lambda limit: limits.append(limit)
+                        or build_prime_table(limit))
+    acceptance.criterion_3()
+    assert max(limits) == math.isqrt(p.top) + 1 == 2829
 
 
 @pytest.mark.parametrize("criterion", [acceptance.criterion_8,
                                        acceptance.criterion_9])
-def test_oracles_read_no_least_prime_factors(criterion, big_table):
-    # the oracles factor by trial division, so a table without spf gives
-    # the same record bytes
-    primes_only = PrimeTable(limit=big_table.limit,
-                             spf=np.zeros(0, dtype=np.uint32),
-                             primes=big_table.primes)
-    assert (dumps(criterion(primes_only).record())
-            == dumps(criterion(big_table).record()))
+def test_oracles_read_no_least_prime_factors(criterion, monkeypatch):
+    # the oracles factor by trial division, so tables without spf give the
+    # same record bytes
+    want = dumps(criterion().record())
+
+    def primes_only(limit):
+        t = build_prime_table(limit)
+        return PrimeTable(limit=t.limit, spf=np.zeros(0, dtype=np.uint32),
+                          primes=t.primes)
+
+    build_prime_table.cache_clear()
+    monkeypatch.setattr(primes, "build_prime_table", primes_only)
+    assert dumps(criterion().record()) == want
 
 
 @pytest.fixture(scope="module")
-def crit3(big_table):
-    return _report(acceptance.criterion_3(big_table))
+def crit3():
+    return _report(acceptance.criterion_3())
 
 
 def test_criterion_1_omega_oracle_bitwise():
@@ -117,8 +129,8 @@ def test_criterion_3_ratio_trend(crit3):
     assert crit3.runtime_ok
 
 
-def test_criterion_4_weighted_expsum_consistency(big_table):
-    res = _report(acceptance.criterion_4(big_table))
+def test_criterion_4_weighted_expsum_consistency():
+    res = _report(acceptance.criterion_4())
     assert res.details["trivial_rel_error"] <= 1e-9
     assert res.details["q2_sign_match"]
     assert res.details["offdivisor_worst_ratio"] <= 0.5
@@ -126,8 +138,8 @@ def test_criterion_4_weighted_expsum_consistency(big_table):
     assert res.passed
 
 
-def test_criterion_5_expsum_main_terms(big_table):
-    res = _report(acceptance.criterion_5(big_table))
+def test_criterion_5_expsum_main_terms():
+    res = _report(acceptance.criterion_5())
     assert res.details["worst_abs_error"] <= res.details["tolerance"]
     assert res.details["zero_case_worst"] <= res.details["zero_case_cap"]
     assert res.runtime_ok
@@ -150,16 +162,16 @@ def test_criterion_7_gap_stabilization():
     assert res.passed
 
 
-def test_criterion_8_recurrence_set_oracle(big_table):
-    res = _report(acceptance.criterion_8(big_table))
+def test_criterion_8_recurrence_set_oracle():
+    res = _report(acceptance.criterion_8())
     assert res.details["matches_congruence_scan"]
     assert res.runtime_ok
     assert res.passed
     assert _digest(res) == _RECORD_DIGESTS[8]
 
 
-def test_criterion_9_cluster_extraction(big_table):
-    res = _report(acceptance.criterion_9(big_table))
+def test_criterion_9_cluster_extraction():
+    res = _report(acceptance.criterion_9())
     assert res.details["cluster_count"] >= 10
     assert res.details["all_reverified"]
     assert res.details["infeasible_consecutive_rejected"]

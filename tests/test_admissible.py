@@ -1,12 +1,16 @@
+import json
 import math
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recurgaps.admissible import (AdmissibleTuple, ParameterError, SieveParams,
+from recurgaps.admissible import (MAX_W, AdmissibleTuple, ParameterError,
                                   choose_b, compute_W, dense_tuple,
                                   is_admissible, make_sieve_params, primorial,
                                   standard_tuple)
+from recurgaps.cli import main
 
 
 def _covers_all_residues(h, p):
@@ -56,6 +60,59 @@ def test_compute_W_examples():
 def test_compute_W_cap():
     with pytest.raises(ParameterError, match="63-bit"):
         compute_W(200, 1)
+
+
+@pytest.mark.parametrize("w", [53, 10 ** 5, 10 ** 30])
+def test_compute_W_refuses_past_the_cap_at_once_by_name(w):
+    # primorial(53) alone passes the cap, so no larger w is multiplied out
+    assert primorial(47) <= MAX_W < primorial(53)
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError, match="63-bit") as exc:
+        compute_W(w, 1)
+    assert time.perf_counter() - t0 < 1.0
+    msg = str(exc.value)
+    assert "w = " in msg and not re.search(r"\d{31}", msg)
+    assert compute_W(52, 1) == compute_W(47, 1) == primorial(47)
+
+
+def _refusal(args, capsys):
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 300
+    return err
+
+
+@pytest.mark.parametrize("args,named", [
+    (["tuple", "--k", "52"], "--k asks for 53 shifts"),
+    (["tuple", "--k", "52", "--tuple-style", "dense"], "--k asks for 53 shifts"),
+    (["tuple", "--h", ",".join(str(4 * j) for j in range(53))],
+     "--h asks for 53 shifts"),
+    # k + 1 has 4,301 digits, more than str() converts
+    (["tuple", "--k", "9" * 4300], "--k asks for <4301 digits> shifts"),
+], ids=["standard", "dense", "h", "4300-digit-k"])
+def test_a_tuple_past_52_shifts_is_refused_before_it_is_built(args, named,
+                                                              monkeypatch,
+                                                              capsys):
+    for name in ("standard_tuple", "dense_tuple", "AdmissibleTuple"):
+        monkeypatch.setattr(f"recurgaps.cli.{name}",
+                            lambda *a: pytest.fail("built the tuple"))
+    err = _refusal(args, capsys)
+    assert named in err and "52-shift limit" in err
+
+
+def test_the_largest_tuple_a_63_bit_W_serves_passes(capsys):
+    # 52 shifts, the multiples of primorial(52) = primorial(47) = W
+    assert main(["tuple", "--k", "51", "--w", "47"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert len(rec["h"]) == 52 and rec["W"] == primorial(47)
+
+
+def test_a_long_shift_is_refused_in_a_short_message(capsys):
+    big = 10 ** 39 + 2 * 3 * 5 * 7 * 11  # 40 digits, not 5-smooth
+    err = _refusal(["tuple", "--h", f"0,{big}", "--w", "5"], capsys)
+    assert "w=5 too small: <40 digits>-0 has a prime factor > w" in err
+    assert not re.search(r"\d{31}", err)
 
 
 def test_choose_b_examples():

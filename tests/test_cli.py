@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import recurgaps
-from recurgaps import acceptance, cli, sieve
+from recurgaps import acceptance, cli, primes, sieve
 from recurgaps.admissible import DEFAULT_SEED
 from recurgaps.cli import main, parse_set, parse_system
-from recurgaps.primes import PrimeTable
+from recurgaps.primes import PrimeTable, build_prime_table
 from recurgaps.serialize import NonFiniteError, config_hash, dumps
 from test_expsum import _run_probe, _simd_masks
 
@@ -343,6 +343,29 @@ def test_bad_file_flag_spec_or_eps_exits_2_naming_it(args, named, tmp_path,
     assert "internal error" not in err
 
 
+# Inputs that once ran for minutes, or were refused with a message naming
+# no rule, each in a fresh interpreter under a time cap
+@pytest.mark.parametrize("args,named", [
+    (["tuple", "--k", "10000"], "52-shift limit"),
+    (["tuple", "--k", "300"], "52-shift limit"),
+    (["tuple", "--k", "2147483648", "--w0", "10"], "52-shift limit"),
+    (["sums", "--n", "1000000", "--k", "100000", "--w0", "7"],
+     "52-shift limit"),
+    (["tuple", "--w", "100000"], "63-bit modulus cap"),
+    (["tuple", "--w", "10000000"], "63-bit modulus cap"),
+    (["sums", "--n", "1000000", "--w", "1" + "0" * 30, "--h", "0"],
+     "63-bit modulus cap 2^63 - 1 at w = <31 digits>"),
+])
+def test_extreme_tuple_and_w_exit_2_at_once_naming_the_rule(args, named):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(recurgaps.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "recurgaps.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and named in done.stderr
+    assert done.stderr.count("\n") == 1 and len(done.stderr) < 300
+
+
 def test_q_cap_accepts_the_largest_q_with_exact_phases(capsys):
     q = 3037000499  # isqrt(2^63 - 1)
     values = {}
@@ -475,10 +498,9 @@ def test_stdout_without_timing_unchanged(args, digest, capsys):
 # at N = 1e6 to the last bit, in a fresh interpreter: np.log differs in the
 # last bit between numpy's SIMD paths, and the bytes must not
 _SIMD_PROBE = """
-import contextlib, hashlib, io, math
+import contextlib, hashlib, io
 from recurgaps.admissible import make_sieve_params
 from recurgaps.cli import main
-from recurgaps.primes import build_prime_table
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
@@ -489,8 +511,7 @@ for args, digest in GOLDEN:
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, args
 p = make_sieve_params(N=10 ** 6, h=(0, 2), theta=0.24, w=2)
 F = default_test_function(1)
-t = build_prime_table(math.isqrt(2 * p.N + 2) + 1)
-got = [weighted_prime_sum(p, F, i, t).measured.hex() for i in (0, 1)]
+got = [weighted_prime_sum(p, F, i).measured.hex() for i in (0, 1)]
 assert got == ["0x1.5c252a15e4568p+15", "0x1.5bda733ae72b0p+15"], got
 print("ok")
 """
@@ -603,17 +624,25 @@ _WINDOWS = {
 }
 
 
-@pytest.mark.parametrize("args,top", _WINDOWS.values(), ids=_WINDOWS.keys())
-def test_progression_sums_request_only_base_primes(args, top, monkeypatch,
-                                                   capsys):
+def _record_table_limits(monkeypatch):
+    """Record the limit of every table asked for: the CLI's own call and
+    each walk's (``primes.base_primes``) alike."""
     limits = []
-    build = cli.build_prime_table
+    build = primes.build_prime_table
 
     def recording_build(limit):
         limits.append(limit)
         return build(limit)
 
     monkeypatch.setattr(cli, "build_prime_table", recording_build)
+    monkeypatch.setattr(primes, "build_prime_table", recording_build)
+    return limits
+
+
+@pytest.mark.parametrize("args,top", _WINDOWS.values(), ids=_WINDOWS.keys())
+def test_progression_sums_request_only_base_primes(args, top, monkeypatch,
+                                                   capsys):
+    limits = _record_table_limits(monkeypatch)
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and lines_of(out)
     assert max(limits, default=0) <= math.isqrt(top) + 1
@@ -625,17 +654,27 @@ def test_no_op_reads_the_least_prime_factors(args, monkeypatch, capsys):
     # an op reads only its table's primes (main-term, which needed mobius(q)
     # from spf, builds none), so a table without spf gives the same bytes
     _, want, _ = run_cli(args, capsys)
-    build = cli.build_prime_table
 
     def primes_only(limit):
-        t = build(limit)
+        t = build_prime_table(limit)
         return PrimeTable(limit=t.limit, spf=np.zeros(0, dtype=np.uint32),
                           primes=t.primes)
 
-    monkeypatch.setattr(cli, "build_prime_table", primes_only)
+    build_prime_table.cache_clear()
+    monkeypatch.setattr(primes, "build_prime_table", primes_only)
     code, out, err = run_cli(args, capsys)
     assert code == 0, err
     assert out == want
+
+
+@pytest.mark.parametrize("args,top", _WINDOWS.values(), ids=_WINDOWS.keys())
+def test_the_op_reads_the_table_the_cli_built(args, top, capsys):
+    # the CLI builds the table before the op starts, and the op's walks
+    # read that one from the cache; an op that sieves no window builds none
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    info = build_prime_table.cache_info()
+    assert info.misses == (1 if top else 0)
 
 
 @pytest.mark.parametrize("args", [
@@ -647,14 +686,7 @@ def test_no_op_reads_the_least_prime_factors(args, monkeypatch, capsys):
 ], ids=["prime", "discrepancy", "recur-pmax", "cluster"])
 def test_held_window_above_budget_exits_2_before_sieving(args, monkeypatch,
                                                          capsys):
-    limits = []
-    build = cli.build_prime_table
-
-    def recording_build(limit):
-        limits.append(limit)
-        return build(limit)
-
-    monkeypatch.setattr(cli, "build_prime_table", recording_build)
+    limits = _record_table_limits(monkeypatch)
     monkeypatch.setattr(
         "recurgaps.primes.ap_primality",
         lambda *a: pytest.fail("sieved a window above the budget"))

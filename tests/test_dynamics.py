@@ -147,25 +147,24 @@ def test_khintchine_gap_stabilizes():
     assert int(np.diff(s1).max()) == int(np.diff(s2).max())
 
 
-def test_shifted_prime_set_z4(small_table):
+def test_shifted_prime_set_z4():
     sys_, A = z4_origin()
-    got = shifted_prime_recurrence_set(sys_, A, 0.01, 10 ** 4, small_table)
-    oracle = [int(p) for p in small_table.primes
-              if p <= 10 ** 4 and p % 4 == 1]
+    got = shifted_prime_recurrence_set(sys_, A, 0.01, 10 ** 4)
+    oracle = [q for q in range(2, 10 ** 4 + 1) if q % 4 == 1 and is_prime(q)]
     assert got.tolist() == oracle
 
 
-def test_shifted_prime_set_trivial_system(small_table):
+def test_shifted_prime_set_trivial_system():
     sys_ = KroneckerSystem.cyclic(1)
     A = BoxSet.whole_space(sys_)
-    got = shifted_prime_recurrence_set(sys_, A, 0.5, 100, small_table)
-    assert got.tolist() == [int(p) for p in small_table.primes if p <= 100]
+    got = shifted_prime_recurrence_set(sys_, A, 0.5, 100)
+    assert got.tolist() == [q for q in range(2, 101) if is_prime(q)]
 
 
-def test_shifted_prime_set_huge_eps_keeps_all(small_table):
+def test_shifted_prime_set_huge_eps_keeps_all():
     sys_, A = z4_origin()
-    got = shifted_prime_recurrence_set(sys_, A, 1.0, 100, small_table)
-    assert got.tolist() == [int(p) for p in small_table.primes if p <= 100]
+    got = shifted_prime_recurrence_set(sys_, A, 1.0, 100)
+    assert got.tolist() == [q for q in range(2, 101) if is_prime(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,33 +218,33 @@ def test_bump_reconstruction_bound():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def corr_setup(small_table):
+def corr_setup():
     sys_ = KroneckerSystem.cyclic(4)
     p = make_sieve_params(N=10 ** 5, h=(0, 24, 48), theta=0.1, w=5, W0=4)
-    return sys_, p, default_test_function(2), small_table
+    return sys_, p, default_test_function(2)
 
 
 def test_weighted_correlation_whole_space_equals_prime_sum(corr_setup):
-    sys_, p, F, t = corr_setup
+    sys_, p, F = corr_setup
     full = BoxSet.whole_space(sys_)
-    a = weighted_correlation_sum(p, F, sys_, full, 0, 0.01, t)
-    b = weighted_prime_sum(p, F, 0, t)
+    a = weighted_correlation_sum(p, F, sys_, full, 0, 0.01)
+    b = weighted_prime_sum(p, F, 0)
     assert a.measured == b.measured
 
 
 def test_weighted_correlation_empty_set_is_zero(corr_setup):
-    sys_, p, F, t = corr_setup
-    a = weighted_correlation_sum(p, F, sys_, BoxSet.empty(sys_), 0, 0.01, t)
+    sys_, p, F = corr_setup
+    a = weighted_correlation_sum(p, F, sys_, BoxSet.empty(sys_), 0, 0.01)
     assert a.measured == 0.0
 
 
 def test_weighted_correlation_group_alignment(corr_setup):
     # on this progression every n + h_i - 1 is divisible by 4, so the
     # correlation factor is exactly measure(A) throughout
-    sys_, p, F, t = corr_setup
+    sys_, p, F = corr_setup
     A = BoxSet(g=4, d=0, pieces=((0, Cube((), 1.0)),))
-    a = weighted_correlation_sum(p, F, sys_, A, 0, 0.01, t)
-    b = weighted_prime_sum(p, F, 0, t)
+    a = weighted_correlation_sum(p, F, sys_, A, 0, 0.01)
+    b = weighted_prime_sum(p, F, 0)
     assert a.measured == pytest.approx(0.25 * b.measured, rel=1e-12)
     assert a.measured > 0
     # the asymptotic prediction is reported for comparison; at this scale the
@@ -254,7 +253,7 @@ def test_weighted_correlation_group_alignment(corr_setup):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 8192])
-def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch):
+def test_weighted_correlation_equals_dense_fsum(chunk, monkeypatch):
     # the kernel evaluates Omega and the correlation only where n + h_i is
     # prime; the total must equal the fsum over every dense term
     sys_, A = circle_system(), half_circle()
@@ -268,14 +267,14 @@ def test_weighted_correlation_equals_dense_fsum(chunk, small_table, monkeypatch)
              * correlation_kernel(sys_, A)(m - 1))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
-    rep = weighted_correlation_sum(p, F, sys_, A, 0, 0.01, small_table)
+    rep = weighted_correlation_sum(p, F, sys_, A, 0, 0.01)
     assert rep.measured == math.fsum(dense.tolist())
 
 
-def test_weighted_correlation_requires_group_divisibility(small_table):
+def test_weighted_correlation_requires_group_divisibility():
     sys_ = KroneckerSystem.cyclic(4)
     A = BoxSet(g=4, d=0, pieces=((0, Cube((), 1.0)),))
     p = make_sieve_params(N=10 ** 5, h=(0, 6, 12), theta=0.1, w=5, W0=1)
     with pytest.raises(ParameterError, match="group order"):
         weighted_correlation_sum(p, default_test_function(2), sys_, A, 0,
-                                 0.01, small_table)
+                                 0.01)

@@ -21,17 +21,11 @@ from recurgaps.expsum import (RationalPoint, classify_arc, convergents,
                               weighted_expsum, zq_inverse, _phase,
                               _rational_phase, _SPLIT, _theta_frac,
                               _theta_phase)
-from recurgaps.primes import (build_prime_table, is_prime, mobius, phi_int,
-                              primes_in, torus_norm)
+from recurgaps.primes import is_prime, mobius, phi_int, primes_in, torus_norm
 from recurgaps.sieve import weighted_prime_sum
 from recurgaps.testfn import default_test_function
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_prime_table(2 * 10 ** 4 + 10)
 
 
 def test_rational_point_validation():
@@ -44,20 +38,20 @@ def test_rational_point_validation():
             RationalPoint(1, 3, theta)
 
 
-def test_prime_expsum_trivial_is_real_positive(table):
-    s = prime_expsum(10 ** 3, 1, 1, RationalPoint(1, 1, 0.0), table)
+def test_prime_expsum_trivial_is_real_positive():
+    s = prime_expsum(10 ** 3, 1, 1, RationalPoint(1, 1, 0.0))
     assert s.imag == 0.0
     assert s.real > 0.0
 
 
-def test_prime_expsum_rejects_bad_residue(table):
+def test_prime_expsum_rejects_bad_residue():
     with pytest.raises(ParameterError, match="gcd"):
-        prime_expsum(10 ** 3, 2, 2, RationalPoint(1, 1, 0.0), table)
+        prime_expsum(10 ** 3, 2, 2, RationalPoint(1, 1, 0.0))
 
 
-def test_prime_expsum_matches_naive_loop(table):
+def test_prime_expsum_matches_naive_loop():
     pt = RationalPoint(1, 4, 0.0)
-    got = prime_expsum(10 ** 3, 3, 1, pt, table)
+    got = prime_expsum(10 ** 3, 3, 1, pt)
     naive = sum(
         math.log(n) * cmath.exp(2j * math.pi * ((n % 4) / 4))
         for n in range(10 ** 3, 2 * 10 ** 3 + 1)
@@ -65,11 +59,11 @@ def test_prime_expsum_matches_naive_loop(table):
     assert abs(got - naive) <= 1e-11 * abs(naive)
 
 
-def test_prime_expsum_triangle_inequality(table):
+def test_prime_expsum_triangle_inequality():
     for q, a, theta in ((5, 2, 0.0), (7, 3, 1e-5), (1, 1, 0.37)):
         pt = RationalPoint(a, q, theta)
-        s = prime_expsum(10 ** 4, 3, 2, pt, table)
-        cap = prime_expsum(10 ** 4, 3, 2, RationalPoint(1, 1, 0.0), table).real
+        s = prime_expsum(10 ** 4, 3, 2, pt)
+        cap = prime_expsum(10 ** 4, 3, 2, RationalPoint(1, 1, 0.0)).real
         assert abs(s) <= cap * (1 + 1e-12) + 1e-9
 
 
@@ -96,14 +90,14 @@ def test_zq_membership_examples():
     assert ok and vbar == 0
 
 
-def test_rational_phases_are_exact_up_to_the_q_cap(table):
+def test_rational_phases_are_exact_up_to_the_q_cap():
     q = expsum.MAX_Q
     assert q * q <= 2 ** 63 - 1 < (q + 1) ** 2
     ns = np.arange(q - 1000, q + 1000, dtype=np.int64)  # n mod q up to q - 1
     assert np.allclose(_rational_phase(ns, q - 1, q),
                        np.conj(_rational_phase(ns, 1, q)), rtol=0, atol=1e-12)
     for call in (lambda: RationalPoint(1, q + 1),
-                 lambda: expsum_discrepancy(q + 1, 0.0, 10, 3, table)):
+                 lambda: expsum_discrepancy(q + 1, 0.0, 10, 3)):
         with pytest.raises(ParameterError, match=rf"q={q + 1} exceeds"):
             call()
 
@@ -156,64 +150,61 @@ def test_main_term_zero_class():
     assert got == 0j
 
 
-def test_main_term_matches_measured_at_small_scale(table):
+def test_main_term_matches_measured_at_small_scale():
     x = 10 ** 4
     tol = 0.35 * x / math.log(x)  # generous at this small x
     for D, q in ((3, 1), (3, 2), (4, 2), (5, 5)):
         pt = RationalPoint(1, q, 0.0)
-        s = prime_expsum(x, D, 1, pt, table)
+        s = prime_expsum(x, D, 1, pt)
         m = expsum_main_term(x, D, 1, pt)
         assert abs(s - m) <= tol
 
 
-def test_discrepancy_trivial_level(table):
+def test_discrepancy_trivial_level():
     x = 10 ** 4
-    got = expsum_discrepancy(1, 0.0, x, 3, table)
-    direct = abs(prime_expsum(x, 1, 1, RationalPoint(1, 1, 0.0), table) - (x + 1))
+    got = expsum_discrepancy(1, 0.0, x, 3)
+    direct = abs(prime_expsum(x, 1, 1, RationalPoint(1, 1, 0.0)) - (x + 1))
     assert got == pytest.approx(direct, rel=1e-12)
 
 
-def test_discrepancy_monotone_in_delta(table):
+def test_discrepancy_monotone_in_delta():
     # the coarse grid is a subset of the refined wide grid
     x = 10 ** 4
-    lo = expsum_discrepancy(4, 1e-6, x, 3, table)
-    hi = expsum_discrepancy(4, 3e-6, x, 7, table)
+    lo = expsum_discrepancy(4, 1e-6, x, 3)
+    hi = expsum_discrepancy(4, 3e-6, x, 7)
     assert lo <= hi + 1e-12
 
 
-def test_discrepancy_validation(table):
+def test_discrepancy_validation():
     with pytest.raises(ParameterError, match="at least 3"):
-        expsum_discrepancy(4, 0.0, 10 ** 3, 2, table)
+        expsum_discrepancy(4, 0.0, 10 ** 3, 2)
     with pytest.raises(ParameterError, match="q >= 1"):
-        expsum_discrepancy(0, 0.0, 10 ** 3, 3, table)
+        expsum_discrepancy(0, 0.0, 10 ** 3, 3)
     for delta in (-1e-6, math.inf, math.nan):
         with pytest.raises(ParameterError, match="delta"):
-            expsum_discrepancy(4, delta, 10 ** 3, 3, table)
-    # the window [x, 2x] is sieved with the primes up to isqrt(2x) = 44
-    with pytest.raises(ParameterError, match=r"isqrt\(2000\) = 44"):
-        expsum_discrepancy(4, 0.0, 10 ** 3, 3, build_prime_table(43))
+            expsum_discrepancy(4, delta, 10 ** 3, 3)
 
 
 @pytest.mark.parametrize("x", [0, -3])
-def test_prime_sums_refuse_a_window_below_one(x, table):
+def test_prime_sums_refuse_a_window_below_one(x):
     pt = RationalPoint(1, 3, 1e-6)
-    for call in (lambda: prime_expsum(x, 1, 1, pt, table),
+    for call in (lambda: prime_expsum(x, 1, 1, pt),
                  lambda: expsum_main_term(x, 1, 1, pt),
-                 lambda: expsum_discrepancy(3, 1e-6, x, 3, table)):
+                 lambda: expsum_discrepancy(3, 1e-6, x, 3)):
         with pytest.raises(ParameterError, match=rf"x >= 1, got x={x}"):
             call()
 
 
-def test_discrepancy_refuses_a_grid_span_that_overflows(table):
+def test_discrepancy_refuses_a_grid_span_that_overflows():
     # the span 2 delta of the largest delta accepted is the largest double
     top = sys.float_info.max / 2
     for delta in (1e308, math.nextafter(top, math.inf)):
         with pytest.raises(ParameterError, match="delta=.* is too large"):
-            expsum_discrepancy(4, delta, 10 ** 3, 3, table)
+            expsum_discrepancy(4, delta, 10 ** 3, 3)
     assert math.isfinite(top - -top)
 
 
-def test_phase_sums_refuse_a_theta_the_split_cannot_hold(table):
+def test_phase_sums_refuse_a_theta_the_split_cannot_hold():
     # the largest theta whose split theta * _SPLIT is finite, and the next
     top = sys.float_info.max / _SPLIT
     big = math.nextafter(top, math.inf)
@@ -222,38 +213,38 @@ def test_phase_sums_refuse_a_theta_the_split_cannot_hold(table):
     F = default_test_function(1)
     for theta in (top, -top):
         pt = RationalPoint(1, 3, theta)
-        assert cmath.isfinite(prime_expsum(10 ** 3, 1, 1, pt, table))
-        assert cmath.isfinite(weighted_expsum(p, F, 1, pt, table).measured)
-    assert math.isfinite(expsum_discrepancy(3, top, 10 ** 3, 3, table))
+        assert cmath.isfinite(prime_expsum(10 ** 3, 1, 1, pt))
+        assert cmath.isfinite(weighted_expsum(p, F, 1, pt).measured)
+    assert math.isfinite(expsum_discrepancy(3, top, 10 ** 3, 3))
     for theta in (big, -big, 1e300):
         pt = RationalPoint(1, 3, theta)
         with pytest.raises(ParameterError, match="theta offset=.* is too large"):
-            prime_expsum(10 ** 3, 1, 1, pt, table)
+            prime_expsum(10 ** 3, 1, 1, pt)
         with pytest.raises(ParameterError, match="theta offset=.* is too large"):
-            weighted_expsum(p, F, 1, pt, table)
+            weighted_expsum(p, F, 1, pt)
     with pytest.raises(ParameterError, match="delta=.* is too large: the phase"):
-        expsum_discrepancy(3, big, 10 ** 3, 3, table)
+        expsum_discrepancy(3, big, 10 ** 3, 3)
     # the closed-form main term splits no theta
     assert expsum_main_term(100, 1, 1, RationalPoint(1, 1, 1e300)) == 101
 
 
 @pytest.mark.parametrize("grid", [3, 41, 1000, 8193, 100001])
 @pytest.mark.parametrize("delta", [1e-6, 1.1e-6, 0.3, 5e-9])
-def test_theta_grid_equals_linspace(delta, grid, table, monkeypatch):
+def test_theta_grid_equals_linspace(delta, grid, monkeypatch):
     # the scan centres at each point of np.linspace's grid once, in order
     # (its phases are stubbed: only the points are read here)
     thetas = []
     monkeypatch.setattr(expsum, "geometric_phase_sum",
                         lambda x, theta: thetas.append(theta) or 0j)
     monkeypatch.setattr(expsum, "_theta_phase", lambda ns, theta: 1.0)
-    expsum_discrepancy(1, delta, 1, grid, table)
+    expsum_discrepancy(1, delta, 1, grid)
     assert np.array(thetas).tobytes() == np.linspace(-delta, delta, grid).tobytes()
 
 
-def test_discrepancy_refuses_a_billion_point_grid(table):
+def test_discrepancy_refuses_a_billion_point_grid():
     # phi(4) * 1e9 theta points, refused before any of them is scanned
     with pytest.raises(ParameterError, match=r"--q.*--grid"):
-        expsum_discrepancy(4, 1e-6, 10 ** 3, 10 ** 9, table)
+        expsum_discrepancy(4, 1e-6, 10 ** 3, 10 ** 9)
 
 
 # pi(2^27 - 2) - pi(2^26 - 2): the primes in [x, 2x] at x = 2^26 - 1
@@ -261,8 +252,7 @@ def test_discrepancy_refuses_a_billion_point_grid(table):
     (250_000, None), (10 ** 6, None), (67_108_863, 3_645_744)])
 def test_window_primes_floor_is_below_the_prime_count(x, count):
     if count is None:
-        count = len(primes_in(range(x, 2 * x + 1),
-                              build_prime_table(math.isqrt(2 * x) + 1)))
+        count = len(primes_in(range(x, 2 * x + 1)))
     assert 0 < expsum._window_primes_floor(x) < count
 
 
@@ -285,28 +275,22 @@ def test_discrepancy_budget_admits(q, delta, x, grid, monkeypatch):
     def admitted(*args):
         raise _Admitted
     monkeypatch.setattr(expsum, "_rational_phase", admitted)
-    t = build_prime_table(math.isqrt(2 * x) + 1)
     with pytest.raises(_Admitted):
-        expsum_discrepancy(q, delta, x, grid, t)
+        expsum_discrepancy(q, delta, x, grid)
 
 
-def test_discrepancy_budget_refuses_a_large_phi_of_q(table):
+def test_discrepancy_budget_refuses_a_large_phi_of_q():
     # phi(1000003) = 1000002 pairs over 21 primes: 14 s of scanning on 2 vCPUs
     with pytest.raises(ParameterError, match=r"phi\(q\) = 1000002 .*"
                        r"lower q \(--q\) or the theta grid \(--grid\)"):
-        expsum_discrepancy(1000003, 0.0, 100, 3, table)
+        expsum_discrepancy(1000003, 0.0, 100, 3)
 
 
-@pytest.fixture(scope="module")
-def wide_table():
-    return build_prime_table(2 * 250_000 + 1)
-
-
-def _discrepancy_loop(q, delta, x, grid, t):
+def _discrepancy_loop(q, delta, x, grid):
     """The scan as one prime_expsum call per (a, theta) grid point."""
     mu_over_phi = mobius(q) / phi_int(q)
     thetas = np.linspace(-delta, delta, grid) if delta > 0 else np.array([0.0])
-    return max(abs(prime_expsum(x, 1, 1, RationalPoint(a, q, theta), t)
+    return max(abs(prime_expsum(x, 1, 1, RationalPoint(a, q, theta))
                    - mu_over_phi * geometric_phase_sum(x, theta))
                for a in range(1, q + 1) if math.gcd(a, q) == 1
                for theta in thetas.tolist())
@@ -317,28 +301,27 @@ def _discrepancy_loop(q, delta, x, grid, t):
 @pytest.mark.parametrize("x", [1000, 250_000])
 @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.37])
 @pytest.mark.parametrize("q", [1, 3, 4, 6, 30])
-def test_discrepancy_equals_per_point_loop(q, delta, x, wide_table):
-    got = expsum_discrepancy(q, delta, x, 5, wide_table)
-    assert got == _discrepancy_loop(q, delta, x, 5, wide_table)
+def test_discrepancy_equals_per_point_loop(q, delta, x):
+    got = expsum_discrepancy(q, delta, x, 5)
+    assert got == _discrepancy_loop(q, delta, x, 5)
 
 
 @pytest.mark.parametrize("per_block", [1, 2, 7])
 @pytest.mark.parametrize("delta", [0.0, 1e-6])
-def test_blocked_discrepancy_equals_one_block(per_block, delta, table,
+def test_blocked_discrepancy_equals_one_block(per_block, delta,
                                               monkeypatch):
     # phi(210) = 48 values of a, in blocks of 1, 2 and 7 (the last one
     # short), against one block that holds all of them
     q, x, grid = 210, 1000, 5
-    ps = table.primes
-    held = 16 * np.count_nonzero((ps >= x) & (ps <= 2 * x))  # bytes per a
+    held = 16 * len(primes_in(range(x, 2 * x + 1)))  # bytes per a
     assert expsum.PHASE_BLOCK_BYTES >= 48 * held
-    want = expsum_discrepancy(q, delta, x, grid, table)
+    want = expsum_discrepancy(q, delta, x, grid)
     calls = []
     phase_sum = expsum.geometric_phase_sum
     monkeypatch.setattr(expsum, "geometric_phase_sum",
                         lambda x, theta: calls.append(theta) or phase_sum(x, theta))
     monkeypatch.setattr(expsum, "PHASE_BLOCK_BYTES", per_block * held)
-    assert expsum_discrepancy(q, delta, x, grid, table) == want
+    assert expsum_discrepancy(q, delta, x, grid) == want
     # the centring sum is taken once per grid point and block
     assert len(calls) == -(-48 // per_block) * (grid if delta > 0 else 1)
 
@@ -348,14 +331,14 @@ def test_phase_block_holds_two_phases_of_the_largest_window():
     assert expsum.PHASE_BLOCK_BYTES >= 2 * 16 * (7_603_553 - 3_957_809)
 
 
-def test_discrepancy_memory_is_bounded_by_the_block_budget(table, monkeypatch):
+def test_discrepancy_memory_is_bounded_by_the_block_budget(monkeypatch):
     # phi(2310) = 480 values of a hold about 1 MiB of phases at x = 1000;
     # with a 64 KiB budget the scan's peak stays near the budget
     monkeypatch.setattr(expsum, "PHASE_BLOCK_BYTES", 1 << 16)
-    want = _discrepancy_loop(2310, 1e-6, 1000, 3, table)
+    want = _discrepancy_loop(2310, 1e-6, 1000, 3)
     tracemalloc.start()
     try:
-        got = expsum_discrepancy(2310, 1e-6, 1000, 3, table)
+        got = expsum_discrepancy(2310, 1e-6, 1000, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,9 +347,8 @@ def test_discrepancy_memory_is_bounded_by_the_block_budget(table, monkeypatch):
 
 
 @pytest.mark.parametrize("x", [1000, 250_000])
-def test_phase_is_rational_times_theta(x, wide_table):
-    ps = wide_table.primes
-    ps = ps[(ps >= x) & (ps <= 2 * x)]
+def test_phase_is_rational_times_theta(x):
+    ps = primes_in(range(x, 2 * x + 1))
     for a, q, theta in ((1, 3, 1e-6), (7, 30, -0.37), (1, 1, 2.5e-3)):
         r = _rational_phase(ps, a, q)
         e = _theta_phase(ps, theta)
@@ -385,13 +367,12 @@ import numpy as np
 from recurgaps import accumulate
 from recurgaps.admissible import make_sieve_params
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
-from recurgaps.primes import build_prime_table, is_prime
+from recurgaps.primes import is_prime
 from recurgaps.sieve import omega_kernel, points
 from recurgaps.testfn import default_test_function
 
 p = make_sieve_params(N=20_000, h=(0, 2), theta=0.1, w=2, W0=1)
 F = default_test_function(1)
-t = build_prime_table(2 * p.N + 10)
 pt = RationalPoint(1, 3, 0.01)
 ns = np.array(points(p))
 m = ns + p.h[1]
@@ -403,7 +384,7 @@ varpi = np.where([is_prime(x) for x in m.tolist()],
                  np.log(m.astype(np.float64)), 0.0)
 dense = varpi * omega_kernel(p, F)(ns) * whole
 accumulate.CHUNK = 1
-got = weighted_expsum(p, F, 1, pt, t).measured
+got = weighted_expsum(p, F, 1, pt).measured
 want = complex(math.fsum(dense.real.tolist()), math.fsum(dense.imag.tolist()))
 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 print("ok")
@@ -546,7 +527,7 @@ def test_theta_frac_rejects_n_beyond_split_range():
 
 
 def test_weighted_expsum_rejects_n_beyond_split_range_before_the_scan(
-        small_table, monkeypatch):
+        monkeypatch):
     # 2N + max h >= 2^28 with a theta offset: the bound is checked before
     # the Omega table is built, not when the scan first reaches such an n
     def no_scan(*args, **kwargs):
@@ -556,7 +537,7 @@ def test_weighted_expsum_rejects_n_beyond_split_range_before_the_scan(
     p = make_sieve_params(N=140_000_000, h=(0, 2), theta=0.24, w=2, W0=1)
     F = default_test_function(1)
     with pytest.raises(ParameterError, match=r"2\^28"):
-        weighted_expsum(p, F, 0, RationalPoint(1, 3, 0.01), small_table)
+        weighted_expsum(p, F, 0, RationalPoint(1, 3, 0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -612,33 +593,33 @@ def test_convergents_of_rational_terminate():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def sieve_setup(small_table):
+def sieve_setup():
     p = make_sieve_params(N=10 ** 5, h=(0, 6, 12), theta=0.1, w=5, W0=1)
-    return p, default_test_function(2), small_table
+    return p, default_test_function(2)
 
 
 def test_weighted_trivial_matches_prime_sum(sieve_setup):
-    p, F, t = sieve_setup
-    base = weighted_prime_sum(p, F, 0, t)
-    rep = weighted_expsum(p, F, 0, RationalPoint(1, 1, 0.0), t)
+    p, F = sieve_setup
+    base = weighted_prime_sum(p, F, 0)
+    rep = weighted_expsum(p, F, 0, RationalPoint(1, 1, 0.0))
     assert rep.measured.real == base.measured
     assert rep.measured.imag == 0.0
     assert abs(rep.measured - base.measured) <= 1e-9 * abs(base.measured)
 
 
 def test_weighted_q2_parity_phase(sieve_setup):
-    p, F, t = sieve_setup
-    rep = weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0), t)
+    p, F = sieve_setup
+    rep = weighted_expsum(p, F, 0, RationalPoint(1, 2, 0.0))
     # b + h_0 odd: predicted phase -1, measured exactly the negated prime sum
     assert rep.predicted.real < 0
     assert rep.measured.real < 0
-    base = weighted_prime_sum(p, F, 0, t)
+    base = weighted_prime_sum(p, F, 0)
     assert rep.measured.real == pytest.approx(-base.measured, rel=1e-12)
 
 
 def test_weighted_off_divisor_bound_attached(sieve_setup):
-    p, F, t = sieve_setup
-    rep = weighted_expsum(p, F, 0, RationalPoint(1, 7, 0.0), t)
+    p, F = sieve_setup
+    rep = weighted_expsum(p, F, 0, RationalPoint(1, 7, 0.0))
     assert rep.predicted == 0j
     assert rep.ratio is None
     assert rep.bound is not None and rep.bound > 0
@@ -646,8 +627,8 @@ def test_weighted_off_divisor_bound_attached(sieve_setup):
 
 
 def test_minor_arc_scan_records(sieve_setup):
-    p, F, t = sieve_setup
-    recs = minor_arc_scan(p, F, 0, [GOLD], t)
+    p, F = sieve_setup
+    recs = minor_arc_scan(p, F, 0, [GOLD])
     assert len(recs) == 1
     rec = recs[0]
     assert rec["magnitude"] >= 0.0
@@ -656,6 +637,6 @@ def test_minor_arc_scan_records(sieve_setup):
 
 
 def test_minor_arc_scan_rejects_major(sieve_setup):
-    p, F, t = sieve_setup
+    p, F = sieve_setup
     with pytest.raises(ParameterError, match="minor"):
-        minor_arc_scan(p, F, 0, [0.5], t)
+        minor_arc_scan(p, F, 0, [0.5])

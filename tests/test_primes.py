@@ -342,7 +342,7 @@ def test_primes_in_matches_table(start, stop, step, segment):
     want = [v for v in r if v >= 2 and int(_HYP_TABLE.spf[v]) == v]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT", segment)
-        got = primes_in(r, _HYP_TABLE)
+        got = primes_in(r)
     assert got.dtype == np.int64
     assert got.tolist() == want
 
@@ -355,20 +355,23 @@ def test_primes_in_segment_edges(table):
             for start in (0, 1, 2, 3, 10, 11):
                 want = table.primes[(table.primes >= start)
                                     & (table.primes < stop)].tolist()
-                assert primes_in(range(start, stop), table).tolist() == want
-    assert primes_in(range(5, 5), None).tolist() == []
+                assert primes_in(range(start, stop)).tolist() == want
+    assert primes_in(range(5, 5)).tolist() == []
 
 
-def test_primes_in_needs_only_base_primes_and_a_window_in_budget():
-    small = build_prime_table(100)  # base primes for values up to 10200
-    got = primes_in(range(9000, 10201, 3), small)
+def test_primes_in_needs_only_base_primes_and_a_window_in_budget(monkeypatch):
+    limits = []
+    build = primes.build_prime_table
+    monkeypatch.setattr(primes, "build_prime_table",
+                        lambda limit: limits.append(limit) or build(limit))
+    got = primes_in(range(9000, 10201, 3))
     assert got.tolist() == [v for v in range(9000, 10201, 3)
                             if all(v % q for q in range(2, math.isqrt(v) + 1))]
-    with pytest.raises(ParameterError, match=r"isqrt\(10202\) = 101"):
-        primes_in(range(9000, 10203), small)
+    assert limits == [101]  # base primes for values up to 10200
     # the budget bounds the last value, inclusively, before any sieving
     top = DEFAULT_LIMIT_BUDGET
-    assert primes_in(range(top - 1, top + 1),
-                     build_prime_table(math.isqrt(top))).tolist() == []
+    assert primes_in(range(top - 1, top + 1)).tolist() == []
+    limits.clear()
     with pytest.raises(ParameterError, match=r"2\^27"):
-        primes_in(range(top, top + 2), small)
+        primes_in(range(top, top + 2))
+    assert limits == []

@@ -11,10 +11,10 @@ from recurgaps.cluster import consecutive_filter, detector_sum, scan_clusters
 from recurgaps.dynamics import (BoxSet, Cube, KroneckerSystem,
                                 correlation_kernel, weighted_correlation_sum)
 from recurgaps.expsum import RationalPoint, weighted_expsum, _phase
-from recurgaps.primes import build_prime_table
+from recurgaps.primes import ShiftPrimes, build_prime_table
 from recurgaps.sieve import (SumReport, omega_kernel, omega_n, omega_period,
-                             omega_sum, points, shift_primes,
-                             weighted_prime_sum, _plan_primes)
+                             omega_sum, points, weighted_prime_sum,
+                             _plan_primes)
 from recurgaps.testfn import default_test_function
 
 
@@ -35,13 +35,13 @@ def _dense_varpi(m):
 
 
 @pytest.fixture(scope="module")
-def params_k0(small_table):
+def params_k0():
     # R = 17: composite squarefree divisors (15) fit under the cutoff
     return make_sieve_params(N=10 ** 5, h=(0,), theta=0.24999, w=2, W0=1)
 
 
 @pytest.fixture(scope="module")
-def params_k2(small_table):
+def params_k2():
     return make_sieve_params(N=10 ** 5, h=(0, 6, 12), theta=0.1, w=5, W0=1)
 
 
@@ -59,14 +59,14 @@ def test_progression_empty_error():
         points(p)
 
 
-def test_omega_prime_window_value(params_k2, small_table):
+def test_omega_prime_window_value(params_k2):
     # 5, 11, 17 all prime and above the divisor cutoff: only d = 1 contributes
     F = default_test_function(2)
     f0 = F.f0
     assert omega_n(5, params_k2, F) == (f0 * f0 * f0) ** 2
 
 
-def test_omega_single_coordinate_prime(params_k0, small_table):
+def test_omega_single_coordinate_prime(params_k0):
     # divisors of a prime q below R: 1 and q; weight collapses to log-ratio
     F = default_test_function(0)
     R = params_k0.R
@@ -146,9 +146,9 @@ def test_omega_sum_scales_with_N():
     assert m2 == pytest.approx(2 * m1, rel=0.2)
 
 
-def test_weighted_prime_sum_matches_direct_log_sum(params_k2, small_table):
+def test_weighted_prime_sum_matches_direct_log_sum(params_k2):
     F = default_test_function(2)
-    rep = weighted_prime_sum(params_k2, F, 0, small_table)
+    rep = weighted_prime_sum(params_k2, F, 0)
     ns = np.array(points(params_k2))
     f0 = F.f0
     const = (f0 ** 3) ** 2  # degenerate weight at these parameters
@@ -159,7 +159,7 @@ def test_weighted_prime_sum_matches_direct_log_sum(params_k2, small_table):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 8192])
-def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
+def test_weighted_prime_sum_equals_dense_fsum(chunk, monkeypatch):
     # the kernel drops the n with n + h_i composite; the total must equal the
     # fsum over every dense term wp(m) * omega(n), zeros included
     p = make_sieve_params(N=5000, h=(0,), theta=0.24999, w=2, W0=1)
@@ -169,7 +169,7 @@ def test_weighted_prime_sum_equals_dense_fsum(chunk, small_table, monkeypatch):
              * omega_kernel(p, F)(ns))
     assert 0 < np.count_nonzero(dense) < len(dense)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
-    assert weighted_prime_sum(p, F, 0, small_table).measured == math.fsum(dense.tolist())
+    assert weighted_prime_sum(p, F, 0).measured == math.fsum(dense.tolist())
 
 
 _HALF_ARC = KroneckerSystem.with_sqrt_kappa(g=1, d=1)
@@ -180,7 +180,6 @@ def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
     """Every progression sum equals math.fsum over its dense per-n terms,
     zeros included, with Omega evaluated by the kernel at every n."""
     F = default_test_function(p.k)
-    t = _HYP_TABLE
     ns = np.array(points(p))
     m = ns + p.h[i]
     omega = omega_kernel(p, F)(ns)
@@ -190,10 +189,10 @@ def _assert_sums_equal_dense_fsum(p, i, pt, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accumulate, "CHUNK", chunk)
         got = [omega_sum(p, F).measured,
-               weighted_prime_sum(p, F, i, t).measured,
-               weighted_expsum(p, F, i, pt, t).measured,
-               weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i, 0.01,
-                                        t).measured]
+               weighted_prime_sum(p, F, i).measured,
+               weighted_expsum(p, F, i, pt).measured,
+               weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i,
+                                        0.01).measured]
     want = [math.fsum(omega.tolist()), math.fsum(base.tolist()),
             complex(math.fsum(phased.real.tolist()),
                     math.fsum(phased.imag.tolist())),
@@ -289,8 +288,9 @@ _SEGMENT_PARAMS = [
 ]
 
 
-def _base_table(p):
-    return build_prime_table(math.isqrt(p.top) + 1)
+def _walk(p, h):
+    """The op's walk over n + h along the progression of p."""
+    return ShiftPrimes(points(p), h, p.top)
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -300,9 +300,9 @@ def test_shift_primes_matches_the_table_at_segment_edges(p, segment, chunk,
                                                          monkeypatch):
     # chunks that straddle segments, and segments shorter than chunks
     monkeypatch.setattr(primes, "SEGMENT", segment)
-    ns, base = np.array(points(p)), _base_table(p)
+    ns = np.array(points(p))
     for h in p.h:
-        look = shift_primes(p, h, base)
+        look = _walk(p, h)
         got = np.concatenate([look.at(i, min(i + chunk, len(ns)))
                               for i in range(0, len(ns), chunk)])
         assert np.array_equal(got, _is_prime(ns + h))
@@ -313,7 +313,7 @@ def test_shift_primes_reads_any_span_by_index(monkeypatch):
     monkeypatch.setattr(primes, "SEGMENT", 7)
     p = _SEGMENT_PARAMS[0]
     want = _is_prime(np.array(points(p)))
-    look = shift_primes(p, 0, _base_table(p))
+    look = _walk(p, 0)
     assert look.at(0, 0).tolist() == []
     for lo, hi in [(10, 30), (12, 15), (15, 15), (3, 9), (0, 40),
                    (len(want) - 2, len(want))]:
@@ -339,10 +339,10 @@ def test_forward_scan_sieves_each_point_once(p, chunk, segment, monkeypatch):
     monkeypatch.setattr(primes, "ap_primality", counted)
     monkeypatch.setattr(primes, "SEGMENT", segment)
     monkeypatch.setattr(accumulate, "CHUNK", chunk)
-    pts, base = sieve.points(p), _base_table(p)
+    pts = sieve.points(p)
     for h in p.h:
         calls.clear()
-        look = shift_primes(p, h, base)
+        look = _walk(p, h)
         count = accumulate.chunked_sum(pts, lambda lo, hi: look.at(lo, hi) * 1.0)
         assert len(calls) == -(-len(pts) // segment)
         assert sum(calls) == len(pts)
@@ -361,55 +361,61 @@ def test_a_walk_computes_the_step_inverses_once(p, monkeypatch):
     monkeypatch.setattr(primes, "step_inverses", counted)
     monkeypatch.setattr(primes, "SEGMENT", 5)
     monkeypatch.setattr(accumulate, "CHUNK", 5)
-    look = shift_primes(p, p.h[0], _base_table(p))
+    look = _walk(p, p.h[0])
     accumulate.chunked_sum(sieve.points(p), lambda lo, hi: look.at(lo, hi) * 1.0)
-    primes.primes_in(range(p.N, p.top + 1, 3), _base_table(p))
+    primes.primes_in(range(p.N, p.top + 1, 3))
     assert steps == [p.W, 3]
 
 
-def _weighted_sums(p, t):
+def _weighted_sums(p):
     F = default_test_function(p.k)
     pt = RationalPoint(1, 3, 0.01)
     out = []
     for i in range(p.k + 1):
-        out.append(weighted_prime_sum(p, F, i, t).measured.hex())
-        z = weighted_expsum(p, F, i, pt, t).measured
+        out.append(weighted_prime_sum(p, F, i).measured.hex())
+        z = weighted_expsum(p, F, i, pt).measured
         out.append((z.real.hex(), z.imag.hex()))
         out.append(weighted_correlation_sum(p, F, _HALF_ARC, _HALF_SET, i,
-                                            0.01, t).measured.hex())
-    out.append(detector_sum(p, F, _HALF_ARC, _HALF_SET, 0.01, 1, t).measured.hex())
+                                            0.01).measured.hex())
+    out.append(detector_sum(p, F, _HALF_ARC, _HALF_SET, 0.01, 1).measured.hex())
     # eps = 0.2 leaves the consecutive progression, of 11 points, 4 reports
     reports = consecutive_filter(
-        scan_clusters(p, _HALF_ARC, _HALF_SET, 0.2, 1, t), p, t)
+        scan_clusters(p, _HALF_ARC, _HALF_SET, 0.2, 1), p)
     assert reports
     return out + [(r.as_dict(), r.detector_value.hex()) for r in reports]
 
 
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
-def test_weighted_sums_need_only_the_base_primes(p, small_table):
-    base = _base_table(p)
-    assert base.limit == math.isqrt(2 * p.N + max(p.h)) + 1
-    assert _weighted_sums(p, base) == _weighted_sums(p, small_table)
+def test_weighted_sums_need_only_the_base_primes(p, monkeypatch):
+    # the same sums from the table of the base primes alone, which every
+    # walk asks for, and from a table over the whole window
+    limits = []
+    build = primes.build_prime_table
+    monkeypatch.setattr(primes, "build_prime_table",
+                        lambda limit: limits.append(limit) or build(limit))
+    want = _weighted_sums(p)
+    assert set(limits) == {math.isqrt(2 * p.N + max(p.h)) + 1}
+    monkeypatch.setattr(primes, "build_prime_table",
+                        lambda limit: build(2 * 10 ** 5 + 700))
+    assert _weighted_sums(p) == want
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("segment", [1, 3, 7])
-def test_weighted_sums_ignore_segment_and_chunk_edges(segment, chunk,
-                                                      small_table):
+def test_weighted_sums_ignore_segment_and_chunk_edges(segment, chunk):
     for p in _SEGMENT_PARAMS:
-        want = _weighted_sums(p, small_table)
+        want = _weighted_sums(p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes, "SEGMENT", segment)
             mp.setattr(accumulate, "CHUNK", chunk)
-            assert _weighted_sums(p, _base_table(p)) == want
+            assert _weighted_sums(p) == want
 
 
 @pytest.mark.parametrize("p", _SEGMENT_PARAMS, ids=["w2", "w5", "consecutive"])
 def test_consecutive_filter_never_steps_back(p, monkeypatch):
     # each report asks for the span from n - N, which ascends with n, so a
     # new segment always starts past the one held before it
-    t = _base_table(p)
-    reports = scan_clusters(p, _HALF_ARC, _HALF_SET, 0.2, 1, t)
+    reports = scan_clusters(p, _HALF_ARC, _HALF_SET, 0.2, 1)
     firsts = []
 
     def counted(first, step, count, base, inverses):
@@ -419,20 +425,17 @@ def test_consecutive_filter_never_steps_back(p, monkeypatch):
     primality = primes.ap_primality
     monkeypatch.setattr(primes, "ap_primality", counted)
     monkeypatch.setattr(primes, "SEGMENT", 7)
-    consecutive_filter(reports, p, t)
+    consecutive_filter(reports, p)
     assert len(firsts) > 1
     assert all(a < b for a, b in zip(firsts, firsts[1:]))
 
 
 def test_weighted_sums_name_the_base_bound():
+    # a walk sieves with the primes up to isqrt(2N + max h) and no more
     p = _SEGMENT_PARAMS[1]
-    short = build_prime_table(math.isqrt(2 * p.N + max(p.h)) - 1)
-    F = default_test_function(p.k)
-    top = 2 * p.N + max(p.h)
-    with pytest.raises(ParameterError, match=rf"isqrt\({top}\)"):
-        weighted_prime_sum(p, F, 0, short)
-    with pytest.raises(ParameterError, match="isqrt"):
-        shift_primes(p, 0, short)
+    root = math.isqrt(2 * p.N + max(p.h))
+    assert _walk(p, 0).base.tolist() == [
+        q for q in range(2, root + 1) if primes.is_prime(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +502,5 @@ def _mob(d):
     return -1 if cnt % 2 else 1
 
 
-_HYP_TABLE = build_prime_table(2 * 10 ** 5 + 20)
 _HYP_PARAMS = make_sieve_params(N=10 ** 5, h=(0, 2), theta=0.2349, w=2, W0=1)
 _HYP_F = default_test_function(1)
